@@ -61,7 +61,7 @@ from .gaussian import (
     rate_report,
     reception_rate,
 )
-from .kernel import BACKEND, ChainProblem, batch_min_rate, compile_chain
+from .kernel import ChainProblem, batch_min_rate, compile_chain
 from .marc import (
     MarcConfig,
     MarcOptimum,
@@ -83,7 +83,6 @@ from .sweep import ConfigError, ExperimentConfig, SweepAxis, run_experiment, val
 __version__ = "1.0.0"
 
 __all__ = [
-    "BACKEND",
     "BrcConfig",
     "BrcOptimum",
     "BrcRates",

@@ -3,7 +3,8 @@
 With unit spacing the interference a receiver cannot cancel is a sum of
 inverse-power-law terms whose total is bounded by 6 * zeta(eta) * kappa * P
 at every interior node, so reception rates stay bounded away from zero as
-the chain grows.
+the chain grows.  The decode/cancel window is the one described in the
+``gaussian`` module docstring.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .channel import PowerConfig, PropagationModel
+from .gaussian import _band_powers
 
 DEFAULT_T_CAP = 5000
 _CHUNK = 1 << 20
@@ -105,35 +110,28 @@ def large_T_report(
         raise ValueError(f"node count {t} exceeds the resource cap {t_cap}")
     if eta <= 1.0:
         raise ZetaDivergenceError("eta must exceed 1 for bounded interference")
+    # the channel's own checks: kappa > 0, power >= 0, noise > 0
+    prop = PropagationModel(kappa, eta, allow_low_eta=True)
+    PowerConfig.uniform(t, power, noise)
 
-    fwd = np.broadcast_to(np.asarray(alpha, dtype=float), (t - 2,)).copy()
-    if np.any((fwd < 0.0) | (fwd > 1.0)):
-        raise ValueError("forward fractions must lie in [0, 1]")
+    fwd = np.broadcast_to(np.asarray(alpha, dtype=float), (t - 2,))
+    if not np.all((fwd >= 0.0) & (fwd <= 1.0)):
+        raise ValueError("forward fractions must be finite and lie in [0, 1]")
     # node T-1 carries only its own sub-signal
-    a = np.concatenate([fwd, [0.0]])
+    a = np.append(fwd, 0.0)
+    frac = np.column_stack([1.0 - a, a])
 
-    q = np.arange(1, t)                    # sub-signal of node q
-    p_sig = np.zeros(t - 1)
-    p_int = np.zeros(t - 1)
-    rates = np.zeros(t - 1)
-    for rcv in range(2, t + 1):
-        with np.errstate(divide="ignore"):
-            g_own = np.abs(q - rcv).astype(float) ** (-eta)
-            g_fwd = np.abs(q[1:] - 1 - rcv).astype(float) ** (-eta)
-        g_own[q == rcv] = 0.0
-        g_fwd[q[1:] - 1 == rcv] = 0.0
-        c_own = kappa * g_own * (1.0 - a) * power
-        c_fwd = np.zeros(t - 1)
-        c_fwd[1:] = kappa * g_fwd * a[:-1] * power
-        term = (np.sqrt(c_fwd) + np.sqrt(c_own)) ** 2
+    # gain * power by lag i - r from lag -(T-1) to T-1, zero at lag 0
+    by_lag = np.zeros(t)
+    by_lag[1:] = prop.kappa * np.arange(1.0, t) ** (-prop.eta) * power
+    lags = sliding_window_view(np.concatenate([by_lag[:0:-1], by_lag]), t - 1)
 
-        decode = (q >= rcv - 2) & (q <= rcv - 1)
-        known = (q >= rcv) & (q <= rcv + 1)
-        sig = float(term[decode].sum())
-        inter = float(term[~decode & ~known].sum())
-        p_sig[rcv - 2] = sig
-        p_int[rcv - 2] = inter
-        rates[rcv - 2] = 0.5 * math.log2(1.0 + sig / (noise + inter))
+    def gain_rows(lo, hi):
+        # receiver r hears transmitters 1..T-1 at lags 1-r..T-1-r: row T-r
+        return lags[t - hi - 1:t - lo - 1][::-1]
+
+    p_sig, p_int = _band_powers(gain_rows, frac, np.arange(2, t + 1), coherent=True)
+    rates = 0.5 * np.log2(1.0 + p_sig / (noise + p_int))
 
     bottleneck = int(np.argmin(rates)) + 2
     interior = tuple(range(4, t - 2))

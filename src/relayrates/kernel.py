@@ -1,31 +1,21 @@
 """Batch evaluation of max-min decode-forward rates over many split matrices.
 
 The grid-refinement optimizer evaluates the same channel at hundreds of
-thousands of candidate power splits, so the inner loop is compiled to a
-flat array program once per channel (``compile_chain``) and then executed
-either by the Cython extension or by a vectorized numpy fallback.  Set
-``RELAYRATES_FORCE_PY=1`` to force the fallback.
+thousands of candidate power splits, so the window of
+``gaussian._window`` (described in the ``gaussian`` module docstring) is
+compiled to a flat array program once per channel (``compile_chain``) and
+then executed by a numpy loop over its carrier groups (``batch_min_rate``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NetworkGeometry, PowerConfig, PropagationModel, gain
+from .channel import NetworkGeometry, PowerConfig, PropagationModel
 from .coding import CombiningMode, Permutation, row_lengths
-
-try:  # compiled extension is optional; the numpy path is always available
-    if os.environ.get("RELAYRATES_FORCE_PY"):
-        raise ImportError("forced pure-python kernel")
-    from . import _chainkernel  # type: ignore[attr-defined]
-
-    BACKEND = "cython"
-except ImportError:
-    _chainkernel = None
-    BACKEND = "python"
+from .gaussian import _CANCEL, _DECODE, _window
 
 KIND_SIG = 0
 KIND_INT = 1
@@ -55,56 +45,48 @@ def compile_chain(
     perm: Permutation,
     mode: CombiningMode,
 ) -> ChainProblem:
+    """One group per (receiver, decoded or interfering sub-signal) with at
+    least one carrier, receivers by node id, sub-signals and carriers by
+    position."""
     t_count = geometry.node_count
     lengths = row_lengths(t_count, k, perm)
     lengths_seq = tuple(lengths[t] for t in range(1, t_count))
     col_offset = np.concatenate([[0], np.cumsum(lengths_seq)])
 
-    grp_rcv, grp_kind, grp_ptr = [], [], [0]
-    ent_const, ent_col = [], []
-    for receiver in range(2, t_count + 1):
-        pos_r = perm.position_of(receiver)
-        for q in range(1, t_count):
-            if pos_r <= q <= pos_r + k - 1:
-                continue  # cancelled sub-signals
-            kind = KIND_SIG if max(1, pos_r - k) <= q <= pos_r - 1 else KIND_INT
-            entries = []
-            for p in range(max(1, q - k + 1), q + 1):
-                node = perm.node_at(p)
-                if q - p > lengths[node] - 1 or node == receiver:
-                    continue
-                entries.append((
-                    gain(geometry, prop, node, receiver) * power.transmit_power(node),
-                    col_offset[node - 1] + (q - p),
-                ))
-            if not entries:
-                continue
-            grp_rcv.append(receiver - 2)
-            grp_kind.append(kind)
-            for c, col in entries:
-                ent_const.append(c)
-                ent_col.append(col)
-            grp_ptr.append(len(ent_const))
+    order = np.asarray(perm.order)
+    pos_r = np.argsort(order)[1:] + 1          # positions of nodes 2..T
+    band, _, carried = _window(pos_r, t_count, k)
+    entry = (band != _CANCEL)[:, :, None] & carried.T
+    # reversed carrier axis: carriers in ascending position within a group
+    r_idx, q_idx, j_rev = np.nonzero(entry[:, :, ::-1])
+    j = k - 1 - j_rev
+    node = order[q_idx - j]                    # carrier at position q - j
+    first = np.flatnonzero(np.diff(r_idx * t_count + q_idx, prepend=-1))
 
     return ChainProblem(
         n_receivers=t_count - 1,
         n_cols=int(col_offset[-1]),
-        grp_rcv=np.asarray(grp_rcv, dtype=np.int32),
-        grp_kind=np.asarray(grp_kind, dtype=np.int8),
-        grp_ptr=np.asarray(grp_ptr, dtype=np.int64),
-        ent_const=np.asarray(ent_const, dtype=np.float64),
-        ent_col=np.asarray(ent_col, dtype=np.int32),
-        noise=np.asarray(
-            [power.noise_power(t) for t in range(2, t_count + 1)], dtype=np.float64
-        ),
+        grp_rcv=r_idx[first].astype(np.int32),
+        grp_kind=np.where(band[r_idx[first], q_idx[first]] == _DECODE,
+                          KIND_SIG, KIND_INT).astype(np.int8),
+        grp_ptr=np.append(first, r_idx.size).astype(np.int64),
+        ent_const=(prop.kappa * geometry.distances[node - 1, r_idx + 1] ** (-prop.eta)
+                   * power.transmit_powers[node - 1]),
+        ent_col=(col_offset[node - 1] + j).astype(np.int32),
+        noise=np.array(power.noise_powers, dtype=np.float64),
         coherent=mode is CombiningMode.COHERENT,
         row_lengths=lengths_seq,
     )
 
 
-def batch_min_rate_py(problem: ChainProblem, cands: np.ndarray) -> np.ndarray:
-    """Numpy fallback: vectorized over candidates, looping over groups."""
+def batch_min_rate(problem: ChainProblem, cands: np.ndarray) -> np.ndarray:
+    """Max-min rate over all receivers for each candidate flat split vector,
+    vectorized over candidates and looping over groups."""
     cands = np.ascontiguousarray(cands, dtype=np.float64)
+    if cands.ndim != 2 or cands.shape[1] != problem.n_cols:
+        raise ValueError(
+            f"candidates must have shape (n, {problem.n_cols}), got {cands.shape}"
+        )
     n = cands.shape[0]
     p_sig = np.zeros((problem.n_receivers, n))
     p_int = np.zeros((problem.n_receivers, n))
@@ -122,30 +104,11 @@ def batch_min_rate_py(problem: ChainProblem, cands: np.ndarray) -> np.ndarray:
             p_sig[problem.grp_rcv[g]] += term
         else:
             p_int[problem.grp_rcv[g]] += term
-    rates = 0.5 * np.log2(1.0 + p_sig / (problem.noise[:, None] + p_int))
-    return rates.min(axis=0)
-
-
-def batch_min_rate(problem: ChainProblem, cands: np.ndarray) -> np.ndarray:
-    """Max-min rate over all receivers for each candidate flat split vector."""
-    cands = np.ascontiguousarray(cands, dtype=np.float64)
-    if cands.ndim != 2 or cands.shape[1] != problem.n_cols:
-        raise ValueError(
-            f"candidates must have shape (n, {problem.n_cols}), got {cands.shape}"
-        )
-    if _chainkernel is not None:
-        out = np.empty(cands.shape[0], dtype=np.float64)
-        _chainkernel.batch_min_rate(
-            cands,
-            problem.n_receivers,
-            problem.grp_rcv,
-            problem.grp_kind,
-            problem.grp_ptr,
-            problem.ent_const,
-            problem.ent_col,
-            problem.noise,
-            problem.coherent,
-            out,
-        )
-        return out
-    return batch_min_rate_py(problem, cands)
+    # 0.5 * log2(1 + p_sig / (noise + p_int)), in place: these two arrays
+    # are the largest the optimizer allocates
+    p_int += problem.noise[:, None]
+    p_sig /= p_int
+    p_sig += 1.0
+    np.log2(p_sig, out=p_sig)
+    p_sig *= 0.5
+    return p_sig.min(axis=0)

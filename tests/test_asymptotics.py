@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relayrates import (
+    ChannelValidationError,
     PowerConfig,
     PropagationModel,
     SplitMatrix,
@@ -95,3 +96,20 @@ def test_validation_and_resource_cap():
     with pytest.raises(ZetaDivergenceError):
         large_T_report(10, eta=1.0)
     large_T_report(6000, t_cap=6000)  # explicit cap raise is honored
+
+
+@pytest.mark.parametrize("bad", [
+    {"noise": -1.0},
+    {"power": -1.0},
+    {"kappa": -1.0},
+])
+def test_rejects_invalid_channel_values(bad):
+    with pytest.raises(ChannelValidationError):
+        large_T_report(10, **bad)
+
+
+def test_rejects_non_finite_forward_fraction():
+    with pytest.raises(ValueError):
+        large_T_report(10, alpha=float("nan"))
+    with pytest.raises(ValueError):
+        large_T_report(10, alpha=[0.5] * 7 + [float("nan")])

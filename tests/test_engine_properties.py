@@ -1,0 +1,135 @@
+"""Property tests: the library's rate engine against the scalar reference
+oracle in ``reference.py`` on random channels."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relayrates import (
+    CombiningMode,
+    NetworkGeometry,
+    Permutation,
+    PowerConfig,
+    PropagationModel,
+    SplitMatrix,
+    batch_min_rate,
+    build_linear_geometry,
+    compile_chain,
+    failure_impact,
+    large_T_report,
+    rate_report,
+    row_lengths,
+)
+from relayrates import gaussian
+
+from reference import reference_records
+
+REL = 1e-12
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+def close(got, want):
+    return abs(got - want) <= REL * abs(want)
+
+
+@st.composite
+def channels(draw):
+    """A random non-linear channel, relay order, hop depth, mode, split matrix
+    and failure set."""
+    t_count = draw(st.integers(3, 8))
+    relays = draw(st.permutations(range(2, t_count)))
+    k = draw(st.integers(1, t_count - 1))
+    mode = draw(st.sampled_from(CombiningMode))
+    failed = draw(st.sets(st.integers(2, t_count - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    d = rng.uniform(0.3, 3.0, size=(t_count, t_count))
+    d = (d + d.T) / 2.0
+    np.fill_diagonal(d, 0.0)
+    geom = NetworkGeometry(d)
+    prop = PropagationModel(kappa=rng.uniform(0.5, 2.0), eta=rng.uniform(2.0, 4.0))
+    power = PowerConfig(rng.uniform(0.1, 50.0, t_count - 1),
+                        rng.uniform(0.1, 5.0, t_count - 1))
+    perm = Permutation((1, *relays, t_count))
+    lengths = row_lengths(t_count, k, perm)
+    splits = SplitMatrix(tuple(
+        tuple(rng.dirichlet(np.full(lengths[t], 0.5))) for t in range(1, t_count)
+    ))
+    return geom, prop, power, splits, k, perm, mode, frozenset(failed)
+
+
+def assert_records_match(records, want):
+    assert [r.node for r in records] == [w.node for w in want]
+    for got, ref in zip(records, want):
+        assert close(got.p_sig, ref.p_sig), (got, ref)
+        assert close(got.p_int, ref.p_int), (got, ref)
+        assert got.noise == ref.noise
+        assert close(got.rate, ref.rate), (got, ref)
+
+
+@PROPERTY
+@given(channels())
+def test_rate_report_matches_oracle(case):
+    geom, prop, power, splits, k, perm, mode, _ = case
+    report = rate_report(geom, prop, power, splits, k, perm, mode)
+    want = reference_records(geom, prop, power, splits, k, perm, mode)
+    assert_records_match(report.records, want)
+    assert close(report.rate, min(w.rate for w in want))
+
+
+@PROPERTY
+@given(channels())
+def test_failure_impact_matches_oracle(case):
+    geom, prop, power, splits, k, perm, mode, failed = case
+    report = failure_impact(geom, prop, power, splits, k, failed, perm, mode)
+    want = reference_records(geom, prop, power, splits, k, perm, mode, failed)
+    assert_records_match(report.records, want)
+
+
+@PROPERTY
+@given(channels())
+def test_compiled_kernel_matches_oracle(case):
+    geom, prop, power, splits, k, perm, mode, _ = case
+    problem = compile_chain(geom, prop, power, k, perm, mode)
+    rate = batch_min_rate(problem, splits.as_flat()[None, :])[0]
+    want = reference_records(geom, prop, power, splits, k, perm, mode)
+    assert close(rate, min(w.rate for w in want))
+
+
+@PROPERTY
+@given(channels(), st.floats(1e-3, 1e3))
+def test_common_power_and_noise_scale_leaves_rates(case, scale):
+    geom, prop, power, splits, k, perm, mode, failed = case
+    scaled = PowerConfig(power.transmit_powers * scale, power.noise_powers * scale)
+    base = failure_impact(geom, prop, power, splits, k, failed, perm, mode)
+    after = failure_impact(geom, prop, scaled, splits, k, failed, perm, mode)
+    for a, b in zip(after.records, base.records):
+        assert abs(a.rate - b.rate) <= 1e-12 * max(b.rate, 1.0)
+
+
+def large_vs_oracle(t_count):
+    fwd = np.random.default_rng(t_count).uniform(0.0, 1.0, t_count - 2)
+    rep = large_T_report(t_count, power=7.0, alpha=fwd)
+    want = reference_records(build_linear_geometry([1.0] * (t_count - 1)),
+                             PropagationModel(), PowerConfig.uniform(t_count, 7.0),
+                             SplitMatrix.two_hop(fwd), 2)
+    for i, ref in enumerate(want):
+        assert close(rep.p_sig[i], ref.p_sig)
+        assert close(rep.p_int[i], ref.p_int)
+        assert close(rep.rates[i], ref.rate)
+
+
+@pytest.mark.parametrize("spare", [-1, 0, 1])
+def test_large_T_report_at_block_boundary(monkeypatch, spare):
+    # 11 receivers against blocks of 10, 11 and 12 receivers
+    t_count = 12
+    block = t_count - 1 + spare
+    monkeypatch.setattr(gaussian, "_BLOCK_ELEMENTS", block * (t_count - 1) * 2)
+    assert gaussian._block_size(t_count, 2) == block
+    large_vs_oracle(t_count)
+
+
+def test_large_T_report_across_blocks_at_default_budget():
+    assert gaussian._block_size(400, 2) < 399
+    large_vs_oracle(400)

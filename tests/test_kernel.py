@@ -13,7 +13,8 @@ from relayrates import (
     rate_report,
 )
 from relayrates.coding import row_lengths
-from relayrates.kernel import BACKEND, batch_min_rate_py
+
+from reference import reference_records
 
 
 def make_problem(node_count, k, seed=0, mode=CombiningMode.COHERENT):
@@ -47,17 +48,15 @@ def test_kernel_matches_reference_rates(node_count, k, mode):
         assert rates[i] == pytest.approx(want, rel=1e-12)
 
 
-def test_python_fallback_agrees_with_dispatch():
+def test_batch_min_rate_matches_oracle_on_500_candidates():
     rng = np.random.default_rng(2)
-    _, _, _, problem, lengths = make_problem(6, 3)
+    geom, power, perm, problem, lengths = make_problem(6, 3)
     cands = random_fractions(rng, lengths, 500)
-    a = batch_min_rate(problem, cands)
-    b = batch_min_rate_py(problem, cands)
-    assert np.array_equal(a, b) or np.max(np.abs(a - b)) < 1e-13
-
-
-def test_backend_reported():
-    assert BACKEND in ("cython", "python")
+    rates = batch_min_rate(problem, cands)
+    for i in range(cands.shape[0]):
+        splits = SplitMatrix.from_flat(cands[i], lengths)
+        records = reference_records(geom, PropagationModel(), power, splits, 3, perm)
+        assert rates[i] == pytest.approx(min(r.rate for r in records), rel=1e-12)
 
 
 def test_shape_validation():
