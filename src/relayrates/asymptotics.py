@@ -44,9 +44,11 @@ class ZetaValue:
 
 def zeta(eta: float, accuracy: float = 1e-9) -> ZetaValue:
     """Riemann zeta at eta > 1 to a certified absolute accuracy."""
+    if math.isnan(eta):
+        raise ValueError("eta must be a number")
     if eta <= 1.0:
         raise ZetaDivergenceError(f"zeta diverges for eta <= 1 (got {eta})")
-    if accuracy <= 0.0:
+    if not accuracy > 0.0:
         raise ValueError("accuracy must be positive")
 
     terms = max(16, int(math.ceil((0.5 / accuracy) ** (1.0 / eta))))
@@ -110,7 +112,7 @@ def large_T_report(
         raise ValueError(f"node count {t} exceeds the resource cap {t_cap}")
     if eta <= 1.0:
         raise ZetaDivergenceError("eta must exceed 1 for bounded interference")
-    # the channel's own checks: kappa > 0, power >= 0, noise > 0
+    # the channel's own checks: finite kappa > 0, eta > 1, power >= 0, noise > 0
     prop = PropagationModel(kappa, eta, allow_low_eta=True)
     PowerConfig.uniform(t, power, noise)
 
@@ -119,7 +121,7 @@ def large_T_report(
         raise ValueError("forward fractions must be finite and lie in [0, 1]")
     # node T-1 carries only its own sub-signal
     a = np.append(fwd, 0.0)
-    frac = np.column_stack([1.0 - a, a])
+    frac = np.column_stack([1.0 - a, a])[:, :, None]
 
     # gain * power by lag i - r from lag -(T-1) to T-1, zero at lag 0
     by_lag = np.zeros(t)
@@ -131,6 +133,7 @@ def large_T_report(
         return lags[t - hi - 1:t - lo - 1][::-1]
 
     p_sig, p_int = _band_powers(gain_rows, frac, np.arange(2, t + 1), coherent=True)
+    p_sig, p_int = p_sig[:, 0], p_int[:, 0]
     rates = 0.5 * np.log2(1.0 + p_sig / (noise + p_int))
 
     bottleneck = int(np.argmin(rates)) + 2

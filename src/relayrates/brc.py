@@ -34,16 +34,19 @@ class BrcConfig:
     eta: float = 2.0
 
     def __post_init__(self):
-        if min(self.p1, self.p2) < 0.0:
-            raise ChannelValidationError("transmit powers must be non-negative")
-        if min(self.n2, self.n3, self.n4) <= 0.0:
-            raise ChannelValidationError("noise powers must be positive")
-        if self.d12 <= 0.0:
-            raise ChannelValidationError("d12 must be positive")
+        # chained scalar comparisons, each False for NaN; the upper bounds
+        # reject infinities
+        inf = math.inf
+        if not (0.0 <= self.p1 < inf and 0.0 <= self.p2 < inf):
+            raise ChannelValidationError("transmit powers must be non-negative and finite")
+        if not (0.0 < self.n2 < inf and 0.0 < self.n3 < inf and 0.0 < self.n4 < inf):
+            raise ChannelValidationError("noise powers must be positive and finite")
+        if not 0.0 < self.d12 < inf:
+            raise ChannelValidationError("d12 must be positive and finite")
         if not 0.0 <= self.alpha <= 1.0:
             raise ChannelValidationError("alpha must lie in [0, 1]")
-        if self.kappa <= 0.0 or self.eta <= 1.0:
-            raise ChannelValidationError("kappa must be positive and eta > 1")
+        if not (0.0 < self.kappa < inf and 1.0 < self.eta < inf):
+            raise ChannelValidationError("kappa must be positive and eta > 1, both finite")
 
     # relay and destinations at unit equilateral spacing
     d23 = 1.0

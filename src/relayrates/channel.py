@@ -6,6 +6,7 @@ nodes 2..T-1 relays.  Distances are in meters, powers in watts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,8 @@ class NetworkGeometry:
             raise ChannelValidationError(
                 "need at least 3 nodes (source, one relay, destination)"
             )
+        if not np.all(np.isfinite(d)):
+            raise ChannelValidationError("distances must be finite")
         if not np.allclose(d, d.T, rtol=1e-12, atol=0.0):
             raise ChannelValidationError("distance matrix must be symmetric")
         if np.any(np.diag(d) != 0.0):
@@ -61,8 +64,8 @@ def build_linear_geometry(spacings) -> NetworkGeometry:
     s = np.asarray(spacings, dtype=float)
     if s.ndim != 1 or s.size < 2:
         raise ChannelValidationError("need at least 2 spacings (3 nodes)")
-    if np.any(s <= 0.0):
-        raise ChannelValidationError("spacings must be positive")
+    if not np.all((s > 0.0) & (s < np.inf)):
+        raise ChannelValidationError("spacings must be positive and finite")
     pos = np.concatenate([[0.0], np.cumsum(s)])
     return NetworkGeometry(np.abs(pos[:, None] - pos[None, :]))
 
@@ -80,14 +83,14 @@ class PropagationModel:
     allow_low_eta: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if self.kappa <= 0.0:
-            raise ChannelValidationError("kappa must be positive")
+        if not 0.0 < self.kappa < math.inf:
+            raise ChannelValidationError("kappa must be positive and finite")
+        if not 1.0 < self.eta < math.inf:
+            raise ChannelValidationError("eta must exceed 1 and be finite")
         if self.eta < 2.0 and not self.allow_low_eta:
             raise ChannelValidationError(
                 "eta >= 2 required (use allow_low_eta=True to override)"
             )
-        if self.eta <= 1.0:
-            raise ChannelValidationError("eta must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,14 @@ class PowerConfig:
             raise ChannelValidationError(
                 "need T-1 transmit powers and T-1 noise powers"
             )
-        if np.any(p < 0.0):
-            raise ChannelValidationError("transmit powers must be non-negative")
-        if np.any(n <= 0.0):
-            raise ChannelValidationError("noise powers must be strictly positive")
+        if not np.all((p >= 0.0) & (p < np.inf)):
+            raise ChannelValidationError(
+                "transmit powers must be non-negative and finite"
+            )
+        if not np.all((n > 0.0) & (n < np.inf)):
+            raise ChannelValidationError(
+                "noise powers must be strictly positive and finite"
+            )
         p.setflags(write=False)
         n.setflags(write=False)
 

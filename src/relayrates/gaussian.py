@@ -1,9 +1,10 @@
 """Reception rates for k-hop and omniscient decode-forward on the Gaussian
 multiple-relay channel.
 
-This module defines the k-hop window once (``_window``); ``kernel`` and
-``asymptotics`` evaluate through it.  Positions are 1-based places in the
-relay order; the transmitter at position p introduces sub-signal p.
+This module defines the k-hop window once (``_window``, ``_carriers``);
+``kernel`` and ``asymptotics`` evaluate through it.  Positions are 1-based
+places in the relay order; the transmitter at position p introduces
+sub-signal p.
 
 - A receiver at position p decodes the sub-signals at positions p-k..p-1,
   coherently combining every transmitter that carries them, cancels the
@@ -13,14 +14,16 @@ relay order; the transmitter at position p introduces sub-signal p.
   one at position q-j spends fraction ``row[j]`` of its power on it.  A
   receiver's own transmissions all fall in its cancel band.
 
-The evaluation (``_band_powers``) works on blocks of receivers in banded
-amplitude form: ``a[r, q, j] = sqrt(gain * P)[r, q-j] * sqrt(frac)[q-j, j]``,
-summed over carriers j as ``(sum_j a)**2`` when copies combine coherently
-and as ``sum_j a**2`` under fading.  The decode band gives the signal
-power, the bands outside decode and cancel the interference.  A failed relay
-transmits nothing while every receiver still decodes as designed: its
-carriers leave the decoded sums, its designed interference stays, and
-cancelling what it never sent adds that power as mismatch noise.
+The engine (``_band_powers``) evaluates blocks of receivers against any
+number of candidate split matrices at once.  Per sub-signal q it contracts
+the carriers j in one matrix product, (receiver, j) @ (j, candidate), of
+``sqrt(gain * P)[r, q-j]`` and ``sqrt(frac)[q-j, j]`` squared afterwards
+when copies combine coherently, or of their squares (powers add) under
+fading.  The decode band gives the signal power, the bands outside decode
+and cancel the interference.  A failed relay transmits nothing while every
+receiver still decodes as designed: its carriers leave the decoded sums,
+its designed interference stays, and cancelling what it never sent adds
+that power as mismatch noise.
 """
 
 from __future__ import annotations
@@ -30,12 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ChannelValidationError,
-    NetworkGeometry,
-    PowerConfig,
-    PropagationModel,
-)
+from .channel import ChannelValidationError, NetworkGeometry, PowerConfig, PropagationModel
 from .coding import CombiningMode, Permutation, SplitMatrix
 
 EFFICIENCY_SLACK = 1e-9
@@ -100,58 +98,93 @@ def efficiency(rate_khop: float, rate_omniscient: float) -> Efficiency:
     return Efficiency(ratio, ratio > 1.0 + EFFICIENCY_SLACK)
 
 
-def _window(pos_r: np.ndarray, t_count: int, k: int):
-    """The k-hop window of the receivers at positions ``pos_r``.
-
-    Returns ``band[r, q-1]`` (``_DECODE``, ``_CANCEL`` or ``_NOISE``) for
-    sub-signals q = 1..T-1, the carrier positions ``tx[j, q-1] = q-j`` and
-    ``carried[j, q-1]``, whether that carrier exists.
-    """
+def _window(pos_r: np.ndarray, t_count: int, k: int) -> np.ndarray:
+    """``band[r, q-1]`` (``_DECODE``, ``_CANCEL`` or ``_NOISE``) of sub-signals
+    q = 1..T-1 at the receivers at positions ``pos_r``."""
     offset = np.arange(-k, k)                  # q - p: decode < 0 <= cancel
     q = pos_r[:, None] + offset
     r, m = np.nonzero((q >= 1) & (q < t_count))
     band = np.full((pos_r.size, t_count - 1), _NOISE, dtype=np.int8)
     band[r, q[r, m] - 1] = np.where(offset[m] < 0, _DECODE, _CANCEL)
-    tx = np.arange(1, t_count) - np.arange(k)[:, None]
-    return band, tx, tx >= 1
+    return band
 
 
-def _block_size(t_count: int, k: int) -> int:
-    """Receivers per block under the ``_BLOCK_ELEMENTS`` budget."""
-    return max(1, _BLOCK_ELEMENTS // ((t_count - 1) * k))
+def _carriers(t_count: int, k: int) -> np.ndarray:
+    """``tx[q-1, j] = q-j``, the position of carrier j of sub-signal q; the
+    carrier exists where ``tx >= 1``."""
+    return np.arange(1, t_count)[:, None] - np.arange(k)
+
+
+def _layout(geometry, prop, power, k: int, perm: Permutation, receivers: np.ndarray):
+    """Gain * transmit power from the transmitters at positions 1..T-1
+    (columns) to the receiver node ids ``receivers`` (rows, zero at a
+    receiver's own position), the receivers' positions, and ``col[p-1, j]``,
+    the column of ``SplitMatrix.as_flat`` holding the fraction position p
+    spends on sub-signal p+j (past a row's end: its last column, never read)."""
+    t_count = geometry.node_count
+    order = np.asarray(perm.order)
+    tx = order[:-1]
+    d = geometry.distances[tx - 1][:, receivers - 1].T
+    d = np.where(d > 0.0, d, np.inf)  # no self-gain
+    gain = prop.kappa * d ** (-prop.eta) * power.transmit_powers[tx - 1]
+    length = np.minimum(k, t_count - np.arange(1, t_count))   # by position
+    by_node = np.empty_like(length)
+    by_node[tx - 1] = length
+    start = (np.cumsum(by_node) - by_node)[tx - 1, None]
+    col = start + np.minimum(np.arange(k), length[:, None] - 1)
+    return gain, np.argsort(order)[receivers - 1] + 1, col
+
+
+def _block_size(t_count: int, width: int) -> int:
+    """Rows per block under the ``_BLOCK_ELEMENTS`` budget when a row holds
+    (T-1) * ``width`` elements: receivers of one split per block at k."""
+    return max(1, _BLOCK_ELEMENTS // ((t_count - 1) * width))
 
 
 def _band_powers(gain_rows, frac: np.ndarray, pos_r: np.ndarray, coherent: bool,
                  failed: np.ndarray = None):
-    """Signal and interference power at the receivers at positions ``pos_r``.
+    """Signal and interference power, (receivers, candidates) each, at the
+    receivers at positions ``pos_r``.
 
-    ``gain_rows(lo, hi)`` returns gain * transmit power from the transmitters
-    at positions 1..T-1 (columns) to receivers ``pos_r[lo:hi]`` (rows), zero
-    at a receiver's own position.  ``frac[p-1, j]`` is the fraction the
-    transmitter at position p spends on sub-signal p+j, and ``failed[p-1]``
-    marks silent transmitters (``None``: no failures).
-    """
-    t_count, k = frac.shape[0] + 1, frac.shape[1]
-    n = pos_r.size
-    p_sig = np.empty(n)
-    p_int = np.empty(n)
-    step = _block_size(t_count, k)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        band, tx, carried = _window(pos_r[lo:hi], t_count, k)
-        col = np.maximum(tx, 1) - 1
-        root_frac = np.where(carried, np.sqrt(frac[col, np.arange(k)[:, None]]), 0.0)
-        amp = np.sqrt(gain_rows(lo, hi))[:, col] * root_frac
-        decode = band == _DECODE
+    ``gain_rows(lo, hi)`` returns the ``_layout`` gain rows of receivers
+    ``pos_r[lo:hi]``.  ``frac[p-1, j, c]`` is the fraction the transmitter at
+    position p spends on sub-signal p+j in candidate c, and ``failed[p-1]``
+    marks silent transmitters (``None``: no failures)."""
+    t_count, k, n = frac.shape[0] + 1, frac.shape[1], frac.shape[2]
+    tx = _carriers(t_count, k)
+    absent, src = tx < 1, np.maximum(tx, 1) - 1
+    amp = np.sqrt if coherent else (lambda v: v)
+    x = frac[src, np.arange(k)]               # x[q-1, j, c]: carrier j on q
+    x_amp = amp(x)
+    if failed is not None:
+        lost = (failed[src] & ~absent)[:, :, None]
+        x_live, x_lost = np.where(lost, 0.0, x_amp), np.where(lost, x, 0.0)
+
+    def contract(rows, x_block, square):
+        # the transposed rows gathered as (q, j, r), absent carriers zeroed,
+        # times (q, j, c) through a (q, r, j) view: (q, r, c)
+        g = rows.T[src]
+        g[absent] = 0.0
+        term = np.matmul(g.swapaxes(1, 2), x_block)
+        return np.square(term, out=term) if square else term
+
+    p_sig, p_int = np.empty((2, pos_r.size, n))
+    step = _block_size(t_count, max(k, n))
+    for lo in range(0, pos_r.size, step):
+        hi = min(pos_r.size, lo + step)
+        bands = _window(pos_r[lo:hi], t_count, k).T
+        rows = gain_rows(lo, hi)
+
+        def band_sum(band, term):
+            return np.einsum("qr,qrn->rn", (bands == band).astype(float), term)
+
+        term = contract(amp(rows), x_amp, coherent)
+        p_int[lo:hi] = band_sum(_NOISE, term)
         if failed is not None:
-            lost = failed[col]
-            mismatch = np.where((band == _CANCEL)[:, None, :] & lost, amp * amp, 0.0)
-            amp[decode[:, None, :] & lost] = 0.0
-        term = np.square(amp.sum(axis=1)) if coherent else np.square(amp).sum(axis=1)
-        p_sig[lo:hi] = np.where(decode, term, 0.0).sum(axis=1)
-        p_int[lo:hi] = np.where(band == _NOISE, term, 0.0).sum(axis=1)
-        if failed is not None:
-            p_int[lo:hi] += mismatch.sum(axis=(1, 2))
+            term = contract(amp(rows), x_live, coherent)
+            # cancelling what a failed relay never sent leaves it as noise
+            p_int[lo:hi] += band_sum(_CANCEL, contract(rows, x_lost, False))
+        p_sig[lo:hi] = band_sum(_DECODE, term)
     return p_sig, p_int
 
 
@@ -163,23 +196,12 @@ def _evaluate(geometry, prop, power, splits, k, perm, mode, receivers, failed):
     perm = perm or Permutation.identity(t_count)
     splits.validate_for(t_count, k, perm)
 
-    order = np.asarray(perm.order)
-    tx_nodes = order[:-1]
-    position = np.argsort(order) + 1
     rcv = np.asarray(receivers)
-    frac = np.zeros((t_count - 1, k))
-    for p, node in enumerate(perm.order[:-1]):
-        row = splits.row(node)
-        frac[p, :len(row)] = row
-    failed_pos = np.isin(tx_nodes, list(failed)) if failed else None
-
-    def gain_rows(lo, hi):
-        d = geometry.distances[rcv[lo:hi, None] - 1, tx_nodes - 1]
-        d = np.where(d > 0.0, d, np.inf)  # no self-gain
-        return prop.kappa * d ** (-prop.eta) * power.transmit_powers[tx_nodes - 1]
-
-    p_sig, p_int = _band_powers(gain_rows, frac, position[rcv - 1],
-                                mode is CombiningMode.COHERENT, failed_pos)
+    gain, pos_r, col = _layout(geometry, prop, power, k, perm, rcv)
+    failed_pos = np.isin(perm.order[:-1], list(failed)) if failed else None
+    p_sig, p_int = (v[:, 0] for v in _band_powers(
+        lambda lo, hi: gain[lo:hi], splits.as_flat()[col][:, :, None], pos_r,
+        mode is CombiningMode.COHERENT, failed_pos))
     noise = power.noise_powers[rcv - 2]
     rates = 0.5 * np.log2(1.0 + p_sig / (noise + p_int))
     return tuple(map(ReceptionRecord, rcv.tolist(), p_sig.tolist(), p_int.tolist(),

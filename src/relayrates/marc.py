@@ -42,18 +42,22 @@ class MarcConfig:
     eta: float = 2.0
 
     def __post_init__(self):
-        if min(self.p1, self.p2, self.p3) < 0.0:
-            raise ChannelValidationError("transmit powers must be non-negative")
-        if min(self.n3, self.n4) <= 0.0:
-            raise ChannelValidationError("noise powers must be positive")
-        if self.d34 <= 0.0:
-            raise ChannelValidationError("d34 must be positive")
+        # chained scalar comparisons, each False for NaN; the upper bounds
+        # reject infinities
+        inf = math.inf
+        if not (0.0 <= self.p1 < inf and 0.0 <= self.p2 < inf and 0.0 <= self.p3 < inf):
+            raise ChannelValidationError("transmit powers must be non-negative and finite")
+        if not (0.0 < self.n3 < inf and 0.0 < self.n4 < inf):
+            raise ChannelValidationError("noise powers must be positive and finite")
+        if not 0.0 < self.d34 < inf:
+            raise ChannelValidationError("d34 must be positive and finite")
         if not (0.0 <= self.alpha1 <= 1.0 and 0.0 <= self.alpha2 <= 1.0):
             raise ChannelValidationError("alpha splits must lie in [0, 1]")
-        if min(self.beta1, self.beta2) < 0.0 or abs(self.beta1 + self.beta2 - 1.0) > SPLIT_TOL:
+        if not (self.beta1 >= 0.0 and self.beta2 >= 0.0
+                and abs(self.beta1 + self.beta2 - 1.0) <= SPLIT_TOL):
             raise ChannelValidationError("beta splits must be non-negative and sum to 1")
-        if self.kappa <= 0.0 or self.eta <= 1.0:
-            raise ChannelValidationError("kappa must be positive and eta > 1")
+        if not (0.0 < self.kappa < inf and 1.0 < self.eta < inf):
+            raise ChannelValidationError("kappa must be positive and eta > 1, both finite")
 
     # source-relay distances are fixed at 1 m (unit equilateral sources)
     d13 = 1.0

@@ -101,8 +101,7 @@ def _grid_axes(box_lo, box_hi, per_round_budget, resolution):
     res = resolution
     while res > 2 and res ** ndim > per_round_budget:
         res -= 1
-    axes = [np.linspace(box_lo[d], box_hi[d], res) for d in range(ndim)]
-    return axes, res ** ndim
+    return [np.linspace(box_lo[d], box_hi[d], res) for d in range(ndim)]
 
 
 def _grid_candidates(axes):
@@ -151,8 +150,7 @@ def _refine(evaluate, ndim, config, extra_points=(), box=(0.0, 1.0)):
             incomplete = True
             break
         per_round = max(2 ** ndim, remaining // (n_rounds - rnd))
-        axes, _ = _grid_axes(lo, hi, per_round, config.resolution)
-        cands = _grid_candidates(axes)
+        cands = _grid_candidates(_grid_axes(lo, hi, per_round, config.resolution))
         rates = evaluate(cands)
         evaluations += cands.shape[0]
         idx = int(np.argmax(rates))
@@ -270,39 +268,29 @@ def optimize_spacing(
     prop: PropagationModel,
     config: OptimizerConfig = OptimizerConfig(),
     mode: CombiningMode = CombiningMode.COHERENT,
-    inner_config: OptimizerConfig = None,
 ) -> OptimumResult:
     """Best linear node placement with total length ``span``.
 
-    Searches the T-1 positive spacings (a scaled simplex); when k >= 2 each
-    candidate geometry is itself optimized over splits with a reduced inner
-    budget.
+    Searches the T-1 positive spacings (a scaled simplex); each candidate
+    geometry is itself optimized over splits with a reduced inner budget
+    (one evaluation when k = 1, whose split is fixed).
     """
     if span <= 0.0:
         raise ValueError("span must be positive")
     perm = Permutation.identity(node_count)
     ndim = node_count - 2
     spacing_lengths = (node_count - 1,)
-    if inner_config is None:
-        inner_config = OptimizerConfig(
-            resolution=min(config.resolution, 9),
-            rounds=max(config.rounds - 1, 1),
-            shrink=config.shrink,
-            tolerance=config.tolerance,
-            budget=max(2_000, config.budget // 200),
-        )
+    inner_config = OptimizerConfig(
+        resolution=min(config.resolution, 9),
+        rounds=max(config.rounds - 1, 1),
+        shrink=config.shrink,
+        tolerance=config.tolerance,
+        budget=max(2_000, config.budget // 200),
+    )
 
     def geometry_for(free_row):
         fracs = free_to_fractions(free_row[None, :], spacing_lengths)[0]
         return build_linear_geometry(fracs * span)
-
-    def single_rate(free_row):
-        geom = geometry_for(free_row)
-        if k == 1:
-            splits = SplitMatrix.own_only(node_count, 1, perm)
-            return rate_report(geom, prop, power, splits, 1, perm, mode).rate, 1
-        res = optimize_splits(geom, prop, power, k, perm, mode, inner_config)
-        return res.rate, res.evaluations
 
     inner_evals = 0
 
@@ -310,8 +298,10 @@ def optimize_spacing(
         nonlocal inner_evals
         out = np.empty(free.shape[0])
         for i in range(free.shape[0]):
-            out[i], used = single_rate(free[i])
-            inner_evals += used - 1
+            res = optimize_splits(geometry_for(free[i]), prop, power, k, perm, mode,
+                                  inner_config)
+            out[i] = res.rate
+            inner_evals += res.evaluations - 1
         return out
 
     # outer budget counts geometries; each costs one split optimization
@@ -328,19 +318,6 @@ def optimize_spacing(
         box=(SPACING_EDGE_MARGIN, 1.0 - SPACING_EDGE_MARGIN),
     )
     geom = geometry_for(best_free)
-    if k == 1:
-        splits = SplitMatrix.own_only(node_count, 1, perm)
-        report = rate_report(geom, prop, power, splits, 1, perm, mode)
-        return OptimumResult(
-            rate=report.rate,
-            report=report,
-            splits=splits,
-            evaluations=evals + inner_evals,
-            achieved_tolerance=achieved,
-            incomplete=incomplete,
-            geometry=geom,
-            permutation=perm,
-        )
     res = optimize_splits(geom, prop, power, k, perm, mode, inner_config)
     return OptimumResult(
         rate=res.rate,

@@ -107,29 +107,42 @@ def _check_channel(scenario, raw, errors):
     if "eta" not in raw:
         out["eta"] = DEFAULT_ETA
         log.info("channel.eta not given, defaulting to %s", DEFAULT_ETA)
-    else:
-        try:
-            eta = float(raw["eta"])
-            if eta < 2.0:
-                errors.append(
-                    "channel.eta: free-space propagation requires eta >= 2 "
-                    "(library callers may opt into 1 < eta < 2 explicitly)"
-                )
-        except (TypeError, ValueError):
-            errors.append("channel.eta must be a number")
     for key, val in out.items():
-        if key in ("spacings", "eta"):
+        if key == "spacings":
+            if not (isinstance(val, list) and len(val) >= 2
+                    and all(_is_number(v) and 0.0 < v < math.inf for v in val)):
+                errors.append("channel.spacings must list at least 2 positive, "
+                              "finite numbers")
             continue
         try:
             v = float(val)
         except (TypeError, ValueError):
             errors.append(f"channel.{key} must be a number")
             continue
-        if key.startswith("n") and key != "node_count" and v <= 0.0:
-            errors.append(f"channel.{key} must be positive")
+        if not math.isfinite(v):
+            errors.append(f"channel.{key} must be finite")
+        elif key == "eta":
+            if v < 2.0:
+                errors.append(
+                    "channel.eta: free-space propagation requires eta >= 2 "
+                    "(library callers may opt into 1 < eta < 2 explicitly)"
+                )
+        elif key == "node_count":
+            if v < 3 or v != int(v):
+                errors.append("channel.node_count must be an integer >= 3")
+        elif key == "alpha":
+            if not 0.0 <= v <= 1.0:
+                errors.append("channel.alpha must lie in [0, 1]")
+        elif key.startswith("n") or key in ("kappa", "d12", "d34"):
+            if v <= 0.0:
+                errors.append(f"channel.{key} must be positive")
         elif v < 0.0:
             errors.append(f"channel.{key} must be non-negative")
     return out
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _check_strategies(scenario, raw, errors):
@@ -218,6 +231,12 @@ def validate_config(raw) -> ExperimentConfig:
                 errors.append("sweep range must be finite with start <= stop")
             if use_log and start <= 0.0:
                 errors.append("sweep: log spacing needs a positive start")
+            if var == "node_count" and round(start) < 3:
+                errors.append("sweep.start must be at least 3 for a node_count sweep")
+            elif var in ("spacing", "d12", "d34") and start <= 0.0:
+                errors.append(f"sweep.start must be positive for a {var} sweep")
+            elif var in ("power", "source_power") and start < 0.0:
+                errors.append(f"sweep.start must be non-negative for a {var} sweep")
             if not errors or all("sweep" not in e for e in errors):
                 axis = SweepAxis(var, start, stop, steps, use_log)
         except (TypeError, ValueError):

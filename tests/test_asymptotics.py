@@ -113,3 +113,19 @@ def test_rejects_non_finite_forward_fraction():
         large_T_report(10, alpha=float("nan"))
     with pytest.raises(ValueError):
         large_T_report(10, alpha=[0.5] * 7 + [float("nan")])
+
+
+@pytest.mark.parametrize("bad", [
+    {"eta": math.nan}, {"kappa": math.nan}, {"kappa": math.inf},
+    {"power": math.inf}, {"power": math.nan}, {"noise": math.nan},
+])
+def test_rejects_non_finite_channel_values(bad):
+    with pytest.raises(ChannelValidationError):
+        large_T_report(10, **bad)
+
+
+def test_zeta_rejects_nan():
+    with pytest.raises(ValueError):
+        zeta(math.nan)
+    with pytest.raises(ValueError):
+        zeta(2.0, accuracy=math.nan)

@@ -22,6 +22,15 @@ def test_geometry_is_derived_from_d12():
     assert cfg.d14 == cfg.d13
 
 
+@pytest.mark.parametrize("bad", [
+    {"p1": math.nan}, {"p2": math.inf}, {"n2": math.nan}, {"d12": math.nan},
+    {"d12": math.inf}, {"kappa": math.nan}, {"eta": math.nan},
+])
+def test_config_rejects_non_finite(bad):
+    with pytest.raises(ChannelValidationError):
+        BrcConfig(**bad)
+
+
 def test_config_validation():
     with pytest.raises(ChannelValidationError):
         BrcConfig(p1=-1.0)

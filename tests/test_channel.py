@@ -75,3 +75,37 @@ def test_power_config_validation():
     uni = PowerConfig.uniform(5, 10.0, 2.0)
     assert uni.transmit_power(4) == 10.0
     assert uni.noise_power(5) == 2.0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("bad", [
+    {"kappa": NAN}, {"kappa": INF}, {"eta": NAN}, {"eta": INF},
+    {"eta": NAN, "allow_low_eta": True},
+])
+def test_propagation_rejects_non_finite(bad):
+    with pytest.raises(ChannelValidationError):
+        PropagationModel(**bad)
+
+
+@pytest.mark.parametrize("powers,noises", [
+    ([1.0, NAN], [1.0, 1.0]),
+    ([1.0, INF], [1.0, 1.0]),
+    ([1.0, 1.0], [NAN, 1.0]),
+    ([1.0, 1.0], [1.0, INF]),
+])
+def test_power_config_rejects_non_finite(powers, noises):
+    with pytest.raises(ChannelValidationError):
+        PowerConfig(powers, noises)
+
+
+@pytest.mark.parametrize("spacings", [[1.0, NAN], [1.0, INF], [NAN, NAN]])
+def test_linear_geometry_rejects_non_finite_spacing(spacings):
+    with pytest.raises(ChannelValidationError, match="finite"):
+        build_linear_geometry(spacings)
+
+
+def test_geometry_rejects_non_finite_distance():
+    with pytest.raises(ChannelValidationError, match="finite"):
+        NetworkGeometry([[0, 1, NAN], [1, 0, 1], [NAN, 1, 0]])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from relayrates.cli import apply_override, main
+from relayrates.cli import DEFAULT_CONFIGS, apply_override, main
 from relayrates.sweep import ConfigError
 
 
@@ -140,3 +140,21 @@ def test_override_values_are_json_decoded(tmp_path):
     assert code == 0
     header = out.read_text().splitlines()[0].split(",")
     assert not any(c.startswith("k2_") for c in header)
+
+
+@pytest.mark.parametrize("scenario,override", [
+    ("marc", "channel.d34=0"),
+    ("mrc", "channel.kappa=0"),
+    ("mrc", "channel.spacings=[1,-1,1,1]"),
+    ("large", "channel.alpha=2"),
+    ("large", "sweep.start=2"),
+    ("mrc", "channel.noise=NaN"),
+    ("mrc", "channel.eta=NaN"),
+    ("marc", "channel.p3=NaN"),
+    ("large", "channel.power=Infinity"),
+])
+def test_validate_rejects_what_the_run_rejects(tmp_path, capsys, scenario, override):
+    path = write_json(tmp_path / f"{scenario}.json", DEFAULT_CONFIGS[scenario])
+    assert main(["validate", "--config", path]) == 0
+    assert main(["validate", "--config", path, "--set", override]) == 1
+    assert "config error" in capsys.readouterr().err

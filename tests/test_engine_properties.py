@@ -108,6 +108,31 @@ def test_common_power_and_noise_scale_leaves_rates(case, scale):
         assert abs(a.rate - b.rate) <= 1e-12 * max(b.rate, 1.0)
 
 
+@PROPERTY
+@given(channels(), st.floats(1e-3, 1e3))
+def test_kappa_scale_equals_transmit_power_scale(case, scale):
+    geom, prop, power, splits, k, perm, mode, _ = case
+    louder = PropagationModel(prop.kappa * scale, prop.eta)
+    stronger = PowerConfig(power.transmit_powers * scale, power.noise_powers)
+    by_kappa = rate_report(geom, louder, power, splits, k, perm, mode)
+    by_power = rate_report(geom, prop, stronger, splits, k, perm, mode)
+    for a, b in zip(by_kappa.records, by_power.records):
+        assert close(a.p_sig, b.p_sig) and close(a.p_int, b.p_int)
+        assert abs(a.rate - b.rate) <= REL * max(b.rate, 1.0)
+
+    rng = np.random.default_rng(k)
+    lengths = row_lengths(geom.node_count, k, perm)
+    cands = np.vstack([splits.as_flat()] + [
+        np.concatenate([rng.dirichlet(np.ones(lengths[t]))
+                        for t in range(1, geom.node_count)])
+        for _ in range(20)
+    ])
+    got = batch_min_rate(compile_chain(geom, louder, power, k, perm, mode), cands)
+    want = batch_min_rate(compile_chain(geom, prop, stronger, k, perm, mode), cands)
+    assert np.all(np.abs(got - want) <= REL * np.maximum(want, 1.0))
+    assert abs(got[0] - by_power.rate) <= REL * max(by_power.rate, 1.0)
+
+
 def large_vs_oracle(t_count):
     fwd = np.random.default_rng(t_count).uniform(0.0, 1.0, t_count - 2)
     rep = large_T_report(t_count, power=7.0, alpha=fwd)

@@ -12,6 +12,7 @@ from relayrates import (
     compile_chain,
     rate_report,
 )
+from relayrates import gaussian
 from relayrates.coding import row_lengths
 
 from reference import reference_records
@@ -63,3 +64,40 @@ def test_shape_validation():
     _, _, _, problem, lengths = make_problem(5, 2)
     with pytest.raises(ValueError):
         batch_min_rate(problem, np.ones((3, sum(lengths) + 1)))
+
+
+@pytest.mark.parametrize("spare", [-1, 0, 1])
+@pytest.mark.parametrize("mode", [CombiningMode.COHERENT, CombiningMode.FADING])
+def test_batch_at_candidate_block_boundary(monkeypatch, spare, mode):
+    # a block holds 7 candidates; the batch has 6, 7 or 8
+    node_count, k, block = 6, 3, 7
+    geom, power, perm, problem, lengths = make_problem(node_count, k, seed=3, mode=mode)
+    monkeypatch.setattr(gaussian, "_BLOCK_ELEMENTS", block * (node_count - 1) ** 2)
+    assert gaussian._block_size(node_count, node_count - 1) == block
+    cands = random_fractions(np.random.default_rng(4), lengths, block + spare)
+    rates = batch_min_rate(problem, cands)
+    for i in range(cands.shape[0]):
+        splits = SplitMatrix.from_flat(cands[i], lengths)
+        want = rate_report(geom, PropagationModel(), power, splits, k, perm, mode).rate
+        assert rates[i] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("node_count,k", [(5, 2), (9, 3)])
+def test_chain_problem_entries_carry_the_fading_powers(node_count, k):
+    # under fading, every CSR entry is one gain * fraction term of a decoded
+    # or interfering sub-signal, so all entries sum to sum(p_sig + p_int)
+    rng = np.random.default_rng(5)
+    relays = tuple(rng.permutation(range(2, node_count)))
+    perm = Permutation((1, *relays, node_count))
+    geom = build_linear_geometry(rng.uniform(0.5, 2.0, node_count - 1))
+    power = PowerConfig(rng.uniform(0.5, 20.0, node_count - 1), np.ones(node_count - 1))
+    problem = compile_chain(geom, PropagationModel(), power, k, perm,
+                            CombiningMode.FADING)
+    lengths = row_lengths(node_count, k, perm)
+    splits = SplitMatrix(tuple(tuple(rng.dirichlet(np.ones(lengths[t])))
+                               for t in range(1, node_count)))
+    got = np.sum(problem.ent_const * splits.as_flat()[problem.ent_col])
+    records = reference_records(geom, PropagationModel(), power, splits, k, perm,
+                                CombiningMode.FADING)
+    assert got == pytest.approx(sum(r.p_sig + r.p_int for r in records), rel=1e-12)
+    assert problem.grp_ptr[-1] == problem.ent_col.size

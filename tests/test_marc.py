@@ -22,6 +22,16 @@ def test_geometry_is_derived_from_d34():
     assert cfg.d24 == cfg.d14
 
 
+@pytest.mark.parametrize("bad", [
+    {"p3": math.nan}, {"p1": math.inf}, {"n4": math.nan}, {"d34": math.nan},
+    {"d34": math.inf}, {"kappa": math.nan}, {"eta": math.inf},
+    {"beta1": math.nan, "beta2": 0.5},
+])
+def test_config_rejects_non_finite(bad):
+    with pytest.raises(ChannelValidationError):
+        MarcConfig(**bad)
+
+
 def test_config_validation():
     with pytest.raises(ChannelValidationError):
         MarcConfig(p1=-1.0)
