@@ -110,7 +110,8 @@ def _check_channel(scenario, raw, errors):
     for key, val in out.items():
         if key == "spacings":
             if not (isinstance(val, list) and len(val) >= 2
-                    and all(_is_number(v) and 0.0 < v < math.inf for v in val)):
+                    and all(isinstance(v, (int, float)) and 0.0 < v < math.inf
+                            for v in val)):
                 errors.append("channel.spacings must list at least 2 positive, "
                               "finite numbers")
             continue
@@ -139,10 +140,6 @@ def _check_channel(scenario, raw, errors):
         elif v < 0.0:
             errors.append(f"channel.{key} must be non-negative")
     return out
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _check_strategies(scenario, raw, errors):
