@@ -125,7 +125,7 @@ def test_rejects_non_finite_channel_values(bad):
 
 
 def test_zeta_rejects_nan():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eta must be a number"):
         zeta(math.nan)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="accuracy must be positive"):
         zeta(2.0, accuracy=math.nan)
