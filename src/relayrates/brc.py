@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .channel import ChannelValidationError
-from .optimizer import OptimizerConfig, _refine
+from .optimizer import OptimizerConfig, _refine_points
 
 SYMMETRY_TOL = 1e-12
 
@@ -122,14 +120,9 @@ class BrcOptimum:
 
 def brc_optimize(cfg: BrcConfig, opt: OptimizerConfig = OptimizerConfig()) -> BrcOptimum:
     """Grid-refinement over the single split alpha in [0, 1]."""
-
-    def evaluate(free):
-        out = np.empty(free.shape[0])
-        for i, a in enumerate(free[:, 0]):
-            out[i] = brc_omniscient_common_rate(replace(cfg, alpha=a)).common_rate
-        return out
-
-    best_free, _, evals, _, incomplete = _refine(evaluate, 1, opt)
-    best_cfg = replace(cfg, alpha=float(best_free[0]))
+    (alpha,), evals, _, incomplete = _refine_points(
+        lambda a: brc_omniscient_common_rate(replace(cfg, alpha=a)).common_rate, 1, opt
+    )
+    best_cfg = replace(cfg, alpha=alpha)
     rates = brc_omniscient_common_rate(best_cfg)
     return BrcOptimum(rates.common_rate, rates, best_cfg, evals, incomplete)

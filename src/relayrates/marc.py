@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .channel import ChannelValidationError
-from .optimizer import OptimizerConfig, OptimumResult, _refine
+from .optimizer import OptimizerConfig, _refine_points
 
 SPLIT_TOL = 1e-12
 
@@ -155,49 +153,25 @@ def marc_optimize(
             rates = marc_onehop_sumrate(cfg)
             return MarcOptimum(rates.sum_rate, rates, cfg, 1, False)
         lo, hi = map(float, sweep_source_power)
+        sumrate, ndim = marc_onehop_sumrate, 1
 
-        def evaluate(free):
-            out = np.empty(free.shape[0])
-            for i, v in enumerate(free[:, 0]):
-                p = lo + v * (hi - lo)
-                out[i] = marc_onehop_sumrate(replace(cfg, p1=p, p2=p)).sum_rate
-            return out
+        def config_for(v):
+            p = lo + v * (hi - lo)
+            return replace(cfg, p1=p, p2=p)
+    elif asymmetric:
+        sumrate, ndim = marc_omniscient_sumrate, 3
 
-        best_free, _, evals, _, incomplete = _refine(evaluate, 1, opt)
-        p = lo + best_free[0] * (hi - lo)
-        best_cfg = replace(cfg, p1=p, p2=p)
-        rates = marc_onehop_sumrate(best_cfg)
-        return MarcOptimum(rates.sum_rate, rates, best_cfg, evals, incomplete)
-
-    if asymmetric:
-        def evaluate(free):
-            out = np.empty(free.shape[0])
-            for i, (a1, a2, b1) in enumerate(free):
-                out[i] = marc_omniscient_sumrate(
-                    replace(cfg, alpha1=a1, alpha2=a2, beta1=b1, beta2=1.0 - b1)
-                ).sum_rate
-            return out
-
-        best_free, _, evals, _, incomplete = _refine(evaluate, 3, opt)
-        best_cfg = replace(
-            cfg,
-            alpha1=float(best_free[0]),
-            alpha2=float(best_free[1]),
-            beta1=float(best_free[2]),
-            beta2=1.0 - float(best_free[2]),
-        )
+        def config_for(a1, a2, b1):
+            return replace(cfg, alpha1=a1, alpha2=a2, beta1=b1, beta2=1.0 - b1)
     else:
-        def evaluate(free):
-            out = np.empty(free.shape[0])
-            for i, a in enumerate(free[:, 0]):
-                out[i] = marc_omniscient_sumrate(
-                    replace(cfg, alpha1=a, alpha2=a, beta1=0.5, beta2=0.5)
-                ).sum_rate
-            return out
+        sumrate, ndim = marc_omniscient_sumrate, 1
 
-        best_free, _, evals, _, incomplete = _refine(evaluate, 1, opt)
-        a = float(best_free[0])
-        best_cfg = replace(cfg, alpha1=a, alpha2=a, beta1=0.5, beta2=0.5)
+        def config_for(a):
+            return replace(cfg, alpha1=a, alpha2=a, beta1=0.5, beta2=0.5)
 
-    rates = marc_omniscient_sumrate(best_cfg)
+    best, evals, _, incomplete = _refine_points(
+        lambda *point: sumrate(config_for(*point)).sum_rate, ndim, opt
+    )
+    best_cfg = config_for(*best)
+    rates = sumrate(best_cfg)
     return MarcOptimum(rates.sum_rate, rates, best_cfg, evals, incomplete)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -67,7 +67,8 @@ def free_to_fractions(free: np.ndarray, lengths) -> np.ndarray:
     the result has one column per fraction (sum of m over rows).
     """
     n = free.shape[0]
-    out = np.empty((n, sum(lengths)))
+    # column-major: every write below and the kernel's gather read whole columns
+    out = np.empty((n, sum(lengths)), order="F")
     at_f, at_c = 0, 0
     for m in lengths:
         rem = np.ones(n)
@@ -106,7 +107,8 @@ def _grid_axes(box_lo, box_hi, per_round_budget, resolution):
 
 def _grid_candidates(axes):
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    # column-major, like free_to_fractions' output
+    return np.stack([m.ravel() for m in mesh]).T
 
 
 def _shrink_box(center, lo, hi, shrink, outer_lo, outer_hi):
@@ -120,27 +122,31 @@ def _shrink_box(center, lo, hi, shrink, outer_lo, outer_hi):
 def _refine(evaluate, ndim, config, extra_points=(), box=(0.0, 1.0)):
     """Shared refinement loop.
 
-    ``evaluate`` maps an (n, ndim) array of free coordinates to (n,) rates.
-    Returns (best_free, best_rate, evaluations, achieved_tol, incomplete).
+    ``evaluate`` maps an (n, ndim) array of free coordinates, one candidate
+    per row, to (n,) rates; ``_refine_points`` builds it from a per-point
+    objective.  Returns (best_free, evaluations, achieved_tol, incomplete).
     """
-    outer_lo = np.full(ndim, box[0])
-    outer_hi = np.full(ndim, box[1])
-    lo, hi = outer_lo.copy(), outer_hi.copy()
+    outer_lo, outer_hi = np.full(ndim, box[0]), np.full(ndim, box[1])
+    lo, hi = outer_lo, outer_hi  # _shrink_box returns new arrays
     evaluations = 0
     best_rate = -math.inf
     best_free = (lo + hi) / 2.0
     achieved = math.inf
     incomplete = False
 
-    extras = [np.asarray(p, dtype=float) for p in extra_points]
-    if extras:
-        pts = np.stack(extras)
+    def search(pts):
+        nonlocal evaluations, best_rate, best_free
         rates = evaluate(pts)
         evaluations += pts.shape[0]
         idx = int(np.argmax(rates))
-        if rates[idx] > best_rate:
-            best_rate = float(rates[idx])
-            best_free = pts[idx].copy()
+        improvement = float(rates[idx]) - best_rate
+        if improvement > 0.0:
+            best_rate, best_free = float(rates[idx]), pts[idx].copy()
+        return improvement
+
+    extras = [np.asarray(p, dtype=float) for p in extra_points]
+    if extras:
+        search(np.stack(extras))
 
     n_rounds = config.rounds + 1  # coarse pass plus refinement rounds
     stalled = 0
@@ -151,14 +157,7 @@ def _refine(evaluate, ndim, config, extra_points=(), box=(0.0, 1.0)):
             break
         per_round = max(2 ** ndim, remaining // (n_rounds - rnd))
         cands = _grid_candidates(_grid_axes(lo, hi, per_round, config.resolution))
-        rates = evaluate(cands)
-        evaluations += cands.shape[0]
-        idx = int(np.argmax(rates))
-        improvement = float(rates[idx]) - best_rate
-        if improvement > 0.0:
-            best_rate = float(rates[idx])
-            best_free = cands[idx].copy()
-        achieved = max(improvement, 0.0)
+        achieved = max(search(cands), 0.0)
         # a single flat round can just mean the shrunk grid re-hit the
         # incumbent point, so require two stalled rounds before stopping
         stalled = stalled + 1 if achieved < config.tolerance else 0
@@ -168,7 +167,21 @@ def _refine(evaluate, ndim, config, extra_points=(), box=(0.0, 1.0)):
 
     if not math.isfinite(achieved):
         achieved = 0.0
-    return best_free, best_rate, evaluations, achieved, incomplete
+    return best_free, evaluations, achieved, incomplete
+
+
+def _refine_points(objective, ndim, config, box=(0.0, 1.0)):
+    """``_refine`` for an objective that rates one point at a time.
+
+    ``objective(*point)`` takes the ndim free coordinates as floats.
+    Returns (best_point, evaluations, achieved_tol, incomplete), the point
+    as a list of floats.
+    """
+    def evaluate(free):
+        return np.array([objective(*point) for point in free.tolist()])
+
+    best_free, *rest = _refine(evaluate, ndim, config, box=box)
+    return (best_free.tolist(), *rest)
 
 
 def optimize_splits(
@@ -218,7 +231,7 @@ def optimize_splits(
         sm.validate_for(t_count, k, perm)
         extras.append(fractions_to_free(sm.as_flat(), lengths))
 
-    best_free, _, evals, achieved, incomplete = _refine(
+    best_free, evals, achieved, incomplete = _refine(
         evaluate, ndim, config, extra_points=extras
     )
     fracs = free_to_fractions(best_free[None, :], lengths)[0]
@@ -249,15 +262,7 @@ def optimize_permutation(
         total += res.evaluations
         if best is None or res.rate > best.rate:
             best = res
-    return OptimumResult(
-        rate=best.rate,
-        report=best.report,
-        splits=best.splits,
-        evaluations=total,
-        achieved_tolerance=best.achieved_tolerance,
-        incomplete=best.incomplete,
-        permutation=best.permutation,
-    )
+    return replace(best, evaluations=total)
 
 
 def optimize_spacing(
@@ -271,63 +276,50 @@ def optimize_spacing(
 ) -> OptimumResult:
     """Best linear node placement with total length ``span``.
 
-    Searches the T-1 positive spacings (a scaled simplex); each candidate
-    geometry is itself optimized over splits with a reduced inner budget
-    (one evaluation when k = 1, whose split is fixed).
+    Searches the T-1 positive spacings (a scaled simplex) through
+    ``_refine_points``: each candidate geometry is itself optimized over
+    splits with a reduced inner budget (one evaluation when k = 1, whose
+    split is fixed).  The result is the best geometry's split optimum, with
+    ``geometry`` set, ``evaluations`` counting every inner evaluation, and
+    the outer search's ``achieved_tolerance`` and ``incomplete``.
     """
     if span <= 0.0:
         raise ValueError("span must be positive")
     perm = Permutation.identity(node_count)
-    ndim = node_count - 2
-    spacing_lengths = (node_count - 1,)
-    inner_config = OptimizerConfig(
+    inner_config = replace(
+        config,
         resolution=min(config.resolution, 9),
         rounds=max(config.rounds - 1, 1),
-        shrink=config.shrink,
-        tolerance=config.tolerance,
         budget=max(2_000, config.budget // 200),
     )
 
-    def geometry_for(free_row):
-        fracs = free_to_fractions(free_row[None, :], spacing_lengths)[0]
+    def geometry_for(*free):
+        fracs = free_to_fractions(np.array([free]), (node_count - 1,))[0]
         return build_linear_geometry(fracs * span)
 
-    inner_evals = 0
+    inner_evals = []
 
-    def evaluate(free):
-        nonlocal inner_evals
-        out = np.empty(free.shape[0])
-        for i in range(free.shape[0]):
-            res = optimize_splits(geometry_for(free[i]), prop, power, k, perm, mode,
-                                  inner_config)
-            out[i] = res.rate
-            inner_evals += res.evaluations - 1
-        return out
+    def objective(*free):
+        res = optimize_splits(geometry_for(*free), prop, power, k, perm, mode,
+                              inner_config)
+        inner_evals.append(res.evaluations - 1)
+        return res.rate
 
     # outer budget counts geometries; each costs one split optimization
-    inner_cost = 1 if k == 1 else max(1, inner_config.budget)
-    outer = OptimizerConfig(
-        resolution=config.resolution,
-        rounds=config.rounds,
-        shrink=config.shrink,
-        tolerance=config.tolerance,
-        budget=max(300, config.budget // inner_cost),
-    )
-    best_free, _, evals, achieved, incomplete = _refine(
-        evaluate, ndim, outer,
+    inner_cost = 1 if k == 1 else inner_config.budget
+    outer = replace(config, budget=max(300, config.budget // inner_cost))
+    best_free, evals, achieved, incomplete = _refine_points(
+        objective, node_count - 2, outer,
         box=(SPACING_EDGE_MARGIN, 1.0 - SPACING_EDGE_MARGIN),
     )
-    geom = geometry_for(best_free)
+    geom = geometry_for(*best_free)
     res = optimize_splits(geom, prop, power, k, perm, mode, inner_config)
-    return OptimumResult(
-        rate=res.rate,
-        report=res.report,
-        splits=res.splits,
-        evaluations=evals + inner_evals + res.evaluations,
+    return replace(
+        res,
+        evaluations=evals + sum(inner_evals) + res.evaluations,
         achieved_tolerance=achieved,
         incomplete=incomplete,
         geometry=geom,
-        permutation=perm,
     )
 
 

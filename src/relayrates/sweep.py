@@ -142,6 +142,34 @@ def _check_channel(scenario, raw, errors):
     return out
 
 
+def _mrc_node_count(channel) -> int:
+    """Node count T of an ``mrc`` chain: one more than the number of
+    ``spacings`` when they are given, else ``node_count`` (default 5).
+
+    Raises ValueError when both are given and disagree.
+    """
+    t = int(channel.get("node_count", 5))
+    if "spacings" in channel:
+        if "node_count" in channel and t != len(channel["spacings"]) + 1:
+            raise ValueError(f"channel.node_count {t} disagrees with the "
+                             f"{len(channel['spacings'])} spacings")
+        t = len(channel["spacings"]) + 1
+    return t
+
+
+def _check_chain(channel, strategies, errors):
+    """An ``mrc`` chain's T is unambiguous and admits every strategy's k."""
+    try:
+        t = _mrc_node_count(channel)
+    except ValueError as exc:
+        errors.append(str(exc))
+        return
+    for s in strategies:
+        if s["tag"] != "omniscient" and s["k"] > t - 1:
+            errors.append(f"strategies: k={s['k']} exceeds T-1 = {t - 1} "
+                          f"on this {t}-node chain")
+
+
 def _check_strategies(scenario, raw, errors):
     if not isinstance(raw, list) or not raw:
         errors.append("strategies: must be a non-empty list")
@@ -246,7 +274,10 @@ def validate_config(raw) -> ExperimentConfig:
     else:
         strategies = _check_strategies(scenario, raw.get("strategies", []), errors)
 
+    n_errors = len(errors)
     channel = _check_channel(scenario, raw.get("channel", {}), errors)
+    if scenario == "mrc" and len(errors) == n_errors:
+        _check_chain(channel, strategies, errors)
 
     opt = OptimizerConfig()
     if "optimizer" in raw:
@@ -280,12 +311,11 @@ def _fmt(v) -> str:
 
 def _mrc_row(config: ExperimentConfig, value):
     ch = config.channel
-    t = int(ch.get("node_count", 5))
+    t = _mrc_node_count(ch)
     if config.sweep.variable == "spacing":
         spacings = [float(value)] * (t - 1)
     else:
         spacings = ch.get("spacings", [1.0] * (t - 1))
-    t = len(spacings) + 1
     geom = build_linear_geometry(spacings)
     p = float(value) if config.sweep.variable == "power" else float(ch.get("power", 10.0))
     power = PowerConfig.uniform(t, p, float(ch.get("noise", 1.0)))
@@ -321,18 +351,13 @@ def _mrc_row(config: ExperimentConfig, value):
 
 
 def _marc_row(config: ExperimentConfig, value):
-    ch = dict(config.channel)
+    ch = {key: float(v) for key, v in config.channel.items()}
     unit = "W" if config.sweep.variable == "source_power" else "m"
     if config.sweep.variable == "source_power":
         ch["p1"] = ch["p2"] = float(value)
     else:
         ch["d34"] = float(value)
-    cfg = marc_mod.MarcConfig(
-        p1=float(ch.get("p1", 10.0)), p2=float(ch.get("p2", 10.0)),
-        p3=float(ch.get("p3", 10.0)), n3=float(ch.get("n3", 1.0)),
-        n4=float(ch.get("n4", 1.0)), d34=float(ch.get("d34", 1.0)),
-        kappa=float(ch.get("kappa", 1.0)), eta=float(ch["eta"]),
-    )
+    cfg = marc_mod.MarcConfig(**ch)
     row = [(f"{config.sweep.variable}_{unit}", float(value))]
     incomplete = False
     for s in config.strategies:
@@ -349,18 +374,13 @@ def _marc_row(config: ExperimentConfig, value):
 
 
 def _brc_row(config: ExperimentConfig, value):
-    ch = dict(config.channel)
+    ch = {key: float(v) for key, v in config.channel.items()}
     unit = "W" if config.sweep.variable == "source_power" else "m"
     if config.sweep.variable == "source_power":
         ch["p1"] = ch["p2"] = float(value)
     else:
         ch["d12"] = float(value)
-    cfg = brc_mod.BrcConfig(
-        p1=float(ch.get("p1", 10.0)), p2=float(ch.get("p2", 10.0)),
-        n2=float(ch.get("n2", 1.0)), n3=float(ch.get("n3", 1.0)),
-        n4=float(ch.get("n4", 1.0)), d12=float(ch.get("d12", 1.0)),
-        kappa=float(ch.get("kappa", 1.0)), eta=float(ch["eta"]),
-    )
+    cfg = brc_mod.BrcConfig(**ch)
     row = [(f"{config.sweep.variable}_{unit}", float(value))]
     incomplete = False
     for s in config.strategies:
@@ -382,15 +402,10 @@ def _brc_row(config: ExperimentConfig, value):
 
 
 def _large_row(config: ExperimentConfig, value):
-    ch = config.channel
-    rep = large_T_report(
-        int(value),
-        power=float(ch.get("power", 10.0)),
-        eta=float(ch["eta"]),
-        kappa=float(ch.get("kappa", 1.0)),
-        noise=float(ch.get("noise", 1.0)),
-        alpha=float(ch.get("alpha", 0.5)),
-    )
+    # the swept value is the node count
+    rep = large_T_report(int(value), **{
+        key: float(v) for key, v in config.channel.items() if key != "node_count"
+    })
     return [
         ("node_count", int(value)),
         ("min_rate_bits_per_use", rep.min_rate),

@@ -104,3 +104,15 @@ def test_optimize_matches_scalar_scan():
         for a in np.linspace(0.0, 1.0, 20001)
     )
     assert res.common_rate >= best - 1e-8
+
+
+def test_optimum_rates_are_the_closed_form_at_its_config():
+    rng = np.random.default_rng(12)
+    opt = OptimizerConfig(rounds=3, budget=2_000)
+    for _ in range(10):
+        cfg = BrcConfig(p1=float(rng.uniform(0.1, 50)), p2=float(rng.uniform(0.1, 50)),
+                        d12=float(rng.uniform(0.2, 3.0)))
+        res = brc_optimize(cfg, opt)
+        assert res.rates == brc_omniscient_common_rate(res.config)
+        assert res.common_rate == min(res.rates.r2, res.rates.r3, res.rates.r4)
+        assert replace(res.config, alpha=0.0) == cfg

@@ -152,9 +152,27 @@ def test_override_values_are_json_decoded(tmp_path):
     ("mrc", "channel.eta=NaN"),
     ("marc", "channel.p3=NaN"),
     ("large", "channel.power=Infinity"),
+    ("mrc", 'strategies=[{"k": 1}, {"k": 9}]'),
+    ("mrc", "channel.node_count=7"),  # the default chain has 4 spacings
 ])
 def test_validate_rejects_what_the_run_rejects(tmp_path, capsys, scenario, override):
     path = write_json(tmp_path / f"{scenario}.json", DEFAULT_CONFIGS[scenario])
     assert main(["validate", "--config", path]) == 0
     assert main(["validate", "--config", path, "--set", override]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_mrc_power_and_spacing_sweeps_agree_on_node_count(tmp_path):
+    headers = []
+    for variable in ("power", "spacing"):
+        out = tmp_path / f"{variable}.csv"
+        assert main([
+            "mrc", "--out", str(out), "--set", 'channel={"node_count": 6}',
+            "--set", f"sweep.variable={variable}", "--set", "sweep.steps=2",
+            "--set", "optimizer.budget=400", "--set", "optimizer.rounds=1",
+            "--set", 'strategies=[{"k": 1}, {"k": 5}]',
+        ]) == 0
+        headers.append(out.read_text().splitlines()[0].split(",")[1:])
+    assert headers[0] == headers[1]
+    # 6 nodes at k = 5: 5 + 4 + 3 + 2 + 1 split fractions
+    assert "k5_split_14_frac" in headers[0] and "k5_split_15_frac" not in headers[0]

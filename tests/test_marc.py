@@ -111,3 +111,33 @@ def test_asymmetric_search_at_least_matches_symmetric():
 def test_which_validated():
     with pytest.raises(ValueError):
         marc_optimize(MarcConfig(), "threehop")
+
+
+@pytest.mark.parametrize("which,kwargs", [
+    ("onehop", {}),
+    ("onehop", {"sweep_source_power": (0.5, 20.0)}),
+    ("omniscient", {}),
+    ("omniscient", {"asymmetric": True}),
+])
+def test_optimum_rates_are_the_closed_form_at_its_config(which, kwargs):
+    closed_form = marc_onehop_sumrate if which == "onehop" else marc_omniscient_sumrate
+    rng = np.random.default_rng(11)
+    opt = OptimizerConfig(rounds=3, budget=2_000)
+    for _ in range(5):
+        cfg = MarcConfig(p1=float(rng.uniform(0.1, 50)), p2=float(rng.uniform(0.1, 50)),
+                         p3=float(rng.uniform(0.1, 50)), d34=float(rng.uniform(0.2, 3.0)))
+        res = marc_optimize(cfg, which, opt, **kwargs)
+        assert res.rates == closed_form(res.config)
+        assert res.sum_rate == res.rates.sum_rate == min(res.rates.r3, res.rates.r4)
+        c = res.config
+        if "sweep_source_power" in kwargs:
+            assert c.p1 == c.p2 and 0.5 <= c.p1 <= 20.0
+            assert replace(c, p1=cfg.p1, p2=cfg.p2) == cfg
+        elif which == "onehop":
+            assert c == cfg and res.evaluations == 1
+        elif kwargs:
+            assert c.beta2 == 1.0 - c.beta1
+            assert replace(c, alpha1=0.0, alpha2=0.0, beta1=0.5, beta2=0.5) == cfg
+        else:
+            assert c.alpha1 == c.alpha2 and c.beta1 == c.beta2 == 0.5
+            assert replace(c, alpha1=0.0, alpha2=0.0) == cfg

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,22 @@ def test_identity_permutation_optimal_on_a_line():
     res = optimize_permutation(geom, PROP, power, 2,
                                config=OptimizerConfig(budget=20_000))
     assert res.permutation == Permutation.identity(5)
+
+
+def test_permutation_result_is_best_ordering_with_summed_evaluations():
+    geom = build_linear_geometry([1.0, 0.7, 1.3, 0.9])
+    power = PowerConfig.uniform(5, 10.0)
+    config = OptimizerConfig(budget=5_000)
+    best, total = None, 0
+    for relays in itertools.permutations(range(2, 5)):
+        res = optimize_splits(geom, PROP, power, 2, Permutation((1,) + relays + (5,)),
+                              config=config)
+        total += res.evaluations
+        if best is None or res.rate > best.rate:
+            best = res
+    got = optimize_permutation(geom, PROP, power, 2, config=config)
+    assert got.evaluations == total
+    assert got == replace(best, evaluations=total)
 
 
 def test_permutation_search_capped():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from relayrates import ConfigError, SweepAxis, run_experiment, validate_config
+from relayrates.cli import DEFAULT_CONFIGS
 
 
 def mrc_config(**over):
@@ -95,8 +96,13 @@ def test_mrc_sweep_csv_is_deterministic_and_monotone(tmp_path):
         assert vals[eff] == pytest.approx(vals[k2] / vals[omni], rel=1e-9)
 
 
-def test_parallel_rows_match_serial(tmp_path):
-    cfg = validate_config(mrc_config())
+@pytest.mark.parametrize("scenario", ["mrc", "marc", "brc", "large"])
+def test_parallel_rows_match_serial(tmp_path, scenario):
+    raw = mrc_config() if scenario == "mrc" else dict(
+        DEFAULT_CONFIGS[scenario], optimizer={"rounds": 2, "budget": 800}
+    )
+    raw["sweep"] = dict(raw["sweep"], steps=4)
+    cfg = validate_config(raw)
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     run_experiment(cfg, str(serial))
     run_experiment(cfg, str(parallel), jobs=2)
