@@ -5,6 +5,11 @@ inverse-power-law terms whose total is bounded by 6 * zeta(eta) * kappa * P
 at every interior node, so reception rates stay bounded away from zero as
 the chain grows.  The decode/cancel window is the one described in the
 ``gaussian`` module docstring.
+
+``large_T_report`` evaluates the chain by lag: on unit spacing every gain
+depends only on the distance, so ``gaussian._lag_powers`` turns each band
+power into a few 1-D convolutions over carrier pairs, O(T^2) multiply-adds
+in C with O(T) memory.
 """
 
 from __future__ import annotations
@@ -13,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import PowerConfig, PropagationModel
-from .gaussian import _band_powers
+from .gaussian import _lag_powers
 
 DEFAULT_T_CAP = 5000
 _CHUNK = 1 << 20
@@ -121,19 +125,12 @@ def large_T_report(
         raise ValueError("forward fractions must be finite and lie in [0, 1]")
     # node T-1 carries only its own sub-signal
     a = np.append(fwd, 0.0)
-    frac = np.column_stack([1.0 - a, a])[:, :, None]
+    frac = np.column_stack([1.0 - a, a])
 
-    # gain * power by lag i - r from lag -(T-1) to T-1, zero at lag 0
-    by_lag = np.zeros(t)
-    by_lag[1:] = prop.kappa * np.arange(1.0, t) ** (-prop.eta) * power
-    lags = sliding_window_view(np.concatenate([by_lag[:0:-1], by_lag]), t - 1)
-
-    def gain_rows(lo, hi):
-        # receiver r hears transmitters 1..T-1 at lags 1-r..T-1-r: row T-r
-        return lags[t - hi - 1:t - lo - 1][::-1]
-
-    p_sig, p_int = _band_powers(gain_rows, frac, np.arange(2, t + 1), coherent=True)
-    p_sig, p_int = p_sig[:, 0], p_int[:, 0]
+    # gain * power between positions d = 0..T-1 apart, zero at d = 0
+    by_dist = np.zeros(t)
+    by_dist[1:] = prop.kappa * np.arange(1.0, t) ** (-prop.eta) * power
+    p_sig, p_int = _lag_powers(by_dist, frac)
     rates = 0.5 * np.log2(1.0 + p_sig / (noise + p_int))
 
     bottleneck = int(np.argmin(rates)) + 2

@@ -1,10 +1,11 @@
 """Reception rates for k-hop and omniscient decode-forward on the Gaussian
 multiple-relay channel.
 
-This module defines the k-hop window once (``_window``, ``_carriers``);
-``kernel`` and ``asymptotics`` evaluate through it.  Positions are 1-based
-places in the relay order; the transmitter at position p introduces
-sub-signal p.
+This module defines the k-hop window once (``_window``, ``_carriers``) and
+evaluates it twice: ``_band_powers`` for any channel, behind ``kernel``, and
+``_lag_powers`` for the unit-spacing chain of ``asymptotics``.  Positions
+are 1-based places in the relay order; the transmitter at position p
+introduces sub-signal p.
 
 - A receiver at position p decodes the sub-signals at positions p-k..p-1,
   coherently combining every transmitter that carries them, cancels the
@@ -24,12 +25,26 @@ and cancel the interference.  A failed relay transmits nothing while every
 receiver still decodes as designed: its carriers leave the decoded sums,
 its designed interference stays, and cancelling what it never sent adds
 that power as mismatch noise.
+
+On the identity-ordered unit-spacing chain the gain from position t to a
+receiver at position p is G(p-t), a function of the lag alone, and so is the
+band of sub-signal q at receiver p.  ``_lag_powers`` expands the coherent
+square over carrier pairs j <= j': with the pair kernel
+K(l) = c * sqrt(G(l+j) G(l+j')) (c = 1 when j = j', else 2) and the pair
+input y(q) = sqrt(x[q, j] x[q, j']) (x the fraction carrier j spends on q,
+zero where it is absent), a band power at receiver p is the sum over pairs of
+(K masked to the band's lags) convolved with y, at lag p - q.  The noise band
+costs one direct ``np.convolve`` per pair, O(T^2) multiply-adds in C with
+O(T) memory; the decode band spans k lags and costs O(T k).  Every term is a
+product of non-negative numbers, so a power is exactly 0 where no carrier
+reaches the band and never negative (an FFT convolution would give neither).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -141,15 +156,15 @@ def _block_size(t_count: int, width: int) -> int:
     return max(1, _BLOCK_ELEMENTS // ((t_count - 1) * width))
 
 
-def _band_powers(gain_rows, frac: np.ndarray, pos_r: np.ndarray, coherent: bool,
-                 failed: np.ndarray = None):
+def _band_powers(gain: np.ndarray, frac: np.ndarray, pos_r: np.ndarray,
+                 coherent: bool, failed: np.ndarray = None):
     """Signal and interference power, (receivers, candidates) each, at the
     receivers at positions ``pos_r``.
 
-    ``gain_rows(lo, hi)`` returns the ``_layout`` gain rows of receivers
-    ``pos_r[lo:hi]``.  ``frac[p-1, j, c]`` is the fraction the transmitter at
-    position p spends on sub-signal p+j in candidate c, and ``failed[p-1]``
-    marks silent transmitters (``None``: no failures)."""
+    ``gain`` holds the ``_layout`` gain rows of those receivers,
+    ``frac[p-1, j, c]`` the fraction the transmitter at position p spends on
+    sub-signal p+j in candidate c, and ``failed[p-1]`` marks silent
+    transmitters (``None``: no failures)."""
     t_count, k, n = frac.shape[0] + 1, frac.shape[1], frac.shape[2]
     tx = _carriers(t_count, k)
     absent, src = tx < 1, np.maximum(tx, 1) - 1
@@ -173,7 +188,7 @@ def _band_powers(gain_rows, frac: np.ndarray, pos_r: np.ndarray, coherent: bool,
     for lo in range(0, pos_r.size, step):
         hi = min(pos_r.size, lo + step)
         bands = _window(pos_r[lo:hi], t_count, k).T
-        rows = gain_rows(lo, hi)
+        rows = gain[lo:hi]
 
         def band_sum(band, term):
             return np.einsum("qr,qrn->rn", (bands == band).astype(float), term)
@@ -185,6 +200,37 @@ def _band_powers(gain_rows, frac: np.ndarray, pos_r: np.ndarray, coherent: bool,
             # cancelling what a failed relay never sent leaves it as noise
             p_int[lo:hi] += band_sum(_CANCEL, contract(rows, x_lost, False))
         p_sig[lo:hi] = band_sum(_DECODE, term)
+    return p_sig, p_int
+
+
+def _lag_powers(by_dist: np.ndarray, frac: np.ndarray):
+    """Coherent signal and interference power at receivers 2..T of the
+    identity-ordered chain whose gain * transmit power between positions d
+    apart is ``by_dist[d]`` (d = 0..T-1, zero at d = 0).
+
+    ``frac[p-1, j]`` is the fraction the transmitter at position p spends on
+    sub-signal p+j.  Receiver p hears sub-signal q through gains that depend
+    on the lag p - q alone, so each band power is a sum over carrier pairs of
+    one convolution over sub-signals (see the module docstring)."""
+    t_count, k = frac.shape[0] + 1, frac.shape[1]
+    tx = _carriers(t_count, k)
+    x = np.where(tx >= 1, frac[np.maximum(tx, 1) - 1, np.arange(k)], 0.0)
+    # lags p - q from receiver 2 on sub-signal T-1 up to receiver T on
+    # sub-signal 1, banded as at receiver T of a 2T-position chain
+    lag = np.arange(3 - t_count, t_count)
+    band = _window(np.array([t_count]), 2 * t_count, k)[0, -3::-1]
+    noise = band == _NOISE
+    dec = np.flatnonzero(band == _DECODE)
+    # the full convolution with the decode lags holds receiver 2 at index sig0
+    lo, hi, sig0 = dec[0], dec[-1] + 1, 1 - lag[dec[0]]
+    # distances past T-1 only ever meet absent carriers
+    amp = np.sqrt(np.append(by_dist, np.zeros(k)))
+    p_sig, p_int = np.zeros((2, t_count - 1))
+    for j, jj in combinations_with_replacement(range(tx.shape[1]), 2):
+        kern = (1.0 if j == jj else 2.0) * amp[np.abs(lag + j)] * amp[np.abs(lag + jj)]
+        y = np.sqrt(x[:, j] * x[:, jj])
+        p_int += np.convolve(np.where(noise, kern, 0.0), y, "valid")
+        p_sig += np.convolve(kern[lo:hi], y)[sig0:sig0 + t_count - 1]
     return p_sig, p_int
 
 
@@ -200,7 +246,7 @@ def _evaluate(geometry, prop, power, splits, k, perm, mode, receivers, failed):
     gain, pos_r, col = _layout(geometry, prop, power, k, perm, rcv)
     failed_pos = np.isin(perm.order[:-1], list(failed)) if failed else None
     p_sig, p_int = (v[:, 0] for v in _band_powers(
-        lambda lo, hi: gain[lo:hi], splits.as_flat()[col][:, :, None], pos_r,
+        gain, splits.as_flat()[col][:, :, None], pos_r,
         mode is CombiningMode.COHERENT, failed_pos))
     noise = power.noise_powers[rcv - 2]
     rates = 0.5 * np.log2(1.0 + p_sig / (noise + p_int))

@@ -82,7 +82,7 @@ def batch_min_rate(problem: ChainProblem, cands: np.ndarray) -> np.ndarray:
     # a candidate's (sub-signal, receiver) products are a row of (T-1) ** 2
     step = _block_size(problem.n_receivers + 1, problem.n_receivers)
     for lo in range(0, cands.shape[0], step):
-        p_sig, p_int = _band_powers(lambda a, b: problem.gain[a:b],
+        p_sig, p_int = _band_powers(problem.gain,
                                     cands[lo:lo + step].T[problem.split_col],
                                     problem.pos_r, problem.coherent)
         rates = np.log2(1.0 + p_sig / (problem.noise[:, None] + p_int))

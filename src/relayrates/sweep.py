@@ -92,7 +92,8 @@ def _check_channel(scenario, raw, errors):
         "mrc": {"spacings", "power", "noise", "kappa", "eta", "node_count"},
         "marc": {"p1", "p2", "p3", "n3", "n4", "d34", "kappa", "eta"},
         "brc": {"p1", "p2", "n2", "n3", "n4", "d12", "kappa", "eta"},
-        "large": {"power", "noise", "kappa", "eta", "alpha", "node_count"},
+        # large sweeps the node count itself
+        "large": {"power", "noise", "kappa", "eta", "alpha"},
         "discrete": {"input_sizes", "output_sizes", "table", "inputs"},
     }.get(scenario, set())
     out = dict(raw)
@@ -403,9 +404,8 @@ def _brc_row(config: ExperimentConfig, value):
 
 def _large_row(config: ExperimentConfig, value):
     # the swept value is the node count
-    rep = large_T_report(int(value), **{
-        key: float(v) for key, v in config.channel.items() if key != "node_count"
-    })
+    rep = large_T_report(int(value),
+                         **{key: float(v) for key, v in config.channel.items()})
     return [
         ("node_count", int(value)),
         ("min_rate_bits_per_use", rep.min_rate),

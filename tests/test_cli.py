@@ -154,6 +154,7 @@ def test_override_values_are_json_decoded(tmp_path):
     ("large", "channel.power=Infinity"),
     ("mrc", 'strategies=[{"k": 1}, {"k": 9}]'),
     ("mrc", "channel.node_count=7"),  # the default chain has 4 spacings
+    ("large", "channel.node_count=7"),  # large sweeps the node count
 ])
 def test_validate_rejects_what_the_run_rejects(tmp_path, capsys, scenario, override):
     path = write_json(tmp_path / f"{scenario}.json", DEFAULT_CONFIGS[scenario])
