@@ -80,6 +80,12 @@ def row_lengths(node_count: int, k: int, perm: Permutation) -> dict:
     return out
 
 
+def _carriers(node_count: int, k: int) -> np.ndarray:
+    """``tx[q-1, j] = q-j``, the position of carrier j of the sub-signal at
+    position q = 1..T-1; the carrier exists where ``tx >= 1``."""
+    return np.arange(1, node_count)[:, None] - np.arange(k)
+
+
 def carrier_layout(node_count: int, k: int, perm: Permutation) -> dict:
     """Map each sub-signal (keyed by the node that introduces it) to the set
     of transmitter nodes that carry a copy of it.
@@ -87,17 +93,11 @@ def carrier_layout(node_count: int, k: int, perm: Permutation) -> dict:
     The sub-signal introduced by the node at position q is carried by the
     transmitters at positions q-k+1..q that still have q within reach.
     """
-    lengths = row_lengths(node_count, k, perm)
-    layout = {}
-    for q in range(1, node_count):
-        u_node = perm.node_at(q)
-        carriers = []
-        for p in range(max(1, q - k + 1), q + 1):
-            node = perm.node_at(p)
-            if q - p <= lengths[node] - 1:
-                carriers.append(node)
-        layout[u_node] = sorted(carriers)
-    return layout
+    row_lengths(node_count, k, perm)  # validates k
+    order = np.asarray(perm.order)
+    tx = _carriers(node_count, k)
+    return {node: sorted(order[row[row >= 1] - 1].tolist())
+            for node, row in zip(perm.order, tx)}
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Reception rates for k-hop and omniscient decode-forward on the Gaussian
 multiple-relay channel.
 
-This module defines the k-hop window once (``_window``, ``_carriers``) and
-evaluates it twice: ``_band_powers`` for any channel, behind ``kernel``, and
-``_lag_powers`` for the unit-spacing chain of ``asymptotics``.  Positions
-are 1-based places in the relay order; the transmitter at position p
-introduces sub-signal p.
+This module defines the k-hop window once (``_window``, with the carriers of
+``coding._carriers``) and evaluates it twice: ``_plan`` and ``_contract`` for
+any channel, also behind ``kernel``, and ``_lag_powers`` for the
+unit-spacing chain of ``asymptotics``.  Positions are 1-based places in the
+relay order; the transmitter at position p introduces sub-signal p.
 
 - A receiver at position p decodes the sub-signals at positions p-k..p-1,
   coherently combining every transmitter that carries them, cancels the
@@ -15,16 +15,22 @@ introduces sub-signal p.
   one at position q-j spends fraction ``row[j]`` of its power on it.  A
   receiver's own transmissions all fall in its cancel band.
 
-The engine (``_band_powers``) evaluates blocks of receivers against any
-number of candidate split matrices at once.  Per sub-signal q it contracts
-the carriers j in one matrix product, (receiver, j) @ (j, candidate), of
+The engine evaluates blocks of receivers against any number of candidate
+split matrices in two parts.  ``_plan`` gathers, once per receiver block,
+everything that depends on the channel alone: the gains of every
+(sub-signal, carrier, receiver), the band masks, and the candidate column
+that holds each carrier's fraction.  ``_contract`` then takes one block of
+candidates through caller-owned buffers: per sub-signal q it contracts the
+carriers j in one matrix product, (receiver, j) @ (j, candidate), of
 ``sqrt(gain * P)[r, q-j]`` and ``sqrt(frac)[q-j, j]`` squared afterwards
 when copies combine coherently, or of their squares (powers add) under
 fading.  The decode band gives the signal power, the bands outside decode
 and cancel the interference.  A failed relay transmits nothing while every
 receiver still decodes as designed: its carriers leave the decoded sums,
 its designed interference stays, and cancelling what it never sent adds
-that power as mismatch noise.
+that power as mismatch noise.  Single split matrices (``rate_report``) plan
+each receiver block; the batch kernel of ``kernel`` plans all receivers once
+per call and streams its candidates through the same contraction.
 
 On the identity-ordered unit-spacing chain the gain from position t to a
 receiver at position p is G(p-t), a function of the lag alone, and so is the
@@ -49,13 +55,14 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .channel import ChannelValidationError, NetworkGeometry, PowerConfig, PropagationModel
-from .coding import CombiningMode, Permutation, SplitMatrix
+from .coding import CombiningMode, Permutation, SplitMatrix, _carriers
 
 EFFICIENCY_SLACK = 1e-9
 
-# element budget of one receiver block, n_receivers * (T-1) * k: each of the
-# few block-sized temporaries then stays at a couple of MiB
-_BLOCK_ELEMENTS = 1 << 18
+# element budget of one block, n_receivers * (T-1) * k for single splits and
+# candidates * (T-1) ** 2 in the batch kernel: the few block-sized buffers
+# then stay in a core's L2 cache
+_BLOCK_ELEMENTS = 1 << 16
 
 # bands of the window, per (receiver, sub-signal)
 _DECODE = 0
@@ -124,12 +131,6 @@ def _window(pos_r: np.ndarray, t_count: int, k: int) -> np.ndarray:
     return band
 
 
-def _carriers(t_count: int, k: int) -> np.ndarray:
-    """``tx[q-1, j] = q-j``, the position of carrier j of sub-signal q; the
-    carrier exists where ``tx >= 1``."""
-    return np.arange(1, t_count)[:, None] - np.arange(k)
-
-
 def _layout(geometry, prop, power, k: int, perm: Permutation, receivers: np.ndarray):
     """Gain * transmit power from the transmitters at positions 1..T-1
     (columns) to the receiver node ids ``receivers`` (rows, zero at a
@@ -156,51 +157,88 @@ def _block_size(t_count: int, width: int) -> int:
     return max(1, _BLOCK_ELEMENTS // ((t_count - 1) * width))
 
 
-def _band_powers(gain: np.ndarray, frac: np.ndarray, pos_r: np.ndarray,
-                 coherent: bool, failed: np.ndarray = None):
-    """Signal and interference power, (receivers, candidates) each, at the
-    receivers at positions ``pos_r``.
+@dataclass(frozen=True)
+class _Plan:
+    """What the engine needs of one receiver block, independent of the
+    candidates: built once, then contracted with any number of candidate
+    blocks by ``_contract``."""
 
-    ``gain`` holds the ``_layout`` gain rows of those receivers,
-    ``frac[p-1, j, c]`` the fraction the transmitter at position p spends on
-    sub-signal p+j in candidate c, and ``failed[p-1]`` marks silent
-    transmitters (``None``: no failures)."""
-    t_count, k, n = frac.shape[0] + 1, frac.shape[1], frac.shape[2]
+    gain: np.ndarray        # (q, r, j) amplitude gain of carrier j of q at r, 0 if absent
+    decode: np.ndarray      # (q, r) 1.0 where r decodes q
+    noise: np.ndarray       # (q, r) 1.0 where q is noise at r
+    col: np.ndarray         # (q, j) candidate column of carrier j's fraction on q
+    coherent: bool
+    # with a failure set only
+    lost: np.ndarray = None       # (q, j) carrier j of q is silent
+    cancel: np.ndarray = None     # (q, r) 1.0 where r cancels q
+    gain_pow: np.ndarray = None   # (q, r, j) ``gain`` as power
+
+
+def _plan(gain: np.ndarray, pos_r: np.ndarray, split_col: np.ndarray,
+          coherent: bool, failed: np.ndarray = None) -> _Plan:
+    """Plan the receivers at positions ``pos_r`` whose ``_layout`` gain rows
+    are ``gain``; ``split_col`` is the ``_layout`` column map and
+    ``failed[p-1]`` marks silent transmitters (``None``: no failures)."""
+    t_count, k = split_col.shape[0] + 1, split_col.shape[1]
     tx = _carriers(t_count, k)
     absent, src = tx < 1, np.maximum(tx, 1) - 1
-    amp = np.sqrt if coherent else (lambda v: v)
-    x = frac[src, np.arange(k)]               # x[q-1, j, c]: carrier j on q
-    x_amp = amp(x)
+    # the transposed rows gathered once as (q, j, r), absent carriers zeroed,
+    # and read through a (q, r, j) view: a contiguous (q, r, j) copy sends a
+    # single split down BLAS's other matrix-vector variant, which rounds
+    # differently in the last bit
+    g = gain.T[src]
+    g[absent] = 0.0
+    bands = _window(pos_r, t_count, k).T
+    lost = cancel = gain_pow = None
     if failed is not None:
-        lost = (failed[src] & ~absent)[:, :, None]
-        x_live, x_lost = np.where(lost, 0.0, x_amp), np.where(lost, x, 0.0)
+        lost = failed[src] & ~absent
+        cancel = (bands == _CANCEL).astype(float)
+        gain_pow = (g.copy() if coherent else g).swapaxes(1, 2)
+    if coherent:
+        np.sqrt(g, out=g)
+    return _Plan(g.swapaxes(1, 2), (bands == _DECODE).astype(float),
+                 (bands == _NOISE).astype(float), split_col[src, np.arange(k)],
+                 coherent, lost, cancel, gain_pow)
 
-    def contract(rows, x_block, square):
-        # the transposed rows gathered as (q, j, r), absent carriers zeroed,
-        # times (q, j, c) through a (q, r, j) view: (q, r, c)
-        g = rows.T[src]
-        g[absent] = 0.0
-        term = np.matmul(g.swapaxes(1, 2), x_block)
-        return np.square(term, out=term) if square else term
 
-    p_sig, p_int = np.empty((2, pos_r.size, n))
-    step = _block_size(t_count, max(k, n))
-    for lo in range(0, pos_r.size, step):
-        hi = min(pos_r.size, lo + step)
-        bands = _window(pos_r[lo:hi], t_count, k).T
-        rows = gain[lo:hi]
+def _scratch_size(t_count: int, k: int, n_receivers: int, n: int) -> int:
+    """Elements of the ``_contract`` scratch buffer for up to ``n_receivers``
+    receivers and ``n`` candidates."""
+    return (t_count - 1) * n * (2 * k + n_receivers)
 
-        def band_sum(band, term):
-            return np.einsum("qr,qrn->rn", (bands == band).astype(float), term)
 
-        term = contract(amp(rows), x_amp, coherent)
-        p_int[lo:hi] = band_sum(_NOISE, term)
-        if failed is not None:
-            term = contract(amp(rows), x_live, coherent)
-            # cancelling what a failed relay never sent leaves it as noise
-            p_int[lo:hi] += band_sum(_CANCEL, contract(rows, x_lost, False))
-        p_sig[lo:hi] = band_sum(_DECODE, term)
-    return p_sig, p_int
+def _contract(plan: _Plan, cands_t: np.ndarray, p_sig: np.ndarray,
+              p_int: np.ndarray, scratch: np.ndarray) -> None:
+    """Signal and interference power, (receivers, candidates) each, into
+    ``p_sig`` and ``p_int`` for the candidates ``cands_t`` (flat split
+    column by candidate), through a ``_scratch_size`` buffer ``scratch``.
+
+    Per sub-signal q the carriers j contract in one matrix product,
+    (r, j) @ (j, candidate), squared when copies combine coherently; each
+    band then sums its sub-signals."""
+    (q, r, k), n = plan.gain.shape, cands_t.shape[1]
+    size = q * k * n
+    x = np.take(cands_t, plan.col, axis=0, out=scratch[:size].reshape(q, k, n),
+                mode="clip")                      # x[q-1, j, c]: carrier j on q
+    x_amp = np.sqrt(x, out=scratch[size:2 * size].reshape(q, k, n)) if plan.coherent else x
+    term = scratch[2 * size:2 * size + q * r * n].reshape(q, r, n)
+
+    def contract(gain, x_block, square):
+        np.matmul(gain, x_block, out=term)
+        if square:
+            np.square(term, out=term)
+
+    contract(plan.gain, x_amp, plan.coherent)
+    np.einsum("qr,qrn->rn", plan.noise, term, out=p_int)
+    if plan.lost is not None:
+        lost = plan.lost[:, :, None]
+        x_lost = np.where(lost, x, 0.0)
+        contract(plan.gain, np.where(lost, 0.0, x_amp), plan.coherent)
+    np.einsum("qr,qrn->rn", plan.decode, term, out=p_sig)
+    if plan.lost is not None:
+        # cancelling what a failed relay never sent leaves it as noise
+        contract(plan.gain_pow, x_lost, False)
+        p_int += np.einsum("qr,qrn->rn", plan.cancel, term)
 
 
 def _lag_powers(by_dist: np.ndarray, frac: np.ndarray):
@@ -245,9 +283,17 @@ def _evaluate(geometry, prop, power, splits, k, perm, mode, receivers, failed):
     rcv = np.asarray(receivers)
     gain, pos_r, col = _layout(geometry, prop, power, k, perm, rcv)
     failed_pos = np.isin(perm.order[:-1], list(failed)) if failed else None
-    p_sig, p_int = (v[:, 0] for v in _band_powers(
-        gain, splits.as_flat()[col][:, :, None], pos_r,
-        mode is CombiningMode.COHERENT, failed_pos))
+    coherent = mode is CombiningMode.COHERENT
+    flat = splits.as_flat()[:, None]
+    p_sig, p_int = np.empty((2, rcv.size, 1))
+    step = _block_size(t_count, k)
+    scratch = np.empty(_scratch_size(t_count, k, min(step, rcv.size), 1))
+    for lo in range(0, rcv.size, step):
+        hi = min(rcv.size, lo + step)
+        # one plan alive at a time
+        _contract(_plan(gain[lo:hi], pos_r[lo:hi], col, coherent, failed_pos),
+                  flat, p_sig[lo:hi], p_int[lo:hi], scratch)
+    p_sig, p_int = p_sig[:, 0], p_int[:, 0]
     noise = power.noise_powers[rcv - 2]
     rates = 0.5 * np.log2(1.0 + p_sig / (noise + p_int))
     return tuple(map(ReceptionRecord, rcv.tolist(), p_sig.tolist(), p_int.tolist(),

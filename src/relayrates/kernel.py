@@ -2,7 +2,9 @@
 
 The grid-refinement optimizer evaluates one channel at hundreds of thousands
 of candidate splits: ``compile_chain`` lays the channel out once for the
-engine of ``gaussian`` and ``batch_min_rate`` feeds it blocks of candidates.
+engine of ``gaussian``, and each ``batch_min_rate`` call plans it once
+(``_plan``) and streams cache-sized blocks of candidates through the
+contraction (``_contract``) into buffers it allocates once.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NetworkGeometry, PowerConfig, PropagationModel
-from .coding import CombiningMode, Permutation, row_lengths
-from .gaussian import _CANCEL, _band_powers, _block_size, _carriers, _layout, _window
+from .coding import CombiningMode, Permutation, _carriers, row_lengths
+from .gaussian import (_CANCEL, _block_size, _contract, _layout, _plan, _scratch_size,
+                       _window)
 
 
 @dataclass(frozen=True)
@@ -73,18 +76,31 @@ def compile_chain(
 
 def batch_min_rate(problem: ChainProblem, cands: np.ndarray) -> np.ndarray:
     """Max-min rate over all receivers for each candidate flat split vector
-    (one per row), evaluated a block of candidates at a time."""
+    (one per row), evaluated a block of candidates at a time.  Every block
+    runs the same ufuncs in the same order, so a rate does not depend on the
+    block it falls in."""
     cands = np.asarray(cands, dtype=np.float64)
     if cands.ndim != 2 or cands.shape[1] != problem.n_cols:
         raise ValueError(f"candidates must have shape (n, {problem.n_cols}), "
                          f"got {cands.shape}")
-    out = np.empty(cands.shape[0])
+    n, n_rcv = cands.shape[0], problem.n_receivers
+    t_count = n_rcv + 1
+    out = np.empty(n)
+    plan = _plan(problem.gain, problem.pos_r, problem.split_col, problem.coherent)
     # a candidate's (sub-signal, receiver) products are a row of (T-1) ** 2
-    step = _block_size(problem.n_receivers + 1, problem.n_receivers)
-    for lo in range(0, cands.shape[0], step):
-        p_sig, p_int = _band_powers(problem.gain,
-                                    cands[lo:lo + step].T[problem.split_col],
-                                    problem.pos_r, problem.coherent)
-        rates = np.log2(1.0 + p_sig / (problem.noise[:, None] + p_int))
-        out[lo:lo + step] = 0.5 * rates.min(axis=0)
+    step = _block_size(t_count, n_rcv)
+    width = min(step, n)
+    scratch = np.empty(_scratch_size(t_count, problem.split_col.shape[1], n_rcv, width))
+    powers = np.empty((3, n_rcv * width))
+    noise = problem.noise[:, None]
+    for lo in range(0, n, step):
+        m = min(step, n - lo)
+        p_sig, p_int, rates = (v[:n_rcv * m].reshape(n_rcv, m) for v in powers)
+        _contract(plan, cands[lo:lo + m].T, p_sig, p_int, scratch)
+        np.add(noise, p_int, out=rates)
+        np.divide(p_sig, rates, out=rates)
+        np.add(1.0, rates, out=rates)
+        np.log2(rates, out=rates)
+        rates.min(axis=0, out=out[lo:lo + m])
+    out *= 0.5
     return out

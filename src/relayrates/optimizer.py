@@ -22,7 +22,7 @@ from .gaussian import RateReport, rate_report
 from .kernel import batch_min_rate, compile_chain
 
 PERMUTATION_NODE_CAP = 9
-SPACING_EDGE_MARGIN = 1e-3
+SPACING_MIN_SHARE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,9 @@ def optimize_spacing(
     splits with a reduced inner budget (one evaluation when k = 1, whose
     split is fixed).  The result is the best geometry's split optimum, with
     ``geometry`` set, ``evaluations`` counting every inner evaluation, and
-    the outer search's ``achieved_tolerance`` and ``incomplete``.
+    the outer search's ``achieved_tolerance`` and ``incomplete``.  Every
+    spacing is at least ``SPACING_MIN_SHARE`` of the equal spacing
+    span / (T-1).
     """
     if span <= 0.0:
         raise ValueError("span must be positive")
@@ -293,9 +295,13 @@ def optimize_spacing(
         budget=max(2_000, config.budget // 200),
     )
 
+    # every spacing keeps SPACING_MIN_SHARE of the equal spacing span / (T-1),
+    # wherever the stick-breaking coordinates put it
+    floor = SPACING_MIN_SHARE / (node_count - 1)
+
     def geometry_for(*free):
         fracs = free_to_fractions(np.array([free]), (node_count - 1,))[0]
-        return build_linear_geometry(fracs * span)
+        return build_linear_geometry(span * (floor + (1.0 - SPACING_MIN_SHARE) * fracs))
 
     inner_evals = []
 
@@ -309,9 +315,7 @@ def optimize_spacing(
     inner_cost = 1 if k == 1 else inner_config.budget
     outer = replace(config, budget=max(300, config.budget // inner_cost))
     best_free, evals, achieved, incomplete = _refine_points(
-        objective, node_count - 2, outer,
-        box=(SPACING_EDGE_MARGIN, 1.0 - SPACING_EDGE_MARGIN),
-    )
+        objective, node_count - 2, outer)
     geom = geometry_for(*best_free)
     res = optimize_splits(geom, prop, power, k, perm, mode, inner_config)
     return replace(

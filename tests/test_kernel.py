@@ -101,3 +101,29 @@ def test_chain_problem_entries_carry_the_fading_powers(node_count, k):
                                 CombiningMode.FADING)
     assert got == pytest.approx(sum(r.p_sig + r.p_int for r in records), rel=1e-12)
     assert problem.grp_ptr[-1] == problem.ent_col.size
+
+
+@pytest.mark.parametrize("mode", [CombiningMode.COHERENT, CombiningMode.FADING])
+def test_batch_is_independent_of_block_budget(monkeypatch, mode):
+    # blocks of the default, 7 and 1 candidates (the last one partial but
+    # at 1) give bitwise the same rates, which match the oracle
+    node_count, k = 7, 3
+    rng = np.random.default_rng(6)
+    perm = Permutation((1, *rng.permutation(range(2, node_count)), node_count))
+    geom = build_linear_geometry(rng.uniform(0.2, 3.0, node_count - 1))
+    power = PowerConfig(rng.uniform(0.5, 20.0, node_count - 1),
+                        rng.uniform(0.5, 3.0, node_count - 1))
+    problem = compile_chain(geom, PropagationModel(), power, k, perm, mode)
+    lengths = tuple(row_lengths(node_count, k, perm)[t] for t in range(1, node_count))
+    default = gaussian._block_size(node_count, node_count - 1)
+    assert (default + 4) % 7 != 0
+    cands = np.asfortranarray(random_fractions(rng, lengths, default + 4))
+    want = batch_min_rate(problem, cands)
+    for i in [*range(0, default, 97), *range(default - 3, default + 4)]:
+        splits = SplitMatrix.from_flat(cands[i], lengths)
+        records = reference_records(geom, PropagationModel(), power, splits, k, perm, mode)
+        assert want[i] == pytest.approx(min(r.rate for r in records), rel=1e-12)
+    for block in (7, 1):
+        monkeypatch.setattr(gaussian, "_BLOCK_ELEMENTS", block * (node_count - 1) ** 2)
+        assert gaussian._block_size(node_count, node_count - 1) == block
+        assert np.array_equal(batch_min_rate(problem, cands), want)

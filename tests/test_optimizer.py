@@ -174,6 +174,21 @@ def test_spacing_search_beats_equal_spacing():
     assert res.geometry.distance(1, 2) < 1.0
 
 
+@pytest.mark.parametrize("node_count", [6, 7, 8])
+def test_spacing_search_keeps_every_spacing_apart(node_count):
+    # stick-breaking coordinates at the edge of their box once shrank the
+    # last spacing to 1e-3 ** (T-2) of the span, below the geometry's floor
+    span = node_count - 1.0
+    res = optimize_spacing(span, node_count, 1, PowerConfig.uniform(node_count, 10.0),
+                           PROP, OptimizerConfig(resolution=5, rounds=2, budget=3000))
+    spacings = np.diff([res.geometry.distance(1, t) for t in range(1, node_count + 1)])
+    assert spacings.sum() == pytest.approx(span, rel=1e-9)
+    assert spacings.min() >= 1e-3 * span / (node_count - 1) * (1 - 1e-9)
+    assert res.rate == pytest.approx(rate_report(
+        res.geometry, PROP, PowerConfig.uniform(node_count, 10.0),
+        SplitMatrix.own_only(node_count, 1), 1).rate, rel=1e-12)
+
+
 def test_fading_mode_threads_through():
     geom, power = unit_chain(5)
     coh = optimize_splits(geom, PROP, power, 2, mode=CombiningMode.COHERENT)

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayrates import ConfigError, SweepAxis, run_experiment, validate_config
 from relayrates.cli import DEFAULT_CONFIGS
@@ -107,6 +111,35 @@ def test_parallel_rows_match_serial(tmp_path, scenario):
     run_experiment(cfg, str(serial))
     run_experiment(cfg, str(parallel), jobs=2)
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@st.composite
+def random_mrc_configs(draw):
+    t = draw(st.integers(3, 6))
+    ks = draw(st.lists(st.integers(1, t - 1), min_size=1, max_size=3, unique=True))
+    strategies = [{"k": k} for k in ks]
+    if draw(st.booleans()):
+        strategies.append({"omniscient": True})
+    return mrc_config(
+        sweep={"variable": "power", "start": 1.0, "stop": 100.0,
+               "steps": draw(st.integers(2, 3)), "log": True},
+        strategies=strategies,
+        channel={"spacings": draw(st.lists(st.floats(0.2, 3.0), min_size=t - 1,
+                                           max_size=t - 1))},
+        optimizer={"rounds": 1, "budget": draw(st.integers(50, 300))},
+        mode=draw(st.sampled_from(["coherent", "fading"])),
+    )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=10)
+@given(raw=random_mrc_configs())
+def test_parallel_rows_match_serial_on_random_chains(raw):
+    cfg = validate_config(raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        serial, parallel = Path(tmp, "s.csv"), Path(tmp, "p.csv")
+        run_experiment(cfg, str(serial))
+        run_experiment(cfg, str(parallel), jobs=2)
+        assert serial.read_bytes() == parallel.read_bytes()
 
 
 def test_marc_sweep_crossover_columns(tmp_path):
