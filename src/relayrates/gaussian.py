@@ -218,8 +218,10 @@ def _contract(plan: _Plan, cands_t: np.ndarray, p_sig: np.ndarray,
     band then sums its sub-signals."""
     (q, r, k), n = plan.gain.shape, cands_t.shape[1]
     size = q * k * n
+    # x[q-1, j, c]: carrier j on q; the columns are in range, and with "clip"
+    # np.take writes straight into out instead of through a buffer
     x = np.take(cands_t, plan.col, axis=0, out=scratch[:size].reshape(q, k, n),
-                mode="clip")                      # x[q-1, j, c]: carrier j on q
+                mode="clip")
     x_amp = np.sqrt(x, out=scratch[size:2 * size].reshape(q, k, n)) if plan.coherent else x
     term = scratch[2 * size:2 * size + q * r * n].reshape(q, r, n)
 

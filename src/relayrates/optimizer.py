@@ -295,8 +295,6 @@ def optimize_spacing(
         budget=max(2_000, config.budget // 200),
     )
 
-    # every spacing keeps SPACING_MIN_SHARE of the equal spacing span / (T-1),
-    # wherever the stick-breaking coordinates put it
     floor = SPACING_MIN_SHARE / (node_count - 1)
 
     def geometry_for(*free):
