@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .channel import ChannelValidationError
-from .optimizer import OptimizerConfig, _refine_points
+from .optimizer import OptimizerConfig, _refine
 
 SYMMETRY_TOL = 1e-12
 
@@ -85,25 +87,30 @@ def brc_onehop_common_rate(cfg: BrcConfig) -> BrcRates:
     return BrcRates(r2, r3, r4, min(r2, r3, r4))
 
 
-def brc_omniscient_common_rate(cfg: BrcConfig) -> BrcRates:
-    """Omniscient decode-forward: the source spends alpha of its power
-    coherently reinforcing the relay's transmission."""
-    r2 = 0.5 * math.log2(
-        1.0 + cfg.gain(cfg.d12) * (1.0 - cfg.alpha) * cfg.p1 / cfg.n2
+def _omniscient_rates(cfg: BrcConfig, alpha):
+    """(r2, r3, r4) under omniscient decoding, elementwise over alpha (a
+    float or an array); every other parameter comes from ``cfg``."""
+    r2 = 0.5 * np.log2(
+        1.0 + cfg.gain(cfg.d12) * (1.0 - alpha) * cfg.p1 / cfg.n2
     )
 
     def dest_rate(d1x, d2x, noise):
-        received = (
-            cfg.gain(d1x) * (1.0 - cfg.alpha) * cfg.p1
-            + (
-                math.sqrt(cfg.gain(d1x) * cfg.alpha * cfg.p1)
-                + math.sqrt(cfg.gain(d2x) * cfg.p2)
-            ) ** 2
+        amplitude = (
+            np.sqrt(cfg.gain(d1x) * alpha * cfg.p1)
+            + math.sqrt(cfg.gain(d2x) * cfg.p2)
         )
-        return 0.5 * math.log2(1.0 + received / noise)
+        received = (
+            cfg.gain(d1x) * (1.0 - alpha) * cfg.p1 + amplitude * amplitude
+        )
+        return 0.5 * np.log2(1.0 + received / noise)
 
-    r3 = dest_rate(cfg.d13, cfg.d23, cfg.n3)
-    r4 = dest_rate(cfg.d14, cfg.d24, cfg.n4)
+    return r2, dest_rate(cfg.d13, cfg.d23, cfg.n3), dest_rate(cfg.d14, cfg.d24, cfg.n4)
+
+
+def brc_omniscient_common_rate(cfg: BrcConfig) -> BrcRates:
+    """Omniscient decode-forward: the source spends alpha of its power
+    coherently reinforcing the relay's transmission."""
+    r2, r3, r4 = map(float, _omniscient_rates(cfg, cfg.alpha))
     return BrcRates(r2, r3, r4, min(r2, r3, r4))
 
 
@@ -120,9 +127,9 @@ class BrcOptimum:
 
 def brc_optimize(cfg: BrcConfig, opt: OptimizerConfig = OptimizerConfig()) -> BrcOptimum:
     """Grid-refinement over the single split alpha in [0, 1]."""
-    (alpha,), evals, _, incomplete = _refine_points(
-        lambda a: brc_omniscient_common_rate(replace(cfg, alpha=a)).common_rate, 1, opt
+    best, evals, _, incomplete = _refine(
+        lambda free: np.minimum.reduce(_omniscient_rates(cfg, free[:, 0])), 1, opt
     )
-    best_cfg = replace(cfg, alpha=alpha)
+    best_cfg = replace(cfg, alpha=float(best[0]))
     rates = brc_omniscient_common_rate(best_cfg)
     return BrcOptimum(rates.common_rate, rates, best_cfg, evals, incomplete)

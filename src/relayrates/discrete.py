@@ -8,7 +8,6 @@ information evaluated term by term instead of in closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,8 @@ class JointPmf:
             raise PmfValidationError("labels must be unique")
         if np.any(table < 0.0):
             raise PmfValidationError("probabilities must be non-negative")
-        if abs(float(table.sum()) - 1.0) > MASS_TOL:
+        # negated so that a NaN or infinite entry fails too
+        if not abs(float(table.sum()) - 1.0) <= MASS_TOL:
             raise PmfValidationError(f"total mass must be 1, got {table.sum()!r}")
         table.setflags(write=False)
 
@@ -75,10 +75,12 @@ def mutual_information(joint: JointPmf, a, b, c=()) -> float:
     merged = a + b + c
     if len(set(merged)) != len(merged):
         raise PmfValidationError("A, B, C must be disjoint")
-    sub = joint.marginal(merged)
-    # reorder axes to (A..., B..., C...)
-    order = sub.axes_of(merged)
-    p_abc = np.transpose(sub.table, order)
+    axes = joint.axes_of(merged)
+    drop = tuple(ax for ax in range(joint.table.ndim) if ax not in axes)
+    table = joint.table.sum(axis=drop) if drop else joint.table
+    # summing keeps the remaining axes in label order; reorder to (A..., B..., C...)
+    kept = sorted(axes)
+    p_abc = np.transpose(table, [kept.index(ax) for ax in axes])
     na, nb = len(a), len(b)
     ax_a = tuple(range(na))
     ax_b = tuple(range(na, na + nb))
@@ -86,14 +88,9 @@ def mutual_information(joint: JointPmf, a, b, c=()) -> float:
     p_bc = p_abc.sum(axis=ax_a, keepdims=True)
     p_c = p_ac.sum(axis=ax_a, keepdims=True)
     mask = p_abc > 0.0
+    # outcomes off the mask may divide zero by zero; they are never read
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(
-            mask,
-            p_abc * np.broadcast_to(p_c, p_abc.shape)
-            / (np.broadcast_to(p_ac, p_abc.shape)
-               * np.broadcast_to(p_bc, p_abc.shape)),
-            1.0,
-        )
+        ratio = p_abc * p_c / (p_ac * p_bc)
     return float(np.sum(p_abc[mask] * np.log2(ratio[mask])))
 
 
@@ -123,7 +120,7 @@ class DmcChannel:
         if np.any(table < 0.0):
             raise PmfValidationError("conditional probabilities must be >= 0")
         slices = table.reshape(int(np.prod(ins)), -1).sum(axis=1)
-        if np.any(np.abs(slices - 1.0) > MASS_TOL):
+        if not np.all(np.abs(slices - 1.0) <= MASS_TOL):
             raise PmfValidationError("each conditional slice must sum to 1")
         table.setflags(write=False)
 
@@ -146,13 +143,21 @@ class NodeInput:
 
     def __post_init__(self):
         pmf = np.asarray(self.u_pmf, dtype=float)
-        xmap = np.asarray(self.x_map, dtype=int)
-        object.__setattr__(self, "u_pmf", pmf)
-        object.__setattr__(self, "x_map", xmap)
+        raw = np.asarray(self.x_map)
         if pmf.ndim != 1 or pmf.size < 1:
             raise PmfValidationError("u_pmf must be a non-empty vector")
-        if np.any(pmf < 0.0) or abs(float(pmf.sum()) - 1.0) > MASS_TOL:
+        if not (pmf.min() >= 0.0 and abs(float(pmf.sum()) - 1.0) <= MASS_TOL):
             raise PmfValidationError("u_pmf must be a probability vector")
+        # a negative symbol would index from the end and a fractional one
+        # would be truncated, so both are refused rather than converted
+        integral = raw.dtype.kind in "iu" or (
+            raw.dtype.kind == "f" and bool((np.isfinite(raw) & (raw == np.trunc(raw))).all())
+        )
+        if not (integral and raw.min(initial=0) >= 0):
+            raise PmfValidationError("x_map entries must be non-negative integers")
+        xmap = raw.astype(int)
+        object.__setattr__(self, "u_pmf", pmf)
+        object.__setattr__(self, "x_map", xmap)
         pmf.setflags(write=False)
         xmap.setflags(write=False)
 
@@ -205,19 +210,21 @@ def build_joint(
             f"joint table would need {n_u * n_y} entries (cap {table_cap})"
         )
 
-    joint = np.zeros(u_sizes + channel.output_sizes)
+    # p(u) as an outer product, multiplied in node order; each node's
+    # input as its map read at the sub-signals it carries; then one gather
+    # of p(y | x) per outcome u
+    grids = np.indices(u_sizes, sparse=True)
+    prob = 1.0
+    for inp, grid in zip(inputs, grids):
+        prob = prob * inp.u_pmf[grid]
+    x = tuple(
+        inputs[node - 1].x_map[tuple(grids[n - 1] for n in carried[node])]
+        for node in range(1, t_count)
+    )
     flat_channel = channel.table.reshape(channel.input_sizes + (n_y,))
-    for u in np.ndindex(*u_sizes):
-        prob = 1.0
-        for node in range(1, t_count):
-            prob *= inputs[node - 1].u_pmf[u[node - 1]]
-        if prob == 0.0:
-            continue
-        x = tuple(
-            int(inputs[node - 1].x_map[tuple(u[n - 1] for n in carried[node])])
-            for node in range(1, t_count)
-        )
-        joint[u] = (prob * flat_channel[x]).reshape(channel.output_sizes)
+    joint = flat_channel[x]
+    joint *= prob[..., None]
+    joint = joint.reshape(u_sizes + channel.output_sizes)
 
     labels = tuple(f"U{n}" for n in range(1, t_count)) + tuple(
         f"Y{n}" for n in range(2, t_count + 1)

@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .channel import ChannelValidationError
-from .optimizer import OptimizerConfig, _refine_points
+from .optimizer import OptimizerConfig, _refine
 
 SPLIT_TOL = 1e-12
 
@@ -80,26 +82,34 @@ class MarcRates:
     sum_rate: float
 
 
+def _onehop_rates(cfg: MarcConfig, p1, p2):
+    """(r3, r4) under one-hop decoding, elementwise over the source powers
+    (floats or arrays); every other parameter comes from ``cfg``."""
+    r3 = 0.5 * np.log2(
+        1.0 + (cfg.gain(cfg.d13) * p1 + cfg.gain(cfg.d23) * p2) / cfg.n3
+    )
+    interference = cfg.gain(cfg.d14) * p1 + cfg.gain(cfg.d24) * p2
+    r4 = 0.5 * np.log2(
+        1.0 + cfg.gain(cfg.d34) * cfg.p3 / (cfg.n4 + interference)
+    )
+    return r3, r4
+
+
 def marc_onehop_sumrate(cfg: MarcConfig) -> MarcRates:
     """One-hop myopic decode-forward: the destination decodes the relay
     only and treats the sources as noise."""
-    r3 = 0.5 * math.log2(
-        1.0 + (cfg.gain(cfg.d13) * cfg.p1 + cfg.gain(cfg.d23) * cfg.p2) / cfg.n3
-    )
-    interference = cfg.gain(cfg.d14) * cfg.p1 + cfg.gain(cfg.d24) * cfg.p2
-    r4 = 0.5 * math.log2(
-        1.0 + cfg.gain(cfg.d34) * cfg.p3 / (cfg.n4 + interference)
-    )
+    r3, r4 = map(float, _onehop_rates(cfg, cfg.p1, cfg.p2))
     return MarcRates(r3, r4, min(r3, r4))
 
 
-def marc_omniscient_sumrate(cfg: MarcConfig) -> MarcRates:
-    """Omniscient decode-forward with coherent source-relay cooperation."""
-    r3 = 0.5 * math.log2(
+def _omniscient_rates(cfg: MarcConfig, alpha1, alpha2, beta1, beta2):
+    """(r3, r4) under omniscient decoding, elementwise over the splits
+    (floats or arrays); every other parameter comes from ``cfg``."""
+    r3 = 0.5 * np.log2(
         1.0
         + (
-            cfg.gain(cfg.d13) * (1.0 - cfg.alpha1) * cfg.p1
-            + cfg.gain(cfg.d23) * (1.0 - cfg.alpha2) * cfg.p2
+            cfg.gain(cfg.d13) * (1.0 - alpha1) * cfg.p1
+            + cfg.gain(cfg.d23) * (1.0 - alpha2) * cfg.p2
         )
         / cfg.n3
     )
@@ -107,16 +117,24 @@ def marc_omniscient_sumrate(cfg: MarcConfig) -> MarcRates:
         cfg.gain(cfg.d14) * cfg.p1
         + cfg.gain(cfg.d24) * cfg.p2
         + cfg.gain(cfg.d34) * cfg.p3
-        + 2.0 * math.sqrt(
-            cfg.alpha1 * cfg.beta1 * cfg.p1 * cfg.p3
+        + 2.0 * np.sqrt(
+            alpha1 * beta1 * cfg.p1 * cfg.p3
             * cfg.gain(cfg.d14) * cfg.gain(cfg.d34)
         )
-        + 2.0 * math.sqrt(
-            cfg.alpha2 * cfg.beta2 * cfg.p2 * cfg.p3
+        + 2.0 * np.sqrt(
+            alpha2 * beta2 * cfg.p2 * cfg.p3
             * cfg.gain(cfg.d24) * cfg.gain(cfg.d34)
         )
     )
-    r4 = 0.5 * math.log2(1.0 + received / cfg.n4)
+    r4 = 0.5 * np.log2(1.0 + received / cfg.n4)
+    return r3, r4
+
+
+def marc_omniscient_sumrate(cfg: MarcConfig) -> MarcRates:
+    """Omniscient decode-forward with coherent source-relay cooperation."""
+    r3, r4 = map(float, _omniscient_rates(
+        cfg, cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2
+    ))
     return MarcRates(r3, r4, min(r3, r4))
 
 
@@ -148,6 +166,8 @@ def marc_optimize(
     if which not in ("onehop", "omniscient"):
         raise ValueError("which must be 'onehop' or 'omniscient'")
 
+    # ``config_for`` builds (and validates) the configuration of one point;
+    # ``closed_form`` rates an (n, ndim) array of points at once
     if which == "onehop":
         if sweep_source_power is None:
             rates = marc_onehop_sumrate(cfg)
@@ -158,20 +178,36 @@ def marc_optimize(
         def config_for(v):
             p = lo + v * (hi - lo)
             return replace(cfg, p1=p, p2=p)
+
+        def closed_form(free):
+            p = lo + free[:, 0] * (hi - lo)
+            return _onehop_rates(cfg, p, p)
     elif asymmetric:
         sumrate, ndim = marc_omniscient_sumrate, 3
 
         def config_for(a1, a2, b1):
             return replace(cfg, alpha1=a1, alpha2=a2, beta1=b1, beta2=1.0 - b1)
+
+        def closed_form(free):
+            a1, a2, b1 = free.T
+            return _omniscient_rates(cfg, a1, a2, b1, 1.0 - b1)
     else:
         sumrate, ndim = marc_omniscient_sumrate, 1
 
         def config_for(a):
             return replace(cfg, alpha1=a, alpha2=a, beta1=0.5, beta2=0.5)
 
-    best, evals, _, incomplete = _refine_points(
-        lambda *point: sumrate(config_for(*point)).sum_rate, ndim, opt
+        def closed_form(free):
+            a = free[:, 0]
+            return _omniscient_rates(cfg, a, a, 0.5, 0.5)
+
+    # each parameter is monotone in its coordinate, so if the two corners
+    # of the box are valid configurations, so is every point searched
+    config_for(*[0.0] * ndim)
+    config_for(*[1.0] * ndim)
+    best, evals, _, incomplete = _refine(
+        lambda free: np.minimum(*closed_form(free)), ndim, opt
     )
-    best_cfg = config_for(*best)
+    best_cfg = config_for(*best.tolist())
     rates = sumrate(best_cfg)
     return MarcOptimum(rates.sum_rate, rates, best_cfg, evals, incomplete)

@@ -101,9 +101,18 @@ def _check_channel(scenario, raw, errors):
         if key not in known:
             errors.append(f"channel: unknown key {key!r} for scenario {scenario!r}")
     if scenario == "discrete":
-        for key in ("input_sizes", "output_sizes", "table", "inputs"):
-            if key not in raw:
-                errors.append(f"channel: discrete scenario requires {key!r}")
+        missing = [key for key in ("input_sizes", "output_sizes", "table", "inputs")
+                   if key not in raw]
+        for key in missing:
+            errors.append(f"channel: discrete scenario requires {key!r}")
+        if not missing:
+            # the run builds the same objects, so it fails exactly when this does
+            try:
+                _dmc_from(raw)
+            except KeyError as exc:
+                errors.append(f"channel.inputs: every node input requires {exc}")
+            except (TypeError, ValueError) as exc:
+                errors.append(f"channel: {exc}")
         return out
     if "eta" not in raw:
         out["eta"] = DEFAULT_ETA
@@ -417,8 +426,8 @@ def _large_row(config: ExperimentConfig, value):
     ]
 
 
-def _discrete_row(config: ExperimentConfig, value):
-    ch = config.channel
+def _dmc_from(ch: dict):
+    """The channel and node inputs a discrete config describes."""
     channel = DmcChannel(
         tuple(ch["input_sizes"]), tuple(ch["output_sizes"]), np.asarray(ch["table"])
     )
@@ -426,6 +435,11 @@ def _discrete_row(config: ExperimentConfig, value):
         NodeInput(np.asarray(n["u_pmf"]), np.asarray(n["x_map"]))
         for n in ch["inputs"]
     ]
+    return channel, inputs
+
+
+def _discrete_row(config: ExperimentConfig, value):
+    channel, inputs = _dmc_from(config.channel)
     # each node's x_map must match the hop depth; trim broader maps by
     # marginalizing is not meaningful, so k is capped at the map order
     rep = khop_dmc_rate(channel, inputs, int(value))

@@ -12,6 +12,8 @@ from relayrates import (
     brc_onehop_common_rate,
     brc_optimize,
 )
+from relayrates.brc import _omniscient_rates
+from relayrates.optimizer import _refine_points
 
 
 def test_geometry_is_derived_from_d12():
@@ -116,3 +118,33 @@ def test_optimum_rates_are_the_closed_form_at_its_config():
         assert res.rates == brc_omniscient_common_rate(res.config)
         assert res.common_rate == min(res.rates.r2, res.rates.r3, res.rates.r4)
         assert replace(res.config, alpha=0.0) == cfg
+
+
+def random_config(rng):
+    return BrcConfig(p1=float(rng.uniform(0.1, 50)), p2=float(rng.uniform(0.1, 50)),
+                     n2=float(rng.uniform(0.2, 3)), n3=float(rng.uniform(0.2, 3)),
+                     n4=float(rng.uniform(0.2, 3)), d12=float(rng.uniform(0.2, 3.0)),
+                     kappa=float(rng.uniform(0.5, 2)), eta=float(rng.uniform(2, 4)))
+
+
+def test_array_closed_form_equals_the_scalar_api():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        cfg = random_config(rng)
+        alpha = np.append(rng.random(98), [0.0, 1.0])
+        got = _omniscient_rates(cfg, alpha)
+        want = [brc_omniscient_common_rate(replace(cfg, alpha=a)) for a in alpha.tolist()]
+        for r, name in zip(got, ("r2", "r3", "r4")):
+            assert np.array_equal(r, [getattr(w, name) for w in want])
+
+
+def test_search_equals_the_scalar_objective_search():
+    rng = np.random.default_rng(24)
+    for opt in (OptimizerConfig(), OptimizerConfig(resolution=7, rounds=6, budget=40)):
+        for _ in range(5):
+            cfg = random_config(rng)
+            got = brc_optimize(cfg, opt)
+            (alpha,), evals, _, incomplete = _refine_points(
+                lambda a: brc_omniscient_common_rate(replace(cfg, alpha=a)).common_rate, 1, opt)
+            assert got.config == replace(cfg, alpha=alpha)
+            assert (got.evaluations, got.incomplete) == (evals, incomplete)

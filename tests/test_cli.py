@@ -116,6 +116,34 @@ def test_discrete_sweep_runs(tmp_path, capsys):
     assert float(vals[1]) == pytest.approx(1.0, abs=1e-12)
 
 
+def _double_table(ch):
+    ch["table"] = (2.0 * np.asarray(ch["table"])).tolist()
+
+
+def _negative_symbol(ch):
+    ch["inputs"][1]["x_map"] = [0, -1]
+
+
+def _nan_pmf(ch):
+    ch["inputs"][0]["u_pmf"] = [0.5, float("nan")]
+
+
+def _missing_map(ch):
+    del ch["inputs"][0]["x_map"]
+
+
+@pytest.mark.parametrize("edit", [_double_table, _negative_symbol, _nan_pmf, _missing_map])
+def test_validate_rejects_the_discrete_channel_the_run_rejects(tmp_path, capsys, edit):
+    config = discrete_config()
+    assert main(["validate", "--config", write_json(tmp_path / "ok.json", config)]) == 0
+    edit(config["channel"])
+    path = write_json(tmp_path / "bad.json", config)
+    assert main(["validate", "--config", path]) == 1
+    assert main(["discrete", "--config", path, "--out", str(tmp_path / "bad.csv")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_runtime_error_exits_2(tmp_path, capsys):
     # a resource-capped run: the large scenario rejects huge node counts
     path = write_json(tmp_path / "large.json", {

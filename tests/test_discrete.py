@@ -2,18 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayrates import (
     DmcChannel,
     JointPmf,
     NodeInput,
+    Permutation,
     PmfValidationError,
     TableSizeError,
     build_joint,
     khop_dmc_rate,
     mutual_information,
     onehop_dmc_rate,
+    row_lengths,
 )
+
+from reference import reference_joint
 
 
 def h2(p):
@@ -181,3 +187,69 @@ def test_table_cap_is_enforced():
     inputs = [NodeInput(uniform, identity_map(1)), NodeInput(uniform, identity_map(1))]
     with pytest.raises(TableSizeError):
         build_joint(chan, inputs, 1, table_cap=8)
+
+
+def test_constructors_reject_nan():
+    uniform = np.array([0.5, 0.5])
+    with pytest.raises(PmfValidationError):
+        JointPmf(("A",), np.array([0.5, math.nan]))
+    tab = bsc_pair_channel(0.1, 0.1).table.copy()
+    tab[0, 0, 0, 0] = math.nan
+    with pytest.raises(PmfValidationError):
+        DmcChannel((2, 2), (2, 2), tab)
+    with pytest.raises(PmfValidationError):
+        NodeInput(np.array([0.5, math.nan]), np.arange(2))
+    with pytest.raises(PmfValidationError):
+        NodeInput(uniform, np.array([0.0, math.nan]))
+
+
+@pytest.mark.parametrize("x_map", [[0, -1], [0.0, 1.7], [0.0, math.inf], ["0", "1"]])
+def test_node_input_rejects_symbols_that_are_not_indices(x_map):
+    with pytest.raises(PmfValidationError):
+        NodeInput(np.array([0.5, 0.5]), np.array(x_map))
+
+
+def test_node_input_accepts_integral_float_symbols():
+    inp = NodeInput(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+    assert inp.x_map.dtype.kind == "i"
+    assert inp.x_map.tolist() == [1, 0]
+
+
+@st.composite
+def dmcs(draw):
+    """A random channel over alphabets of 1-3 symbols, a relay order, a hop
+    depth and node inputs, some with zero-probability sub-symbols."""
+    t_count = draw(st.integers(3, 6))
+    perm = Permutation((1, *draw(st.permutations(range(2, t_count))), t_count))
+    k = draw(st.integers(1, t_count - 1))
+    sizes = st.lists(st.integers(1, 3), min_size=t_count - 1, max_size=t_count - 1)
+    x_sizes, y_sizes, u_sizes = (tuple(draw(sizes)) for _ in range(3))
+    sparse_pmfs = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    table = rng.random(x_sizes + y_sizes)
+    table /= table.reshape(x_sizes + (-1,)).sum(axis=-1).reshape(
+        x_sizes + (1,) * len(y_sizes))
+    lengths = row_lengths(t_count, k, perm)
+    inputs = []
+    for node in range(1, t_count):
+        pmf = rng.dirichlet(np.ones(u_sizes[node - 1]))
+        if sparse_pmfs:
+            pmf[rng.random(pmf.size) < 0.5] = 0.0
+            pmf[rng.integers(pmf.size)] += 0.25
+            pmf /= pmf.sum()
+        pos = perm.position_of(node)
+        carried = [u_sizes[perm.node_at(pos + j) - 1] for j in range(lengths[node])]
+        inputs.append(NodeInput(pmf, rng.integers(0, x_sizes[node - 1], carried)))
+    return DmcChannel(x_sizes, y_sizes, table), inputs, k, perm
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(dmcs())
+def test_joint_matches_the_outcome_loop(case):
+    channel, inputs, k, perm = case
+    joint = build_joint(channel, inputs, k, perm)
+    t_count = channel.node_count
+    assert joint.labels == tuple(f"U{n}" for n in range(1, t_count)) + tuple(
+        f"Y{n}" for n in range(2, t_count + 1))
+    assert np.array_equal(joint.table, reference_joint(channel, inputs, k, perm))

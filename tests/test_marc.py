@@ -12,6 +12,8 @@ from relayrates import (
     marc_onehop_sumrate,
     marc_optimize,
 )
+from relayrates.marc import _omniscient_rates, _onehop_rates
+from relayrates.optimizer import _refine_points
 
 
 def test_geometry_is_derived_from_d34():
@@ -141,3 +143,66 @@ def test_optimum_rates_are_the_closed_form_at_its_config(which, kwargs):
         else:
             assert c.alpha1 == c.alpha2 and c.beta1 == c.beta2 == 0.5
             assert replace(c, alpha1=0.0, alpha2=0.0) == cfg
+
+
+def random_config(rng):
+    return MarcConfig(p1=float(rng.uniform(0.1, 50)), p2=float(rng.uniform(0.1, 50)),
+                      p3=float(rng.uniform(0.1, 50)), n3=float(rng.uniform(0.2, 3)),
+                      n4=float(rng.uniform(0.2, 3)), d34=float(rng.uniform(0.2, 3.0)),
+                      kappa=float(rng.uniform(0.5, 2)), eta=float(rng.uniform(2, 4)))
+
+
+def test_array_closed_forms_equal_the_scalar_api():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        cfg = random_config(rng)
+        p1, p2 = np.append(rng.uniform(0.0, 60.0, (2, 99)), [[0.0], [0.0]], axis=1)
+        r3, r4 = _onehop_rates(cfg, p1, p2)
+        want = [marc_onehop_sumrate(replace(cfg, p1=a, p2=b))
+                for a, b in zip(p1.tolist(), p2.tolist())]
+        assert np.array_equal(r3, [w.r3 for w in want])
+        assert np.array_equal(r4, [w.r4 for w in want])
+
+        a1, a2, b1 = np.append(rng.random((3, 98)), [[0.0, 1.0]] * 3, axis=1)
+        r3, r4 = _omniscient_rates(cfg, a1, a2, b1, 1.0 - b1)
+        want = [marc_omniscient_sumrate(replace(cfg, alpha1=x, alpha2=y, beta1=b, beta2=1.0 - b))
+                for x, y, b in zip(a1.tolist(), a2.tolist(), b1.tolist())]
+        assert np.array_equal(r3, [w.r3 for w in want])
+        assert np.array_equal(r4, [w.r4 for w in want])
+
+
+@pytest.mark.parametrize("search", ["onehop", "symmetric", "asymmetric"])
+def test_search_equals_the_scalar_objective_search(search):
+    # the searches as a per-point objective over the scalar API, one
+    # configuration per candidate
+    rng = np.random.default_rng(22)
+    opt = OptimizerConfig(resolution=9, rounds=3, budget=5_000)
+    for _ in range(4):
+        cfg = random_config(rng)
+        lo, hi = sorted(rng.uniform(0.1, 60.0, 2).tolist())
+        if search == "onehop":
+            def config_for(v):
+                return replace(cfg, p1=lo + v * (hi - lo), p2=lo + v * (hi - lo))
+            got = marc_optimize(cfg, "onehop", opt, sweep_source_power=(lo, hi))
+            closed_form, ndim = marc_onehop_sumrate, 1
+        elif search == "symmetric":
+            def config_for(a):
+                return replace(cfg, alpha1=a, alpha2=a, beta1=0.5, beta2=0.5)
+            got = marc_optimize(cfg, "omniscient", opt)
+            closed_form, ndim = marc_omniscient_sumrate, 1
+        else:
+            def config_for(a1, a2, b1):
+                return replace(cfg, alpha1=a1, alpha2=a2, beta1=b1, beta2=1.0 - b1)
+            got = marc_optimize(cfg, "omniscient", opt, asymmetric=True)
+            closed_form, ndim = marc_omniscient_sumrate, 3
+        best, evals, _, incomplete = _refine_points(
+            lambda *point: closed_form(config_for(*point)).sum_rate, ndim, opt)
+        assert got.config == config_for(*best)
+        assert (got.evaluations, got.incomplete) == (evals, incomplete)
+        assert got.rates == closed_form(got.config)
+
+
+@pytest.mark.parametrize("power", [(-1.0, 10.0), (1.0, math.nan), (1.0, math.inf)])
+def test_power_sweep_rejects_invalid_ends(power):
+    with pytest.raises(ChannelValidationError):
+        marc_optimize(MarcConfig(), "onehop", sweep_source_power=power)
