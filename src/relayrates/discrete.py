@@ -171,16 +171,10 @@ class DmcRateReport:
     rate: float
 
 
-def build_joint(
-    channel: DmcChannel,
-    inputs,
-    k: int,
-    perm: Permutation = None,
-    table_cap: int = DEFAULT_TABLE_CAP,
-) -> JointPmf:
-    """Joint pmf of all sub-signals and channel outputs under the k-hop
-    factorization: independent sub-signals, each channel input a
-    deterministic function of the sub-signals its node carries."""
+def carried_signals(channel: DmcChannel, inputs, k: int, perm: Permutation = None) -> dict:
+    """The sub-signals each node carries under k-hop coding, as node ids
+    keyed by node id, after checking every node's ``x_map`` against them:
+    one axis per carried sub-signal, symbols inside the input alphabet."""
     t_count = channel.node_count
     if len(inputs) != t_count - 1:
         raise PmfValidationError(f"need {t_count - 1} node inputs")
@@ -202,7 +196,22 @@ def build_joint(
         xmax = int(inputs[node - 1].x_map.max(initial=0))
         if xmax >= channel.input_sizes[node - 1]:
             raise PmfValidationError(f"x_map for node {node} leaves the alphabet")
+    return carried
 
+
+def build_joint(
+    channel: DmcChannel,
+    inputs,
+    k: int,
+    perm: Permutation = None,
+    table_cap: int = DEFAULT_TABLE_CAP,
+) -> JointPmf:
+    """Joint pmf of all sub-signals and channel outputs under the k-hop
+    factorization: independent sub-signals, each channel input a
+    deterministic function of the sub-signals its node carries."""
+    t_count = channel.node_count
+    carried = carried_signals(channel, inputs, k, perm)
+    u_sizes = tuple(inp.u_pmf.size for inp in inputs)
     n_u = int(np.prod(u_sizes))
     n_y = int(np.prod(channel.output_sizes))
     if n_u * n_y > table_cap:

@@ -21,7 +21,7 @@ from . import marc as marc_mod
 from .asymptotics import large_T_report
 from .channel import PowerConfig, PropagationModel, build_linear_geometry
 from .coding import CombiningMode
-from .discrete import DmcChannel, NodeInput, khop_dmc_rate
+from .discrete import DmcChannel, NodeInput, carried_signals, khop_dmc_rate
 from .gaussian import efficiency
 from .optimizer import OptimizerConfig, optimize_rates_over_k
 from .svgplot import Series, write_line_plot
@@ -101,18 +101,9 @@ def _check_channel(scenario, raw, errors):
         if key not in known:
             errors.append(f"channel: unknown key {key!r} for scenario {scenario!r}")
     if scenario == "discrete":
-        missing = [key for key in ("input_sizes", "output_sizes", "table", "inputs")
-                   if key not in raw]
-        for key in missing:
-            errors.append(f"channel: discrete scenario requires {key!r}")
-        if not missing:
-            # the run builds the same objects, so it fails exactly when this does
-            try:
-                _dmc_from(raw)
-            except KeyError as exc:
-                errors.append(f"channel.inputs: every node input requires {exc}")
-            except (TypeError, ValueError) as exc:
-                errors.append(f"channel: {exc}")
+        for key in ("input_sizes", "output_sizes", "table", "inputs"):
+            if key not in raw:
+                errors.append(f"channel: discrete scenario requires {key!r}")
         return out
     if "eta" not in raw:
         out["eta"] = DEFAULT_ETA
@@ -178,6 +169,25 @@ def _check_chain(channel, strategies, errors):
         if s["tag"] != "omniscient" and s["k"] > t - 1:
             errors.append(f"strategies: k={s['k']} exceeds T-1 = {t - 1} "
                           f"on this {t}-node chain")
+
+
+def _check_dmc(ch, axis, errors):
+    """Build the discrete channel and node inputs as the run does and check
+    the maps against every swept k, so the run fails only for its table
+    cap."""
+    try:
+        channel, inputs = _dmc_from(ch)
+    except KeyError as exc:
+        errors.append(f"channel.inputs: every node input requires {exc}")
+        return
+    except (TypeError, ValueError) as exc:
+        errors.append(f"channel: {exc}")
+        return
+    for k in axis.values() if axis is not None else ():
+        try:
+            carried_signals(channel, inputs, k)
+        except ValueError as exc:
+            errors.append(f"channel at k={k}: {exc}")
 
 
 def _check_strategies(scenario, raw, errors):
@@ -288,6 +298,8 @@ def validate_config(raw) -> ExperimentConfig:
     channel = _check_channel(scenario, raw.get("channel", {}), errors)
     if scenario == "mrc" and len(errors) == n_errors:
         _check_chain(channel, strategies, errors)
+    if scenario == "discrete" and len(errors) == n_errors:
+        _check_dmc(channel, axis, errors)
 
     opt = OptimizerConfig()
     if "optimizer" in raw:

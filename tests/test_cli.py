@@ -116,27 +116,36 @@ def test_discrete_sweep_runs(tmp_path, capsys):
     assert float(vals[1]) == pytest.approx(1.0, abs=1e-12)
 
 
-def _double_table(ch):
-    ch["table"] = (2.0 * np.asarray(ch["table"])).tolist()
+def _double_table(config):
+    config["channel"]["table"] = (2.0 * np.asarray(config["channel"]["table"])).tolist()
 
 
-def _negative_symbol(ch):
-    ch["inputs"][1]["x_map"] = [0, -1]
+def _negative_symbol(config):
+    config["channel"]["inputs"][1]["x_map"] = [0, -1]
 
 
-def _nan_pmf(ch):
-    ch["inputs"][0]["u_pmf"] = [0.5, float("nan")]
+def _nan_pmf(config):
+    config["channel"]["inputs"][0]["u_pmf"] = [0.5, float("nan")]
 
 
-def _missing_map(ch):
-    del ch["inputs"][0]["x_map"]
+def _missing_map(config):
+    del config["channel"]["inputs"][0]["x_map"]
 
 
-@pytest.mark.parametrize("edit", [_double_table, _negative_symbol, _nan_pmf, _missing_map])
-def test_validate_rejects_the_discrete_channel_the_run_rejects(tmp_path, capsys, edit):
+def _maps_too_narrow_for_k2(config):
+    config["sweep"] = {"variable": "k", "start": 1, "stop": 2, "steps": 2}
+
+
+def _k_beyond_the_chain(config):
+    config["sweep"] = {"variable": "k", "start": 3, "stop": 4, "steps": 2}
+
+
+@pytest.mark.parametrize("edit", [_double_table, _negative_symbol, _nan_pmf, _missing_map,
+                                  _maps_too_narrow_for_k2, _k_beyond_the_chain])
+def test_validate_rejects_the_discrete_config_the_run_rejects(tmp_path, capsys, edit):
     config = discrete_config()
     assert main(["validate", "--config", write_json(tmp_path / "ok.json", config)]) == 0
-    edit(config["channel"])
+    edit(config)
     path = write_json(tmp_path / "bad.json", config)
     assert main(["validate", "--config", path]) == 1
     assert main(["discrete", "--config", path, "--out", str(tmp_path / "bad.csv")]) == 1
