@@ -16,8 +16,6 @@ import numpy as np
 from .channel import ChannelValidationError
 from .optimizer import OptimizerConfig, _refine
 
-SYMMETRY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BrcConfig:

@@ -91,7 +91,8 @@ def mutual_information(joint: JointPmf, a, b, c=()) -> float:
     # outcomes off the mask may divide zero by zero; they are never read
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = p_abc * p_c / (p_ac * p_bc)
-    return float(np.sum(p_abc[mask] * np.log2(ratio[mask])))
+    # I(A;B|C) >= 0, but the summed terms can round to just below 0
+    return max(float(np.sum(p_abc[mask] * np.log2(ratio[mask]))), 0.0)
 
 
 @dataclass(frozen=True)

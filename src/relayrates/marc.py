@@ -159,55 +159,44 @@ def marc_optimize(
     """Maximize the sum rate.
 
     ``which='omniscient'`` searches the symmetric split alpha_1 = alpha_2
-    with beta fixed at 1/2 (4-D asymmetric search behind ``asymmetric``).
+    with beta fixed at 1/2 (a 3-D search over alpha_1, alpha_2 and beta_1
+    behind ``asymmetric``).
     ``which='onehop'`` has no splits; pass ``sweep_source_power=(lo, hi)``
     to search the common source power P_1 = P_2 instead.
     """
     if which not in ("onehop", "omniscient"):
         raise ValueError("which must be 'onehop' or 'omniscient'")
 
-    # ``config_for`` builds (and validates) the configuration of one point;
-    # ``closed_form`` rates an (n, ndim) array of points at once
+    # ``fields`` maps the free coordinates, floats or (n,) arrays alike, to
+    # the MarcConfig fields the search varies
     if which == "onehop":
         if sweep_source_power is None:
             rates = marc_onehop_sumrate(cfg)
             return MarcOptimum(rates.sum_rate, rates, cfg, 1, False)
         lo, hi = map(float, sweep_source_power)
-        sumrate, ndim = marc_onehop_sumrate, 1
+        sumrate, rates_of, ndim = marc_onehop_sumrate, _onehop_rates, 1
 
-        def config_for(v):
+        def fields(v):
             p = lo + v * (hi - lo)
-            return replace(cfg, p1=p, p2=p)
-
-        def closed_form(free):
-            p = lo + free[:, 0] * (hi - lo)
-            return _onehop_rates(cfg, p, p)
+            return dict(p1=p, p2=p)
     elif asymmetric:
-        sumrate, ndim = marc_omniscient_sumrate, 3
+        sumrate, rates_of, ndim = marc_omniscient_sumrate, _omniscient_rates, 3
 
-        def config_for(a1, a2, b1):
-            return replace(cfg, alpha1=a1, alpha2=a2, beta1=b1, beta2=1.0 - b1)
-
-        def closed_form(free):
-            a1, a2, b1 = free.T
-            return _omniscient_rates(cfg, a1, a2, b1, 1.0 - b1)
+        def fields(a1, a2, b1):
+            return dict(alpha1=a1, alpha2=a2, beta1=b1, beta2=1.0 - b1)
     else:
-        sumrate, ndim = marc_omniscient_sumrate, 1
+        sumrate, rates_of, ndim = marc_omniscient_sumrate, _omniscient_rates, 1
 
-        def config_for(a):
-            return replace(cfg, alpha1=a, alpha2=a, beta1=0.5, beta2=0.5)
-
-        def closed_form(free):
-            a = free[:, 0]
-            return _omniscient_rates(cfg, a, a, 0.5, 0.5)
+        def fields(a):
+            return dict(alpha1=a, alpha2=a, beta1=0.5, beta2=0.5)
 
     # each parameter is monotone in its coordinate, so if the two corners
     # of the box are valid configurations, so is every point searched
-    config_for(*[0.0] * ndim)
-    config_for(*[1.0] * ndim)
+    for corner in (0.0, 1.0):
+        replace(cfg, **fields(*[corner] * ndim))
     best, evals, _, incomplete = _refine(
-        lambda free: np.minimum(*closed_form(free)), ndim, opt
+        lambda free: np.minimum(*rates_of(cfg, **fields(*free.T))), ndim, opt
     )
-    best_cfg = config_for(*best.tolist())
+    best_cfg = replace(cfg, **fields(*best.tolist()))
     rates = sumrate(best_cfg)
     return MarcOptimum(rates.sum_rate, rates, best_cfg, evals, incomplete)

@@ -23,6 +23,7 @@ from .kernel import batch_min_rate, compile_chain
 
 PERMUTATION_NODE_CAP = 9
 SPACING_MIN_SHARE = 1e-3
+SHRINK = 5.0  # each refinement round narrows the box by this factor per axis
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,6 @@ class OptimizerConfig:
 
     resolution: int = 21
     rounds: int = 3
-    shrink: float = 5.0
     tolerance: float = 1e-6
     budget: int = 400_000
 
@@ -42,8 +42,6 @@ class OptimizerConfig:
             raise ValueError("rounds must be non-negative")
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
-        if self.shrink <= 1.0:
-            raise ValueError("shrink factor must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -111,23 +109,22 @@ def _grid_candidates(axes):
     return np.stack([m.ravel() for m in mesh]).T
 
 
-def _shrink_box(center, lo, hi, shrink, outer_lo, outer_hi):
-    width = (hi - lo) / shrink
-    new_lo = np.maximum(center - width / 2.0, outer_lo)
-    new_hi = np.minimum(new_lo + width, outer_hi)
-    new_lo = np.maximum(new_hi - width, outer_lo)
+def _shrink_box(center, lo, hi):
+    width = (hi - lo) / SHRINK
+    new_lo = np.maximum(center - width / 2.0, 0.0)
+    new_hi = np.minimum(new_lo + width, 1.0)
+    new_lo = np.maximum(new_hi - width, 0.0)
     return new_lo, new_hi
 
 
-def _refine(evaluate, ndim, config, extra_points=(), box=(0.0, 1.0)):
-    """Shared refinement loop.
+def _refine(evaluate, ndim, config, extra_points=()):
+    """Shared refinement loop over the unit box [0, 1]^ndim.
 
     ``evaluate`` maps an (n, ndim) array of free coordinates, one candidate
     per row, to (n,) rates; ``_refine_points`` builds it from a per-point
     objective.  Returns (best_free, evaluations, achieved_tol, incomplete).
     """
-    outer_lo, outer_hi = np.full(ndim, box[0]), np.full(ndim, box[1])
-    lo, hi = outer_lo, outer_hi  # _shrink_box returns new arrays
+    lo, hi = np.zeros(ndim), np.ones(ndim)  # _shrink_box returns new arrays
     evaluations = 0
     best_rate = -math.inf
     best_free = (lo + hi) / 2.0
@@ -163,14 +160,14 @@ def _refine(evaluate, ndim, config, extra_points=(), box=(0.0, 1.0)):
         stalled = stalled + 1 if achieved < config.tolerance else 0
         if rnd > 0 and stalled >= 2:
             break
-        lo, hi = _shrink_box(best_free, lo, hi, config.shrink, outer_lo, outer_hi)
+        lo, hi = _shrink_box(best_free, lo, hi)
 
     if not math.isfinite(achieved):
         achieved = 0.0
     return best_free, evaluations, achieved, incomplete
 
 
-def _refine_points(objective, ndim, config, box=(0.0, 1.0)):
+def _refine_points(objective, ndim, config):
     """``_refine`` for an objective that rates one point at a time.
 
     ``objective(*point)`` takes the ndim free coordinates as floats.
@@ -180,7 +177,7 @@ def _refine_points(objective, ndim, config, box=(0.0, 1.0)):
     def evaluate(free):
         return np.array([objective(*point) for point in free.tolist()])
 
-    best_free, *rest = _refine(evaluate, ndim, config, box=box)
+    best_free, *rest = _refine(evaluate, ndim, config)
     return (best_free.tolist(), *rest)
 
 

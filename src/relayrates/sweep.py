@@ -19,7 +19,8 @@ import numpy as np
 from . import brc as brc_mod
 from . import marc as marc_mod
 from .asymptotics import large_T_report
-from .channel import PowerConfig, PropagationModel, build_linear_geometry
+from .channel import (ChannelValidationError, PowerConfig, PropagationModel,
+                      build_linear_geometry)
 from .coding import CombiningMode
 from .discrete import DmcChannel, NodeInput, carried_signals, khop_dmc_rate
 from .gaussian import efficiency
@@ -158,13 +159,31 @@ def _mrc_node_count(channel) -> int:
     return t
 
 
-def _check_chain(channel, strategies, errors):
-    """An ``mrc`` chain's T is unambiguous and admits every strategy's k."""
+def _mrc_geometry(channel, t, variable, value):
+    """The chain an ``mrc`` row at sweep ``value`` rates."""
+    if variable == "spacing":
+        spacings = [float(value)] * (t - 1)
+    else:
+        spacings = channel.get("spacings", [1.0] * (t - 1))
+    return build_linear_geometry(spacings)
+
+
+def _check_chain(channel, strategies, axis, errors):
+    """An ``mrc`` chain's T is unambiguous, its geometry builds as the run
+    builds it, and it admits every strategy's k."""
     try:
         t = _mrc_node_count(channel)
     except ValueError as exc:
         errors.append(str(exc))
         return
+    if axis is not None:
+        try:
+            # distances grow with a swept spacing, so its ends bound every row
+            for value in (axis.start, axis.stop):
+                _mrc_geometry(channel, t, axis.variable, value)
+        except ChannelValidationError as exc:
+            where = "sweep" if axis.variable == "spacing" else "channel.spacings"
+            errors.append(f"{where}: {exc}")
     for s in strategies:
         if s["tag"] != "omniscient" and s["k"] > t - 1:
             errors.append(f"strategies: k={s['k']} exceeds T-1 = {t - 1} "
@@ -297,7 +316,7 @@ def validate_config(raw) -> ExperimentConfig:
     n_errors = len(errors)
     channel = _check_channel(scenario, raw.get("channel", {}), errors)
     if scenario == "mrc" and len(errors) == n_errors:
-        _check_chain(channel, strategies, errors)
+        _check_chain(channel, strategies, axis, errors)
     if scenario == "discrete" and len(errors) == n_errors:
         _check_dmc(channel, axis, errors)
 
@@ -334,11 +353,7 @@ def _fmt(v) -> str:
 def _mrc_row(config: ExperimentConfig, value):
     ch = config.channel
     t = _mrc_node_count(ch)
-    if config.sweep.variable == "spacing":
-        spacings = [float(value)] * (t - 1)
-    else:
-        spacings = ch.get("spacings", [1.0] * (t - 1))
-    geom = build_linear_geometry(spacings)
+    geom = _mrc_geometry(ch, t, config.sweep.variable, value)
     p = float(value) if config.sweep.variable == "power" else float(ch.get("power", 10.0))
     power = PowerConfig.uniform(t, p, float(ch.get("noise", 1.0)))
     prop = PropagationModel(kappa=float(ch.get("kappa", 1.0)), eta=float(ch["eta"]))
@@ -372,15 +387,22 @@ def _mrc_row(config: ExperimentConfig, value):
     return row
 
 
-def _marc_row(config: ExperimentConfig, value):
+def _fournode_config(config: ExperimentConfig, value, config_type):
+    """The configuration a ``marc`` or ``brc`` row rates and the row's
+    first cell: ``source_power`` sets p1 and p2, and ``d34`` or ``d12``
+    sets that distance."""
     ch = {key: float(v) for key, v in config.channel.items()}
-    unit = "W" if config.sweep.variable == "source_power" else "m"
-    if config.sweep.variable == "source_power":
+    var = config.sweep.variable
+    if var == "source_power":
         ch["p1"] = ch["p2"] = float(value)
     else:
-        ch["d34"] = float(value)
-    cfg = marc_mod.MarcConfig(**ch)
-    row = [(f"{config.sweep.variable}_{unit}", float(value))]
+        ch[var] = float(value)
+    unit = "W" if var == "source_power" else "m"
+    return config_type(**ch), [(f"{var}_{unit}", float(value))]
+
+
+def _marc_row(config: ExperimentConfig, value):
+    cfg, row = _fournode_config(config, value, marc_mod.MarcConfig)
     incomplete = False
     for s in config.strategies:
         res = marc_mod.marc_optimize(cfg, s["which"], config.optimizer)
@@ -396,14 +418,7 @@ def _marc_row(config: ExperimentConfig, value):
 
 
 def _brc_row(config: ExperimentConfig, value):
-    ch = {key: float(v) for key, v in config.channel.items()}
-    unit = "W" if config.sweep.variable == "source_power" else "m"
-    if config.sweep.variable == "source_power":
-        ch["p1"] = ch["p2"] = float(value)
-    else:
-        ch["d12"] = float(value)
-    cfg = brc_mod.BrcConfig(**ch)
-    row = [(f"{config.sweep.variable}_{unit}", float(value))]
+    cfg, row = _fournode_config(config, value, brc_mod.BrcConfig)
     incomplete = False
     for s in config.strategies:
         tag = s["tag"]

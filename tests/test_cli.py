@@ -214,3 +214,19 @@ def test_mrc_power_and_spacing_sweeps_agree_on_node_count(tmp_path):
     assert headers[0] == headers[1]
     # 6 nodes at k = 5: 5 + 4 + 3 + 2 + 1 split fractions
     assert "k5_split_14_frac" in headers[0] and "k5_split_15_frac" not in headers[0]
+
+
+@pytest.mark.parametrize("overrides", [
+    # positive spacings that put two nodes closer than the minimum distance
+    ["channel.spacings=[1e-12,1,1,1]"],
+    ["sweep.variable=spacing", "sweep.start=1e-12"],
+    # finite spacings whose node positions overflow
+    ["sweep.variable=spacing", "sweep.stop=1e308", "sweep.steps=2"],
+], ids=["close_spacings", "close_spacing_sweep", "overflowing_spacing_sweep"])
+def test_validate_rejects_the_chain_the_run_rejects(tmp_path, capsys, overrides):
+    path = write_json(tmp_path / "mrc.json", DEFAULT_CONFIGS["mrc"])
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["validate", "--config", path, *sets]) == 1
+    assert main(["mrc", "--config", path, *sets, "--out", str(tmp_path / "bad.csv")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "bad.csv").exists()

@@ -164,6 +164,19 @@ def test_wider_decode_window_never_hurts():
             prev = rate
 
 
+def test_rates_are_never_negative():
+    # every output ignores every input, so each I(A;B|C) is 0; as a
+    # difference of entropies its summed terms round to either side of it
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        p_y = rng.random((3,) * 5)
+        table = np.broadcast_to(p_y / p_y.sum(), (3,) * 10)
+        chan = DmcChannel((3,) * 5, (3,) * 5, table)
+        inputs = [NodeInput(rng.dirichlet(np.ones(3)), np.arange(3)) for _ in range(5)]
+        rep = khop_dmc_rate(chan, inputs, 1)
+        assert all(0.0 <= r < 1e-12 for r in rep.rates.values())
+
+
 def test_xmap_shape_and_alphabet_checks():
     chan = bsc_pair_channel(0.1, 0.1)
     uniform = np.array([0.5, 0.5])

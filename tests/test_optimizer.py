@@ -52,8 +52,6 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(resolution=1)
     with pytest.raises(ValueError):
-        OptimizerConfig(shrink=1.0)
-    with pytest.raises(ValueError):
         OptimizerConfig(tolerance=0.0)
 
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relayrates import ConfigError, SweepAxis, run_experiment, validate_config
+from relayrates.brc import BrcConfig, brc_onehop_common_rate, brc_optimize
 from relayrates.cli import DEFAULT_CONFIGS
+from relayrates.marc import MarcConfig, marc_optimize
 
 
 def mrc_config(**over):
@@ -159,6 +161,60 @@ def test_marc_sweep_crossover_columns(tmp_path):
     for line in lines[1:]:
         vals = [float(v) for v in line.split(",")]
         assert vals[omni] >= vals[oh] - 1e-9
+
+
+def marc_columns(cfg, opt):
+    out = {}
+    for which in ("onehop", "omniscient"):
+        res = marc_optimize(cfg, which, opt)
+        out[f"{which}_sum_rate_bits_per_use"] = res.sum_rate
+        out[f"{which}_r3_bits_per_use"] = res.rates.r3
+        out[f"{which}_r4_bits_per_use"] = res.rates.r4
+    return out
+
+
+def brc_columns(cfg, opt):
+    out = {}
+    for which, rates in (("onehop", brc_onehop_common_rate(cfg)),
+                         ("omniscient", brc_optimize(cfg, opt).rates)):
+        for name in ("common_rate", "r2", "r3", "r4"):
+            out[f"{which}_{name}_bits_per_use"] = getattr(rates, name)
+    return out
+
+
+FOURNODE = {
+    "marc": ({"p1": 3.0, "p2": 7.0, "p3": 12.0, "d34": 1.5, "n3": 0.8},
+             MarcConfig, marc_columns),
+    "brc": ({"p1": 4.0, "p2": 9.0, "d12": 0.7, "n2": 1.3}, BrcConfig, brc_columns),
+}
+
+
+@pytest.mark.parametrize("scenario,variable", [
+    ("marc", "source_power"), ("marc", "d34"), ("brc", "d12"), ("brc", "source_power"),
+])
+def test_fournode_rows_rate_the_config_their_variable_names(tmp_path, scenario, variable):
+    channel, config_type, columns = FOURNODE[scenario]
+    raw = {
+        "scenario": scenario,
+        "sweep": {"variable": variable, "start": 0.5, "stop": 20.0, "steps": 3},
+        "strategies": [{"which": "onehop"}, {"which": "omniscient"}],
+        "channel": channel,
+        "optimizer": {"rounds": 2, "budget": 600},
+    }
+    cfg = validate_config(raw)
+    out = tmp_path / f"{scenario}.csv"
+    run_experiment(cfg, str(out))
+    header, *lines = out.read_text().splitlines()
+    header = header.split(",")
+    assert len(lines) == 3
+    for value, line in zip(cfg.sweep.values(), lines):
+        # source_power sets both source powers; a distance sets only itself
+        fields = {"p1": value, "p2": value} if variable == "source_power" else {variable: value}
+        want = columns(config_type(**dict(channel, **fields)), cfg.optimizer)
+        row = dict(zip(header, line.split(",")))
+        assert set(want) == {c for c in header if c.endswith("_bits_per_use")}
+        for column, rate in want.items():
+            assert row[column] == f"{rate:.12g}", column
 
 
 def test_large_sweep_and_svg(tmp_path):
