@@ -8,8 +8,10 @@ the chain grows.  The decode/cancel window is the one described in the
 
 ``large_T_report`` evaluates the chain by lag: on unit spacing every gain
 depends only on the distance, so ``gaussian._lag_powers`` turns each band
-power into a few 1-D convolutions over carrier pairs, O(T^2) multiply-adds
-in C with O(T) memory.
+power into a few 1-D convolutions over carrier pairs, with O(T) memory.  A
+scalar ``alpha`` costs O(T): each pair input is constant but for its ends,
+and a constant run goes through prefix sums.  A per-node profile costs up
+to O(T^2) multiply-adds in C, which ``DEFAULT_T_CAP`` bounds.
 """
 
 from __future__ import annotations
@@ -104,11 +106,13 @@ def large_T_report(
     """Evaluate every reception rate of the T-node unit-spacing chain under
     two-hop decode-forward with the given forward fraction(s).
 
-    ``alpha`` is a scalar or per-node array of the fractions nodes 1..T-2
-    spend on the next node's sub-signal.  Interior nodes are checked
+    ``alpha`` is a scalar or a per-node array of T-2 entries: the fractions
+    nodes 1..T-2 spend on the next node's sub-signal.  Interior nodes are checked
     against the 6*zeta(eta) interference bound; boundary nodes are only
     evaluated directly.
     """
+    if not float(node_count).is_integer():
+        raise ValueError(f"node count must be a whole number (got {node_count!r})")
     t = int(node_count)
     if t < 3:
         raise ValueError("need at least 3 nodes")
@@ -120,7 +124,11 @@ def large_T_report(
     prop = PropagationModel(kappa, eta, allow_low_eta=True)
     PowerConfig.uniform(t, power, noise)
 
-    fwd = np.broadcast_to(np.asarray(alpha, dtype=float), (t - 2,))
+    fwd = np.asarray(alpha, dtype=float)
+    if fwd.ndim and fwd.shape != (t - 2,):
+        raise ValueError(f"a forward profile needs T-2 = {t - 2} entries, "
+                         f"one per node 1..T-2 (got shape {fwd.shape})")
+    fwd = np.broadcast_to(fwd, (t - 2,))
     if not np.all((fwd >= 0.0) & (fwd <= 1.0)):
         raise ValueError("forward fractions must be finite and lie in [0, 1]")
     # node T-1 carries only its own sub-signal

@@ -66,7 +66,10 @@ def build_linear_geometry(spacings) -> NetworkGeometry:
         raise ChannelValidationError("need at least 2 spacings (3 nodes)")
     if not np.all((s > 0.0) & (s < np.inf)):
         raise ChannelValidationError("spacings must be positive and finite")
-    pos = np.concatenate([[0.0], np.cumsum(s)])
+    with np.errstate(over="ignore"):
+        pos = np.concatenate([[0.0], np.cumsum(s)])
+    if not np.isfinite(pos[-1]):   # positions increase, so the last is largest
+        raise ChannelValidationError("the spacings must sum to a finite length")
     return NetworkGeometry(np.abs(pos[:, None] - pos[None, :]))
 
 

@@ -40,10 +40,15 @@ K(l) = c * sqrt(G(l+j) G(l+j')) (c = 1 when j = j', else 2) and the pair
 input y(q) = sqrt(x[q, j] x[q, j']) (x the fraction carrier j spends on q,
 zero where it is absent), a band power at receiver p is the sum over pairs of
 (K masked to the band's lags) convolved with y, at lag p - q.  The noise band
-costs one direct ``np.convolve`` per pair, O(T^2) multiply-adds in C with
-O(T) memory; the decode band spans k lags and costs O(T k).  Every term is a
-product of non-negative numbers, so a power is exactly 0 where no carrier
-reaches the band and never negative (an FFT convolution would give neither).
+(``_convolve_runs``) takes the longest run of equal values in each pair
+input through prefix sums of the masked kernel, O(T), and convolves only
+the entries before and after it directly, O(T) each: a chain whose nodes
+all forward the same fraction has at most 3 runs per pair, so its noise
+band costs O(T), while a per-node profile costs up to O(T^2) multiply-adds
+in C.  The decode band spans k lags and costs O(T k).  Every term is a
+product or a prefix-sum difference of non-negative numbers, so a power is
+exactly 0 where no carrier reaches the band and never negative (an FFT
+convolution would give neither).
 """
 
 from __future__ import annotations
@@ -243,6 +248,36 @@ def _contract(plan: _Plan, cands_t: np.ndarray, p_sig: np.ndarray,
         p_int += np.einsum("qr,qrn->rn", plan.cancel, term)
 
 
+def _convolve_runs(kn: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.convolve(kn, y, "valid")`` for non-negative ``kn`` and ``y``,
+    ``y`` no longer than ``kn``.
+
+    The longest run of equal values in ``y``, [a, b) with value c, adds
+    c * (S[i+m-a] - S[i+m-b]) at output i, S the prefix sum of ``kn`` and m
+    the size of ``y``; only the entries before and after it are convolved
+    directly.  The cost is O(kn.size) for the run plus O(n) per entry
+    outside it, n = kn.size - m + 1 outputs.  S never decreases, so every
+    term is >= 0 and a window of zero kernel adds exactly 0."""
+    m = y.size
+    n = kn.size - m + 1
+    # run boundaries: 0, every change of value, m
+    change = np.ones(m + 1, dtype=bool)
+    np.not_equal(y[1:], y[:-1], out=change[1:-1])
+    edges = np.flatnonzero(change)
+    run = int(np.argmax(edges[1:] - edges[:-1]))
+    a, b = int(edges[run]), int(edges[run + 1])
+    if y[a] > 0.0:
+        s = np.zeros(kn.size + 1)
+        np.cumsum(kn, out=s[1:])
+        out = y[a] * (s[m - a:m - a + n] - s[m - b:m - b + n])
+    else:
+        out = np.zeros(n)
+    for lo, hi in ((0, a), (b, m)):
+        if hi > lo:
+            out += np.convolve(kn[m - hi:m - lo + n - 1], y[lo:hi], "valid")
+    return out
+
+
 def _lag_powers(by_dist: np.ndarray, frac: np.ndarray):
     """Coherent signal and interference power at receivers 2..T of the
     identity-ordered chain whose gain * transmit power between positions d
@@ -269,7 +304,7 @@ def _lag_powers(by_dist: np.ndarray, frac: np.ndarray):
     for j, jj in combinations_with_replacement(range(tx.shape[1]), 2):
         kern = (1.0 if j == jj else 2.0) * amp[np.abs(lag + j)] * amp[np.abs(lag + jj)]
         y = np.sqrt(x[:, j] * x[:, jj])
-        p_int += np.convolve(np.where(noise, kern, 0.0), y, "valid")
+        p_int += _convolve_runs(np.where(noise, kern, 0.0), y)
         p_sig += np.convolve(kern[lo:hi], y)[sig0:sig0 + t_count - 1]
     return p_sig, p_int
 

@@ -104,9 +104,16 @@ def _grid_axes(box_lo, box_hi, per_round_budget, resolution):
 
 
 def _grid_candidates(axes):
-    mesh = np.meshgrid(*axes, indexing="ij")
-    # column-major, like free_to_fractions' output
-    return np.stack([m.ravel() for m in mesh]).T
+    """Every point of the ``ij`` grid over ``axes``, one per row, stored
+    column-major like ``free_to_fractions``' output."""
+    shape = tuple(axis.size for axis in axes)
+    cands = np.empty((math.prod(shape), len(axes)), order="F")
+    for d, axis in enumerate(axes):
+        # column d is contiguous: write it as the C-order grid in one broadcast
+        along = [1] * len(axes)
+        along[d] = -1
+        cands[:, d].reshape(shape)[...] = axis.reshape(along)
+    return cands
 
 
 def _shrink_box(center, lo, hi):

@@ -9,6 +9,10 @@ sub-signal q is carried by the transmitters at positions q-k+1..q.  Failed
 relays transmit nothing: they leave the decoded sums, keep their designed
 interference, and cancelling what they never sent adds mismatch noise.
 
+``reference_lag_powers`` gives the band powers of the identity-ordered
+unit-spacing chain by one direct convolution over lags per ordered carrier
+pair, the O(T^2) form the library's run rule for the noise band replaces.
+
 ``reference_joint`` gives the discrete oracle's joint table, one outcome of
 the sub-signals at a time.
 """
@@ -74,6 +78,38 @@ def reference_records(geometry, prop, power, splits, k, perm=None,
         reference_record(geometry, prop, power, splits, k, perm, mode, r, failed)
         for r in range(2, geometry.node_count + 1)
     ]
+
+
+def reference_lag_powers(by_dist, frac):
+    """Signal and interference power at receivers 2..T of the identity-ordered
+    chain whose gain * transmit power between positions d apart is
+    ``by_dist[d]``, where ``frac[p-1, j]`` is the fraction position p spends
+    on sub-signal p+j.
+
+    At lag l = p - q receiver p decodes sub-signal q for 1 <= l <= k, cancels
+    it for 1-k <= l <= 0 and hears it as noise otherwise; the carrier at
+    position q-j reaches it through ``by_dist[|l + j|]``."""
+    t_count, k = frac.shape[0] + 1, frac.shape[1]
+    q = np.arange(1, t_count)
+    x = np.zeros((t_count - 1, k))       # x[q-1, j]: carrier q-j on q
+    for j in range(k):
+        has = q - j >= 1
+        x[has, j] = frac[q[has] - j - 1, j]
+    # lags from receiver 2 on sub-signal T-1 to receiver T on sub-signal 1;
+    # past T-1 positions a carrier is absent, so pad with zero gain
+    lag = np.arange(3 - t_count, t_count)
+    by = np.append(by_dist, np.zeros(k))
+    amp = np.sqrt(by[np.abs(lag[:, None] + np.arange(k))])
+    noise = (lag > k) | (lag < 1 - k)
+    decode = (lag >= 1) & (lag <= k)
+    p_sig, p_int = np.zeros((2, t_count - 1))
+    for j in range(k):
+        for jj in range(k):
+            kern = amp[:, j] * amp[:, jj]
+            y = np.sqrt(x[:, j] * x[:, jj])
+            p_sig += np.convolve(np.where(decode, kern, 0.0), y, "valid")
+            p_int += np.convolve(np.where(noise, kern, 0.0), y, "valid")
+    return p_sig, p_int
 
 
 def reference_joint(channel, inputs, k, perm=None):

@@ -98,6 +98,22 @@ def test_validation_and_resource_cap():
     large_T_report(6000, t_cap=6000)  # explicit cap raise is honored
 
 
+@pytest.mark.parametrize("count", [10.7, 9.5, math.nan, math.inf])
+def test_rejects_non_integral_node_count(count):
+    with pytest.raises(ValueError, match="whole number"):
+        large_T_report(count)
+
+
+def test_accepts_an_integral_float_node_count():
+    assert np.array_equal(large_T_report(10.0).rates, large_T_report(10).rates)
+
+
+@pytest.mark.parametrize("alpha", [[0.5] * 3, [0.5] * 9, [[0.5] * 8]])
+def test_rejects_a_profile_of_the_wrong_length(alpha):
+    with pytest.raises(ValueError, match="needs T-2 = 8 entries"):
+        large_T_report(10, alpha=alpha)
+
+
 @pytest.mark.parametrize("bad", [
     {"noise": -1.0},
     {"power": -1.0},

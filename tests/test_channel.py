@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,14 @@ def test_power_config_rejects_non_finite(powers, noises):
 def test_linear_geometry_rejects_non_finite_spacing(spacings):
     with pytest.raises(ChannelValidationError, match="finite"):
         build_linear_geometry(spacings)
+
+
+def test_linear_geometry_rejects_overflowing_positions_without_warnings():
+    # finite spacings whose running sum overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChannelValidationError, match="finite"):
+            build_linear_geometry([1e308] * 4)
 
 
 def test_geometry_rejects_non_finite_distance():

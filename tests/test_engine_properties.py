@@ -3,7 +3,7 @@ oracle in ``reference.py`` on random channels."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relayrates import (
@@ -22,7 +22,9 @@ from relayrates import (
     row_lengths,
 )
 
-from reference import reference_records
+from relayrates.gaussian import _convolve_runs, _lag_powers
+
+from reference import reference_lag_powers, reference_records
 
 REL = 1e-12
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -159,3 +161,61 @@ def test_large_T_report_matches_oracle(profile):
             "scalar": 0.3,
         }[profile]
         large_vs_oracle(t_count, alpha)
+
+
+def forward_profile(kind, size, rng):
+    """Forward fractions of nodes 1..T-2 (``size`` of them)."""
+    if kind == "random":
+        return rng.uniform(0.0, 1.0, size)
+    if kind == "two-level":
+        return np.where(np.arange(size) < size // 2, 0.2, 0.8)
+    if kind == "sparse-zero":
+        return np.where(rng.uniform(size=size) < 0.7, 0.0, rng.uniform(0.0, 1.0, size))
+    return np.full(size, {"zero": 0.0, "one": 1.0, "scalar": 0.37}[kind])
+
+
+@pytest.mark.parametrize("profile", ["random", "zero", "one", "scalar",
+                                     "two-level", "sparse-zero"])
+@pytest.mark.parametrize("eta", [2.0, 3.5])
+@pytest.mark.parametrize("t_count", [1000, 5000])
+def test_lag_powers_match_direct_convolution(t_count, eta, profile):
+    fwd = np.append(forward_profile(profile, t_count - 2, np.random.default_rng(t_count)), 0.0)
+    frac = np.column_stack([1.0 - fwd, fwd])
+    by_dist = np.zeros(t_count)
+    by_dist[1:] = 7.0 * np.arange(1.0, t_count) ** -eta
+    got, want = _lag_powers(by_dist, frac), reference_lag_powers(by_dist, frac)
+    for g, w in zip(got, want):
+        assert np.all(g >= 0.0)
+        assert np.array_equal(g == 0.0, w == 0.0)
+        assert np.all(np.abs(g - w) <= REL * w)
+
+
+@st.composite
+def run_inputs(draw):
+    """A non-negative kernel with a zero stretch, and an input made of runs
+    of equal values (zero among them) at least as long as the kernel needs."""
+    values = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    runs = draw(st.lists(st.tuples(values, st.integers(1, 12)), min_size=1, max_size=5))
+    y = np.concatenate([np.full(n, v) for v, n in runs])
+    size = y.size + draw(st.integers(0, 30))
+    kn = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+    lo = draw(st.integers(0, size))
+    kn[lo:lo + draw(st.integers(0, size))] = 0.0
+    return kn, y
+
+
+@PROPERTY
+@given(run_inputs())
+@example((np.arange(1.0, 6.0), np.array([2.0])))                      # m = 1
+@example((np.arange(1.0, 9.0), np.full(4, 0.5)))                      # all equal
+@example((np.arange(1.0, 9.0), np.array([3.0, 3.0, 3.0, 1.0, 2.0])))  # run first
+@example((np.arange(1.0, 9.0), np.array([1.0, 2.0, 3.0, 3.0, 3.0])))  # run last
+@example((np.arange(1.0, 9.0), np.array([1.0, 0.0, 0.0, 0.0, 2.0])))  # zero run
+def test_convolve_runs_matches_convolve(inputs):
+    kn, y = inputs
+    got, want = _convolve_runs(kn, y), np.convolve(kn, y, "valid")
+    assert got.shape == want.shape
+    assert np.all(got >= 0.0)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    # a prefix-sum difference is exact to the rounding of the whole sum
+    assert np.all(np.abs(got - want) <= REL * y.max() * kn.sum())

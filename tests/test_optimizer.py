@@ -18,7 +18,7 @@ from relayrates import (
     optimize_splits,
     rate_report,
 )
-from relayrates.optimizer import fractions_to_free, free_to_fractions
+from relayrates.optimizer import _grid_candidates, fractions_to_free, free_to_fractions
 
 PROP = PropagationModel()
 
@@ -46,6 +46,16 @@ def test_stick_breaking_stays_on_simplex():
     assert np.all(fracs >= 0.0)
     assert np.allclose(fracs[:, :3].sum(axis=1), 1.0, atol=1e-12)
     assert np.allclose(fracs[:, 3:].sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sizes", [(21,), (5, 3), (2, 7, 4), (3, 2, 5, 2)])
+def test_grid_candidates_match_meshgrid(sizes):
+    rng = np.random.default_rng(len(sizes))
+    axes = [np.sort(rng.uniform(0.0, 1.0, n)) for n in sizes]
+    want = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")]).T
+    got = _grid_candidates(axes)
+    assert np.array_equal(got, want)
+    assert got.flags.f_contiguous
 
 
 def test_optimizer_config_validation():
