@@ -192,8 +192,8 @@ def test_lag_powers_match_direct_convolution(t_count, eta, profile):
 
 @st.composite
 def run_inputs(draw):
-    """A non-negative kernel with a zero stretch, and an input made of runs
-    of equal values (zero among them) at least as long as the kernel needs."""
+    """An input made of runs of equal values, zero among them, and a
+    non-negative kernel at least as long with a stretch of zeros."""
     values = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
     runs = draw(st.lists(st.tuples(values, st.integers(1, 12)), min_size=1, max_size=5))
     y = np.concatenate([np.full(n, v) for v, n in runs])
