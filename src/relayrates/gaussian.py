@@ -2,8 +2,10 @@
 multiple-relay channel.
 
 This module defines the k-hop window once (``_window``, with the carriers of
-``coding._carriers``) and evaluates it twice: ``_plan`` and ``_contract`` for
-any channel, also behind ``kernel``, and ``_lag_powers`` for the
+``coding._carriers``) and the pair expansion of a band power once
+(``_carrier_pairs``), and evaluates them three ways: ``_plan`` and
+``_contract`` for single split matrices on any channel, the batch kernel of
+``kernel`` for many candidates on any channel, and ``_lag_powers`` for the
 unit-spacing chain of ``asymptotics``.  Positions are 1-based places in the
 relay order; the transmitter at position p introduces sub-signal p.
 
@@ -15,37 +17,48 @@ relay order; the transmitter at position p introduces sub-signal p.
   one at position q-j spends fraction ``row[j]`` of its power on it.  A
   receiver's own transmissions all fall in its cancel band.
 
-The engine evaluates blocks of receivers against any number of candidate
-split matrices in two parts.  ``_plan`` gathers, once per receiver block,
-everything that depends on the channel alone: the gains of every
-(sub-signal, carrier, receiver), the band masks, and the candidate column
-that holds each carrier's fraction.  ``_contract`` then takes one block of
-candidates through caller-owned buffers: per sub-signal q it contracts the
-carriers j in one matrix product, (receiver, j) @ (j, candidate), of
-``sqrt(gain * P)[r, q-j]`` and ``sqrt(frac)[q-j, j]`` squared afterwards
-when copies combine coherently, or of their squares (powers add) under
-fading.  The decode band gives the signal power, the bands outside decode
-and cancel the interference.  A failed relay transmits nothing while every
-receiver still decodes as designed: its carriers leave the decoded sums,
-its designed interference stays, and cancelling what it never sent adds
-that power as mismatch noise.  Single split matrices (``rate_report``) plan
-each receiver block; the batch kernel of ``kernel`` plans all receivers once
-per call and streams its candidates through the same contraction.
+The engine evaluates blocks of receivers against a split matrix in two
+parts.  ``_plan`` gathers, once per receiver block, everything that depends
+on the channel alone: the gains of every (sub-signal, carrier, receiver),
+the band masks, and the candidate column that holds each carrier's
+fraction.  ``_contract`` then takes the candidate through caller-owned
+buffers: per sub-signal q it contracts the carriers j in one matrix
+product, (receiver, j) @ (j, candidate), of ``sqrt(gain * P)[r, q-j]`` and
+``sqrt(frac)[q-j, j]`` squared afterwards when copies combine coherently,
+or of their squares (powers add) under fading.  The decode band gives the
+signal power, the bands outside decode and cancel the interference.  A
+failed relay transmits nothing while every receiver still decodes as
+designed: its carriers leave the decoded sums, its designed interference
+stays, and cancelling what it never sent adds that power as mismatch
+noise.  ``rate_report`` plans each receiver block.
+
+The pair expansion.  Sub-signal q reaches a receiver with amplitude
+sum_j a_j sqrt(x_j) over its carriers j, a_j = sqrt(gain * P) from carrier
+j's transmitter and x_j the fraction it spends on q.  Coherently combined,
+its power is a sum over the carrier pairs j <= j',
+
+    (sum_j a_j sqrt(x_j))^2 = sum_{j <= j'} c a_j a_j' sqrt(x_j x_j'),
+
+c = 1 where j = j' and 2 elsewhere: a weight that depends on the channel
+alone times an input, sqrt(x_j x_j') (x_j itself where j = j'), that
+depends on the split alone.  Under fading the powers add, which keeps only
+the j = j' terms.  Every term is non-negative.  The batch kernel weighs
+every (sub-signal, pair) input of a block of candidates, per receiver and
+band, in one matrix product.
 
 On the identity-ordered unit-spacing chain the gain from position t to a
 receiver at position p is G(p-t), a function of the lag alone, and so is the
-band of sub-signal q at receiver p.  ``_lag_powers`` expands the coherent
-square over carrier pairs j <= j': with the pair kernel
-K(l) = c * sqrt(G(l+j) G(l+j')) (c = 1 when j = j', else 2) and the pair
-input y(q) = sqrt(x[q, j] x[q, j']) (x the fraction carrier j spends on q,
-zero where it is absent), a band power at receiver p is the sum over pairs of
-(K masked to the band's lags) convolved with y, at lag p - q.  The noise band
-(``_convolve_runs``) takes the longest run of equal values in each pair
-input through prefix sums of the masked kernel, O(T), and convolves only
-the entries before and after it directly, O(T) each: a chain whose nodes
-all forward the same fraction has at most 3 runs per pair, so its noise
-band costs O(T), while a per-node profile costs up to O(T^2) multiply-adds
-in C.  The decode band spans k lags and costs O(T k).  Every term is a
+band of sub-signal q at receiver p.  ``_lag_powers`` takes the pair
+expansion by lag: with the pair kernel K(l) = c * sqrt(G(l+j) G(l+j')) and
+the pair input y(q) = sqrt(x[q, j] x[q, j']) (x the fraction carrier j
+spends on q, zero where it is absent), a band power at receiver p is the
+sum over pairs of (K masked to the band's lags) convolved with y, at lag
+p - q.  The noise band (``_convolve_runs``) takes the longest run of equal
+values in each pair input through prefix sums of the masked kernel, O(T),
+and convolves only the entries before and after it directly, O(T) each: a
+chain whose nodes all forward the same fraction has at most 3 runs per
+pair, so its noise band costs O(T), while a per-node profile costs up to
+O(T^2) multiply-adds in C.  The decode band spans k lags and costs O(T k).  Every term is a
 product or a prefix-sum difference of non-negative numbers, so a power is
 exactly 0 where no carrier reaches the band and never negative (an FFT
 convolution would give neither).
@@ -55,7 +68,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -65,8 +77,9 @@ from .coding import CombiningMode, Permutation, SplitMatrix, _carriers
 EFFICIENCY_SLACK = 1e-9
 
 # element budget of one block, n_receivers * (T-1) * k for single splits and
-# candidates * (T-1) ** 2 in the batch kernel: the few block-sized buffers
-# then stay in a core's L2 cache
+# candidates * (T-1) ** 2 in the batch kernel (which pads its blocks to a
+# multiple of 8 candidates): the few block-sized buffers then stay in a
+# core's L2 cache
 _BLOCK_ELEMENTS = 1 << 16
 
 # bands of the window, per (receiver, sub-signal)
@@ -278,6 +291,14 @@ def _convolve_runs(kn: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _carrier_pairs(k: int):
+    """The carrier pairs j <= j' of the pair expansion (see the module
+    docstring) in row-major order, with their multiplicity c: ``(j, j', c)``
+    arrays, c = 1 where j = j' and 2 elsewhere."""
+    j, jj = np.triu_indices(k)
+    return j, jj, np.where(j == jj, 1.0, 2.0)
+
+
 def _lag_powers(by_dist: np.ndarray, frac: np.ndarray):
     """Coherent signal and interference power at receivers 2..T of the
     identity-ordered chain whose gain * transmit power between positions d
@@ -301,8 +322,8 @@ def _lag_powers(by_dist: np.ndarray, frac: np.ndarray):
     # distances past T-1 only ever meet absent carriers
     amp = np.sqrt(np.append(by_dist, np.zeros(k)))
     p_sig, p_int = np.zeros((2, t_count - 1))
-    for j, jj in combinations_with_replacement(range(tx.shape[1]), 2):
-        kern = (1.0 if j == jj else 2.0) * amp[np.abs(lag + j)] * amp[np.abs(lag + jj)]
+    for j, jj, c in zip(*_carrier_pairs(k)):
+        kern = c * amp[np.abs(lag + j)] * amp[np.abs(lag + jj)]
         y = np.sqrt(x[:, j] * x[:, jj])
         p_int += _convolve_runs(np.where(noise, kern, 0.0), y)
         p_sig += np.convolve(kern[lo:hi], y)[sig0:sig0 + t_count - 1]

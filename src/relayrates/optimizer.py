@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -36,6 +37,15 @@ class OptimizerConfig:
     budget: int = 400_000
 
     def __post_init__(self):
+        for name in ("resolution", "rounds", "budget"):
+            value = getattr(self, name)
+            whole = (isinstance(value, numbers.Integral)
+                     or isinstance(value, float) and value.is_integer())
+            if isinstance(value, bool) or not whole:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.budget < 1:
+            raise ValueError(f"budget must be a positive integer, got {self.budget}")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
         if self.rounds < 0:

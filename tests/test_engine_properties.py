@@ -1,6 +1,8 @@
 """Property tests: the library's rate engine against the scalar reference
 oracle in ``reference.py`` on random channels."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from relayrates import (
     row_lengths,
 )
 
+from relayrates import gaussian
 from relayrates.gaussian import _convolve_runs, _lag_powers
 
 from reference import reference_lag_powers, reference_records
@@ -96,6 +99,45 @@ def test_compiled_kernel_matches_oracle(case):
     rate = batch_min_rate(problem, splits.as_flat()[None, :])[0]
     want = reference_records(geom, prop, power, splits, k, perm, mode)
     assert close(rate, min(w.rate for w in want))
+
+
+@st.composite
+def candidate_batches(draw):
+    """A random non-linear channel compiled at a random relay order, hop
+    depth and mode, with a batch of random candidate splits."""
+    t_count = draw(st.integers(3, 12))
+    relays = draw(st.permutations(range(2, t_count)))
+    k = draw(st.integers(1, t_count - 1))
+    mode = draw(st.sampled_from(CombiningMode))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    d = rng.uniform(0.3, 3.0, size=(t_count, t_count))
+    d = (d + d.T) / 2.0
+    np.fill_diagonal(d, 0.0)
+    power = PowerConfig(rng.uniform(0.1, 50.0, t_count - 1),
+                        rng.uniform(0.1, 5.0, t_count - 1))
+    perm = Permutation((1, *relays, t_count))
+    problem = compile_chain(NetworkGeometry(d), PropagationModel(eta=rng.uniform(2.0, 4.0)),
+                            power, k, perm, mode)
+    lengths = row_lengths(t_count, k, perm)
+    cands = np.concatenate([rng.dirichlet(np.full(lengths[t], 0.5), size=n)
+                            for t in range(1, t_count)], axis=1)
+    return problem, cands
+
+
+@PROPERTY
+@given(candidate_batches())
+def test_batch_rates_are_bitwise_independent_of_block_budget(case):
+    # blocks of 1, 3, 7, 8 and 9 candidates put each candidate at other
+    # places of other block widths; the rates must not move by a bit
+    problem, cands = case
+    want = batch_min_rate(problem, cands)
+    per_candidate = problem.n_receivers ** 2
+    for block in (1, 3, 7, 8, 9):
+        with mock.patch.object(gaussian, "_BLOCK_ELEMENTS", block * per_candidate):
+            assert gaussian._block_size(problem.n_receivers + 1, problem.n_receivers) == block
+            assert np.array_equal(batch_min_rate(problem, cands), want), block
 
 
 @PROPERTY

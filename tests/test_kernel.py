@@ -36,7 +36,9 @@ def random_fractions(rng, lengths, n):
     return np.concatenate(cols, axis=1)
 
 
-@pytest.mark.parametrize("node_count,k", [(4, 1), (5, 2), (5, 4), (7, 3)])
+# (5, 4) and (6, 5) are omniscient; (20, 2) and (40, 2) are wide_chain shapes
+@pytest.mark.parametrize("node_count,k", [(4, 1), (5, 2), (5, 4), (6, 5), (7, 3),
+                                          (20, 2), (40, 2)])
 @pytest.mark.parametrize("mode", [CombiningMode.COHERENT, CombiningMode.FADING])
 def test_kernel_matches_reference_rates(node_count, k, mode):
     rng = np.random.default_rng(1)

@@ -81,6 +81,29 @@ def test_eta_below_two_rejected_in_configs():
     validate_config(mrc_config(channel={"spacings": [1.0] * 4, "eta": 4.0}))
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("budget", 0, "budget must be a positive integer"),
+    ("budget", -5, "budget must be a positive integer"),
+    ("budget", 1.5, "budget must be an integer"),
+    ("budget", True, "budget must be an integer"),
+    ("budget", "many", "budget must be an integer"),
+    ("resolution", 2.5, "resolution must be an integer"),
+    ("rounds", 1.5, "rounds must be an integer"),
+])
+def test_validate_rejects_non_integral_optimizer_counts(field, value, message):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(mrc_config(optimizer={"rounds": 2, "budget": 800, field: value}))
+    assert any(e.startswith(f"optimizer: {message}") for e in exc.value.errors), \
+        exc.value.errors
+
+
+def test_validate_accepts_integral_float_optimizer_counts():
+    # JSON and --set give 1e3 as a float; it is stored as an int
+    opt = validate_config(mrc_config(optimizer={"budget": 1e3, "rounds": 2.0})).optimizer
+    assert (opt.budget, opt.rounds) == (1000, 2)
+    assert type(opt.budget) is int and type(opt.rounds) is int
+
+
 def test_mrc_sweep_csv_is_deterministic_and_monotone(tmp_path):
     cfg = validate_config(mrc_config())
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
