@@ -58,10 +58,10 @@ values in each pair input through prefix sums of the masked kernel, O(T),
 and convolves only the entries before and after it directly, O(T) each: a
 chain whose nodes all forward the same fraction has at most 3 runs per
 pair, so its noise band costs O(T), while a per-node profile costs up to
-O(T^2) multiply-adds in C.  The decode band spans k lags and costs O(T k).  Every term is a
-product or a prefix-sum difference of non-negative numbers, so a power is
-exactly 0 where no carrier reaches the band and never negative (an FFT
-convolution would give neither).
+O(T^2) multiply-adds in C.  The decode band spans k lags and costs O(T k).
+Every term is a product or a prefix-sum difference of non-negative numbers,
+so a power is exactly 0 where no carrier reaches the band and never
+negative (an FFT convolution would give neither).
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ class OptimizerConfig:
             raise ValueError("resolution must be at least 2")
         if self.rounds < 0:
             raise ValueError("rounds must be non-negative")
-        if self.tolerance <= 0.0:
+        if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
 
 

@@ -38,10 +38,10 @@ def close(got, want):
 
 
 @st.composite
-def channels(draw):
+def channels(draw, max_nodes=8):
     """A random non-linear channel, relay order, hop depth, mode, split matrix
     and failure set."""
-    t_count = draw(st.integers(3, 8))
+    t_count = draw(st.integers(3, max_nodes))
     relays = draw(st.permutations(range(2, t_count)))
     k = draw(st.integers(1, t_count - 1))
     mode = draw(st.sampled_from(CombiningMode))
@@ -103,30 +103,19 @@ def test_compiled_kernel_matches_oracle(case):
 
 @st.composite
 def candidate_batches(draw):
-    """A random non-linear channel compiled at a random relay order, hop
-    depth and mode, with a batch of random candidate splits."""
-    t_count = draw(st.integers(3, 12))
-    relays = draw(st.permutations(range(2, t_count)))
-    k = draw(st.integers(1, t_count - 1))
-    mode = draw(st.sampled_from(CombiningMode))
+    """A channel of up to 12 nodes from ``channels``, compiled, with a batch
+    of random candidate splits."""
+    geom, prop, power, _, k, perm, mode, _ = draw(channels(max_nodes=12))
     n = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    d = rng.uniform(0.3, 3.0, size=(t_count, t_count))
-    d = (d + d.T) / 2.0
-    np.fill_diagonal(d, 0.0)
-    power = PowerConfig(rng.uniform(0.1, 50.0, t_count - 1),
-                        rng.uniform(0.1, 5.0, t_count - 1))
-    perm = Permutation((1, *relays, t_count))
-    problem = compile_chain(NetworkGeometry(d), PropagationModel(eta=rng.uniform(2.0, 4.0)),
-                            power, k, perm, mode)
-    lengths = row_lengths(t_count, k, perm)
+    lengths = row_lengths(geom.node_count, k, perm)
     cands = np.concatenate([rng.dirichlet(np.full(lengths[t], 0.5), size=n)
-                            for t in range(1, t_count)], axis=1)
-    return problem, cands
+                            for t in range(1, geom.node_count)], axis=1)
+    return compile_chain(geom, prop, power, k, perm, mode), cands
 
 
-@PROPERTY
+# a mis-padded block changes a rate on only a few percent of shapes
+@settings(PROPERTY, max_examples=150)
 @given(candidate_batches())
 def test_batch_rates_are_bitwise_independent_of_block_budget(case):
     # blocks of 1, 3, 7, 8 and 9 candidates put each candidate at other

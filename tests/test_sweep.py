@@ -89,8 +89,9 @@ def test_eta_below_two_rejected_in_configs():
     ("budget", "many", "budget must be an integer"),
     ("resolution", 2.5, "resolution must be an integer"),
     ("rounds", 1.5, "rounds must be an integer"),
+    ("tolerance", float("nan"), "tolerance must be positive"),
 ])
-def test_validate_rejects_non_integral_optimizer_counts(field, value, message):
+def test_validate_rejects_invalid_optimizer_settings(field, value, message):
     with pytest.raises(ConfigError) as exc:
         validate_config(mrc_config(optimizer={"rounds": 2, "budget": 800, field: value}))
     assert any(e.startswith(f"optimizer: {message}") for e in exc.value.errors), \
