@@ -4,9 +4,10 @@ multiple-relay channel.
 This module defines the k-hop window once (``_window``, with the carriers of
 ``coding._carriers``) and the pair expansion of a band power once
 (``_carrier_pairs``), and evaluates them three ways: ``_plan`` and
-``_contract`` for single split matrices on any channel, the batch kernel of
-``kernel`` for many candidates on any channel, and ``_lag_powers`` for the
-unit-spacing chain of ``asymptotics``.  Positions are 1-based places in the
+``_contract`` on any channel, for single split matrices and behind the batch
+kernel of ``kernel`` where its pair features would grow too wide, the pair
+features of that kernel for the other candidate batches, and
+``_lag_powers`` for the unit-spacing chain of ``asymptotics``.  Positions are 1-based places in the
 relay order; the transmitter at position p introduces sub-signal p.
 
 - A receiver at position p decodes the sub-signals at positions p-k..p-1,
@@ -17,20 +18,21 @@ relay order; the transmitter at position p introduces sub-signal p.
   one at position q-j spends fraction ``row[j]`` of its power on it.  A
   receiver's own transmissions all fall in its cancel band.
 
-The engine evaluates blocks of receivers against a split matrix in two
-parts.  ``_plan`` gathers, once per receiver block, everything that depends
-on the channel alone: the gains of every (sub-signal, carrier, receiver),
-the band masks, and the candidate column that holds each carrier's
-fraction.  ``_contract`` then takes the candidate through caller-owned
-buffers: per sub-signal q it contracts the carriers j in one matrix
-product, (receiver, j) @ (j, candidate), of ``sqrt(gain * P)[r, q-j]`` and
+The engine evaluates blocks of receivers against any number of candidate
+split matrices in two parts.  ``_plan`` gathers, once per receiver block,
+everything that depends on the channel alone: the gains of every
+(sub-signal, carrier, receiver), the band masks, and the candidate column
+that holds each carrier's fraction.  ``_contract`` then takes one block of
+candidates through caller-owned buffers: per sub-signal q it contracts the
+carriers j in one matrix product, (receiver, j) @ (j, candidate), of ``sqrt(gain * P)[r, q-j]`` and
 ``sqrt(frac)[q-j, j]`` squared afterwards when copies combine coherently,
 or of their squares (powers add) under fading.  The decode band gives the
 signal power, the bands outside decode and cancel the interference.  A
 failed relay transmits nothing while every receiver still decodes as
 designed: its carriers leave the decoded sums, its designed interference
 stays, and cancelling what it never sent adds that power as mismatch
-noise.  ``rate_report`` plans each receiver block.
+noise.  Single split matrices (``rate_report``) plan each receiver block;
+the batch kernel's contraction plans all receivers once per call.
 
 The pair expansion.  Sub-signal q reaches a receiver with amplitude
 sum_j a_j sqrt(x_j) over its carriers j, a_j = sqrt(gain * P) from carrier
@@ -77,9 +79,10 @@ from .coding import CombiningMode, Permutation, SplitMatrix, _carriers
 EFFICIENCY_SLACK = 1e-9
 
 # element budget of one block, n_receivers * (T-1) * k for single splits and
-# candidates * (T-1) ** 2 in the batch kernel (which pads its blocks to a
-# multiple of 8 candidates): the few block-sized buffers then stay in a
-# core's L2 cache
+# candidates * (T-1) ** 2 in the batch kernel: the few block-sized buffers of
+# a single split or of the batch contraction then stay in a core's L2 cache
+# (the batch kernel's pair features hold F / (T-1) times more per candidate,
+# up to about k (k+1) / 2)
 _BLOCK_ELEMENTS = 1 << 16
 
 # bands of the window, per (receiver, sub-signal)

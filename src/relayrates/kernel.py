@@ -4,11 +4,14 @@ The grid-refinement optimizer evaluates one channel at hundreds of thousands
 of candidate splits: ``compile_chain`` lays the channel out once for the
 engine of ``gaussian``, and each ``batch_min_rate`` call turns the layout
 into weights over carrier-pair features (``_pair_features``, the pair
-expansion of ``gaussian``) and rates cache-sized blocks of candidates with
-one matrix product each, (decode and noise rows of every receiver, feature)
-@ (feature, candidate), into buffers it allocates once.  ``rate_report``
-keeps the per-sub-signal contraction of ``gaussian``; the two agree to
-1e-12 relative.
+expansion of ``gaussian``) and rates blocks of candidates with one matrix
+product each, (decode and noise rows of every receiver, feature) @
+(feature, candidate), into buffers it allocates once.  Where the features
+would outgrow the candidates' fractions (coherent k >= 4) or the weights
+their budget (k near T-1 on long chains), the call plans ``gaussian``'s
+per-sub-signal contraction once instead and streams the blocks through
+it; ``rate_report`` always takes the contraction.  The two agree to 1e-12
+relative.
 """
 
 from __future__ import annotations
@@ -19,8 +22,21 @@ import numpy as np
 
 from .channel import NetworkGeometry, PowerConfig, PropagationModel
 from .coding import CombiningMode, Permutation, _carriers, row_lengths
-from .gaussian import (_CANCEL, _DECODE, _NOISE, _block_size, _carrier_pairs, _layout,
-                       _window)
+from .gaussian import (_CANCEL, _DECODE, _NOISE, _block_size, _carrier_pairs, _contract,
+                       _layout, _plan, _scratch_size, _window)
+
+# a batch takes the pair product while its F features number at most
+# _PAIR_WIDTH times the n_cols fractions (every fading batch, coherent up to
+# k = 3; coherent k = 4 from T = 12 on and k >= 6 ran at 0.3-0.9x the
+# contraction) and its 2 (T-1) x F weights fit _PAIR_ELEMENTS (8 bytes
+# each).  Fading at k = T-1, where the weights grow like T^3, then takes the
+# contraction from T = 65 on, coherent k = 3 from T = 150 and k = 2 from
+# T = 211; below that the weights stay within 4x the contraction's plan.
+_PAIR_WIDTH = 2
+_PAIR_ELEMENTS = 1 << 18
+
+# candidate blocks go to BLAS zero-padded to a multiple of this many columns
+_PAD = 8
 
 
 @dataclass(frozen=True)
@@ -78,6 +94,14 @@ def compile_chain(
     )
 
 
+def _feature_count(t_count: int, k: int, coherent: bool) -> int:
+    """Features of ``_pair_features`` for a T-node chain at k hops, counted
+    without building them: pair (j, j') on the T-1-j' sub-signals both
+    carriers reach."""
+    j, jj, _ = _carrier_pairs(k)
+    return int(np.sum(t_count - 1 - (jj if coherent else jj[j == jj])))
+
+
 def _pair_features(problem: ChainProblem):
     """The batch kernel's (2 n_r, F) weights over F features, the candidate
     columns ``cols`` of the first features and the ``slabs`` of the rest.
@@ -107,54 +131,98 @@ def _pair_features(problem: ChainProblem):
     amp = np.sqrt(gain)
     w = np.where(diag, gain[:, p], fc * amp[:, p] * amp[:, pp])
     bands = _window(problem.pos_r, t_count, k)[:, q - 1]
-    weights = np.concatenate([np.where(bands == _DECODE, w, 0.0),
-                              np.where(bands == _NOISE, w, 0.0)])
-    cols = split_col[p[diag], fj[diag]]
-    if not problem.coherent:
-        # no pairs to line up: order the features as the columns, which
-        # then copy without a gather
-        return weights[:, np.argsort(cols)], slice(None), []
+    # feature-major, fixed so that BLAS always takes the same path
+    weights = np.asfortranarray(np.concatenate([np.where(bands == _DECODE, w, 0.0),
+                                                np.where(bands == _NOISE, w, 0.0)]))
     slabs = [(slice(s, s + n), slice(start[a] + b - a, start[a] + b - a + n),
               slice(start[b], start[b] + n))
              for s, n, a, b in zip(start[k:], rows[k:], j[k:], jj[k:])]
-    return weights, cols, slabs
+    return weights, split_col[p[diag], fj[diag]], slabs
+
+
+def _padded(m: int) -> int:
+    """Columns of a block of ``m`` candidates, zero-padded to a multiple of
+    ``_PAD``."""
+    return -(-m // _PAD) * _PAD
+
+
+def _pair_powers(problem: ChainProblem, width: int):
+    """The block evaluator of the pair product: a function of a block of up
+    to ``width`` candidates (one per row) that returns their signal and
+    interference power, each (receivers, padded block), from one matrix
+    product, ``_pair_features``' weights @ (feature, candidate)."""
+    weights, cols, slabs = _pair_features(problem)
+    n_feat, n_rcv, n_cols = weights.shape[1], problem.n_receivers, problem.n_cols
+    feat_buf = np.empty(n_feat * width)
+    power_buf = np.empty(2 * n_rcv * width)
+
+    def powers(block):
+        m = block.shape[0]
+        m_pad = _padded(m)
+        feat = feat_buf[:n_feat * m_pad].reshape(n_feat, m_pad)
+        feat[:n_cols, :m] = block.T[cols]
+        feat[:n_cols, m:] = 0.0
+        for pair, x_j, x_jj in slabs:
+            np.multiply(feat[x_j], feat[x_jj], out=feat[pair])
+        np.sqrt(feat[n_cols:], out=feat[n_cols:])
+        out = power_buf[:2 * n_rcv * m_pad].reshape(2 * n_rcv, m_pad)
+        np.matmul(weights, feat, out=out)
+        return out[:n_rcv], out[n_rcv:]
+
+    return powers
+
+
+def _contracted_powers(problem: ChainProblem, width: int):
+    """``_pair_powers``' block evaluator through ``gaussian``'s
+    per-sub-signal contraction, planned once for all receivers."""
+    n_rcv, n_cols = problem.n_receivers, problem.n_cols
+    k = problem.split_col.shape[1]
+    plan = _plan(problem.gain, problem.pos_r, problem.split_col, problem.coherent)
+    scratch = np.empty(_scratch_size(n_rcv + 1, k, n_rcv, width))
+    cand_buf = np.empty(n_cols * width)
+    power_buf = np.empty((2, n_rcv * width))
+
+    def powers(block):
+        m = block.shape[0]
+        m_pad = _padded(m)
+        cands_t = cand_buf[:n_cols * m_pad].reshape(n_cols, m_pad)
+        cands_t[:, :m] = block.T
+        cands_t[:, m:] = 0.0
+        p_sig, p_int = (v[:n_rcv * m_pad].reshape(n_rcv, m_pad) for v in power_buf)
+        _contract(plan, cands_t, p_sig, p_int, scratch)
+        return p_sig, p_int
+
+    return powers
 
 
 def batch_min_rate(problem: ChainProblem, cands: np.ndarray) -> np.ndarray:
     """Max-min rate over all receivers for each candidate flat split vector
     (one per row), evaluated a block of candidates at a time.
 
-    Each block is one matrix product, ``_pair_features``' weights @
-    (feature, candidate), giving every receiver's signal and noise-band
-    power; the lowest SINR over receivers then takes one log2 per
-    candidate.  Blocks are zero-padded to a multiple of 8 candidates: BLAS
-    then runs every candidate through the same full-width tiles, so a rate
-    does not depend on the block it falls in."""
+    Each block gives every receiver's signal and noise-band power in one
+    matrix product over carrier-pair features (``_pair_powers``), or, where
+    the features would pass ``_PAIR_WIDTH`` or their weights
+    ``_PAIR_ELEMENTS``, through the contraction of ``gaussian``
+    (``_contracted_powers``); the lowest SINR over receivers then takes one
+    log2 per candidate.  Blocks are zero-padded to a multiple of ``_PAD``
+    candidates: BLAS then runs every candidate through the same full-width
+    tiles, so a rate does not depend on the block it falls in."""
     cands = np.asarray(cands, dtype=np.float64)
     if cands.ndim != 2 or cands.shape[1] != problem.n_cols:
         raise ValueError(f"candidates must have shape (n, {problem.n_cols}), "
                          f"got {cands.shape}")
-    n, n_rcv, n_cols = cands.shape[0], problem.n_receivers, problem.n_cols
-    weights, cols, slabs = _pair_features(problem)
-    n_feat = weights.shape[1]
+    n, n_rcv = cands.shape[0], problem.n_receivers
+    k = problem.split_col.shape[1]
     step = _block_size(n_rcv + 1, n_rcv)
-    width = -(-min(step, n) // 8) * 8
-    feat_buf = np.empty(n_feat * width)
-    power_buf = np.empty(2 * n_rcv * width)
+    n_feat = _feature_count(n_rcv + 1, k, problem.coherent)
+    pairs = (n_feat <= _PAIR_WIDTH * problem.n_cols
+             and 2 * n_rcv * n_feat <= _PAIR_ELEMENTS)
+    powers = (_pair_powers if pairs else _contracted_powers)(problem, _padded(min(step, n)))
     noise = problem.noise[:, None]
     sinr = np.empty(n)
     for lo in range(0, n, step):
         m = min(step, n - lo)
-        m_pad = -(-m // 8) * 8
-        feat = feat_buf[:n_feat * m_pad].reshape(n_feat, m_pad)
-        feat[:n_cols, :m] = cands[lo:lo + m].T[cols]
-        feat[:n_cols, m:] = 0.0
-        for pair, x_j, x_jj in slabs:
-            np.multiply(feat[x_j], feat[x_jj], out=feat[pair])
-        np.sqrt(feat[n_cols:], out=feat[n_cols:])
-        powers = power_buf[:2 * n_rcv * m_pad].reshape(2 * n_rcv, m_pad)
-        np.matmul(weights, feat, out=powers)
-        p_sig, p_int = powers[:n_rcv], powers[n_rcv:]
+        p_sig, p_int = powers(cands[lo:lo + m])
         np.add(noise, p_int, out=p_int)
         np.divide(p_sig, p_int, out=p_sig)
         p_sig[:, :m].min(axis=0, out=sinr[lo:lo + m])

@@ -24,7 +24,7 @@ from relayrates import (
     row_lengths,
 )
 
-from relayrates import gaussian
+from relayrates import gaussian, kernel
 from relayrates.gaussian import _convolve_runs, _lag_powers
 
 from reference import reference_lag_powers, reference_records
@@ -116,17 +116,20 @@ def candidate_batches(draw):
 
 # a mis-padded block changes a rate on only a few percent of shapes
 @settings(PROPERTY, max_examples=150)
-@given(candidate_batches())
-def test_batch_rates_are_bitwise_independent_of_block_budget(case):
+@given(candidate_batches(), st.booleans())
+def test_batch_rates_are_bitwise_independent_of_block_budget(case, contract):
     # blocks of 1, 3, 7, 8 and 9 candidates put each candidate at other
-    # places of other block widths; the rates must not move by a bit
+    # places of other block widths; the rates must not move by a bit,
+    # through the pair product or (with no room for pair weights) through
+    # the contraction
     problem, cands = case
-    want = batch_min_rate(problem, cands)
-    per_candidate = problem.n_receivers ** 2
-    for block in (1, 3, 7, 8, 9):
-        with mock.patch.object(gaussian, "_BLOCK_ELEMENTS", block * per_candidate):
-            assert gaussian._block_size(problem.n_receivers + 1, problem.n_receivers) == block
-            assert np.array_equal(batch_min_rate(problem, cands), want), block
+    with mock.patch.object(kernel, "_PAIR_ELEMENTS", 0 if contract else kernel._PAIR_ELEMENTS):
+        want = batch_min_rate(problem, cands)
+        per_candidate = problem.n_receivers ** 2
+        for block in (1, 3, 7, 8, 9):
+            with mock.patch.object(gaussian, "_BLOCK_ELEMENTS", block * per_candidate):
+                assert gaussian._block_size(problem.n_receivers + 1, problem.n_receivers) == block
+                assert np.array_equal(batch_min_rate(problem, cands), want), block
 
 
 @PROPERTY

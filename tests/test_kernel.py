@@ -12,7 +12,7 @@ from relayrates import (
     compile_chain,
     rate_report,
 )
-from relayrates import gaussian
+from relayrates import gaussian, kernel
 from relayrates.coding import row_lengths
 
 from reference import reference_records
@@ -36,9 +36,10 @@ def random_fractions(rng, lengths, n):
     return np.concatenate(cols, axis=1)
 
 
-# (5, 4) and (6, 5) are omniscient; (20, 2) and (40, 2) are wide_chain shapes
+# (5, 4), (6, 5), (22, 21) and (44, 43) are omniscient; (20, 2) and (40, 2)
+# are wide_chain shapes
 @pytest.mark.parametrize("node_count,k", [(4, 1), (5, 2), (5, 4), (6, 5), (7, 3),
-                                          (20, 2), (40, 2)])
+                                          (20, 2), (40, 2), (22, 21), (44, 43)])
 @pytest.mark.parametrize("mode", [CombiningMode.COHERENT, CombiningMode.FADING])
 def test_kernel_matches_reference_rates(node_count, k, mode):
     rng = np.random.default_rng(1)
@@ -128,4 +129,38 @@ def test_batch_is_independent_of_block_budget(monkeypatch, mode):
     for block in (7, 1):
         monkeypatch.setattr(gaussian, "_BLOCK_ELEMENTS", block * (node_count - 1) ** 2)
         assert gaussian._block_size(node_count, node_count - 1) == block
+        assert np.array_equal(batch_min_rate(problem, cands), want)
+
+
+@pytest.mark.parametrize("node_count", range(3, 13))
+@pytest.mark.parametrize("mode", [CombiningMode.COHERENT, CombiningMode.FADING])
+def test_feature_count_matches_the_pair_features(node_count, mode):
+    for k in range(1, node_count):
+        problem = make_problem(node_count, k, mode=mode)[3]
+        weights = kernel._pair_features(problem)[0]
+        assert weights.shape == (2 * (node_count - 1),
+                                 kernel._feature_count(node_count, k, mode is CombiningMode.COHERENT))
+
+
+@pytest.mark.parametrize("mode", [CombiningMode.COHERENT, CombiningMode.FADING])
+def test_wide_omniscient_batch_takes_the_contraction(monkeypatch, mode):
+    # at k = T-1 the pair weights grow like T^4 coherent and T^3 under
+    # fading; T = 70 rates through the contraction without building them,
+    # matches rate_report, and gives bitwise the same rates at blocks of the
+    # default, 1 and 3
+    node_count, k = 70, 69
+    geom, power, perm, problem, lengths = make_problem(node_count, k, seed=7, mode=mode)
+
+    def no_pairs(problem):
+        raise AssertionError("pair weights built")
+
+    monkeypatch.setattr(kernel, "_pair_features", no_pairs)
+    cands = random_fractions(np.random.default_rng(8), lengths, 5)
+    want = batch_min_rate(problem, cands)
+    for i in range(cands.shape[0]):
+        splits = SplitMatrix.from_flat(cands[i], lengths)
+        report = rate_report(geom, PropagationModel(), power, splits, k, perm, mode)
+        assert want[i] == pytest.approx(report.rate, rel=1e-12)
+    for block in (1, 3):
+        monkeypatch.setattr(gaussian, "_BLOCK_ELEMENTS", block * (node_count - 1) ** 2)
         assert np.array_equal(batch_min_rate(problem, cands), want)
