@@ -126,7 +126,7 @@ class BrcOptimum:
 def brc_optimize(cfg: BrcConfig, opt: OptimizerConfig = OptimizerConfig()) -> BrcOptimum:
     """Grid-refinement over the single split alpha in [0, 1]."""
     best, evals, _, incomplete = _refine(
-        lambda free: np.minimum.reduce(_omniscient_rates(cfg, free[:, 0])), 1, opt
+        lambda axes: np.minimum.reduce(_omniscient_rates(cfg, axes[0])), 1, opt
     )
     best_cfg = replace(cfg, alpha=float(best[0]))
     rates = brc_omniscient_common_rate(best_cfg)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelValidationError
-from .optimizer import OptimizerConfig, _refine
+from .optimizer import OptimizerConfig, _grid_candidates, _refine
 
 SPLIT_TOL = 1e-12
 
@@ -195,7 +195,7 @@ def marc_optimize(
     for corner in (0.0, 1.0):
         replace(cfg, **fields(*[corner] * ndim))
     best, evals, _, incomplete = _refine(
-        lambda free: np.minimum(*rates_of(cfg, **fields(*free.T))), ndim, opt
+        lambda axes: np.minimum(*rates_of(cfg, **fields(*_grid_candidates(axes).T))), ndim, opt
     )
     best_cfg = replace(cfg, **fields(*best.tolist()))
     rates = sumrate(best_cfg)

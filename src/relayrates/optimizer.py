@@ -126,6 +126,36 @@ def _grid_candidates(axes):
     return cands
 
 
+def _grid_fractions(axes, lengths):
+    """``free_to_fractions(_grid_candidates(axes), lengths)``, built one
+    simplex row at a time from that row's own axes.
+
+    A row's fractions depend only on its own free coordinates, whose axes are
+    contiguous in the C-order grid, so each of its columns is the row's
+    sub-grid map broadcast over the points before and after those axes.
+    """
+    sizes = [axis.size for axis in axes]
+    out = np.empty((math.prod(sizes), sum(lengths)), order="F")
+    at_f, at_c = 0, 0
+    for m in lengths:
+        sub = free_to_fractions(_grid_candidates(axes[at_f:at_f + m - 1]), (m,))
+        view = (math.prod(sizes[:at_f]), sub.shape[0], math.prod(sizes[at_f + m - 1:]))
+        for j in range(m):
+            out[:, at_c + j].reshape(view)[...] = sub[:, j, None]
+        at_f += m - 1
+        at_c += m
+    return out
+
+
+def _grid_point(axes, idx):
+    """Row ``idx`` of ``_grid_candidates(axes)``, without building the grid."""
+    point = np.empty(len(axes))
+    for d in reversed(range(len(axes))):
+        idx, i = divmod(idx, axes[d].size)
+        point[d] = axes[d][i]
+    return point
+
+
 def _shrink_box(center, lo, hi):
     width = (hi - lo) / SHRINK
     new_lo = np.maximum(center - width / 2.0, 0.0)
@@ -134,12 +164,15 @@ def _shrink_box(center, lo, hi):
     return new_lo, new_hi
 
 
-def _refine(evaluate, ndim, config, extra_points=()):
+def _refine(evaluate, ndim, config, warm=None):
     """Shared refinement loop over the unit box [0, 1]^ndim.
 
-    ``evaluate`` maps an (n, ndim) array of free coordinates, one candidate
-    per row, to (n,) rates; ``_refine_points`` builds it from a per-point
-    objective.  Returns (best_free, evaluations, achieved_tol, incomplete).
+    Each round is the ``ij`` grid over ndim axes; ``evaluate`` maps the
+    round's list of axes to the (n,) rates of its points in C order, the
+    order of ``_grid_candidates(axes)``.  ``warm`` is an optional pair
+    (points, rates) of candidates the caller has rated, an (n, ndim) array
+    and its (n,) rates, searched before the first round.  Returns
+    (best_free, evaluations, achieved_tol, incomplete).
     """
     lo, hi = np.zeros(ndim), np.ones(ndim)  # _shrink_box returns new arrays
     evaluations = 0
@@ -148,19 +181,18 @@ def _refine(evaluate, ndim, config, extra_points=()):
     achieved = math.inf
     incomplete = False
 
-    def search(pts):
+    def search(rates, point_at):
         nonlocal evaluations, best_rate, best_free
-        rates = evaluate(pts)
-        evaluations += pts.shape[0]
+        evaluations += rates.size
         idx = int(np.argmax(rates))
         improvement = float(rates[idx]) - best_rate
         if improvement > 0.0:
-            best_rate, best_free = float(rates[idx]), pts[idx].copy()
+            best_rate, best_free = float(rates[idx]), point_at(idx)
         return improvement
 
-    extras = [np.asarray(p, dtype=float) for p in extra_points]
-    if extras:
-        search(np.stack(extras))
+    if warm is not None:
+        points, rates = warm
+        search(rates, lambda idx: points[idx].copy())
 
     n_rounds = config.rounds + 1  # coarse pass plus refinement rounds
     stalled = 0
@@ -170,8 +202,8 @@ def _refine(evaluate, ndim, config, extra_points=()):
             incomplete = True
             break
         per_round = max(2 ** ndim, remaining // (n_rounds - rnd))
-        cands = _grid_candidates(_grid_axes(lo, hi, per_round, config.resolution))
-        achieved = max(search(cands), 0.0)
+        axes = _grid_axes(lo, hi, per_round, config.resolution)
+        achieved = max(search(evaluate(axes), lambda idx: _grid_point(axes, idx)), 0.0)
         # a single flat round can just mean the shrunk grid re-hit the
         # incumbent point, so require two stalled rounds before stopping
         stalled = stalled + 1 if achieved < config.tolerance else 0
@@ -191,8 +223,8 @@ def _refine_points(objective, ndim, config):
     Returns (best_point, evaluations, achieved_tol, incomplete), the point
     as a list of floats.
     """
-    def evaluate(free):
-        return np.array([objective(*point) for point in free.tolist()])
+    def evaluate(axes):
+        return np.array([objective(*point) for point in _grid_candidates(axes).tolist()])
 
     best_free, *rest = _refine(evaluate, ndim, config)
     return (best_free.tolist(), *rest)
@@ -212,7 +244,10 @@ def optimize_splits(
 
     ``extra_splits`` are always-evaluated candidates (e.g. the optimum of a
     smaller k embedded with zero forward mass), which keeps optimized rates
-    monotone in k by feasible-set nesting.
+    monotone in k by feasible-set nesting.  They are rated as points, in one
+    batch before the grid; each grid round reaches the kernel as split
+    fractions built from its axes by ``_grid_fractions``, without its (n,
+    ndim) array of free coordinates.
     """
     t_count = geometry.node_count
     perm = perm or Permutation.identity(t_count)
@@ -237,17 +272,19 @@ def optimize_splits(
 
     problem = compile_chain(geometry, prop, power, k, perm, mode)
 
-    def evaluate(free):
-        return batch_min_rate(problem, free_to_fractions(free, lengths))
+    def evaluate(axes):
+        return batch_min_rate(problem, _grid_fractions(axes, lengths))
 
     extras = []
     for sm in extra_splits:
         sm.validate_for(t_count, k, perm)
         extras.append(fractions_to_free(sm.as_flat(), lengths))
+    warm = None
+    if extras:
+        points = np.stack(extras)
+        warm = (points, batch_min_rate(problem, free_to_fractions(points, lengths)))
 
-    best_free, evals, achieved, incomplete = _refine(
-        evaluate, ndim, config, extra_points=extras
-    )
+    best_free, evals, achieved, incomplete = _refine(evaluate, ndim, config, warm)
     fracs = free_to_fractions(best_free[None, :], lengths)[0]
     splits = SplitMatrix.from_flat(fracs, lengths)
     return result_for(splits, evals, achieved, incomplete)

@@ -15,13 +15,37 @@ pair, the O(T^2) form the library's run rule for the noise band replaces.
 
 ``reference_joint`` gives the discrete oracle's joint table, one outcome of
 the sub-signals at a time.
+
+``reference_optimize_splits`` and ``reference_rates_over_k`` run the split
+search with every grid round expanded into its (n, ndim) points and mapped
+by ``free_to_fractions`` as a whole, the form the library's row-by-row grid
+map replaces.  They share the kernel, the grid axes and the box schedule
+with the library, so they check only the map and the search around it.
 """
 
 import math
 
 import numpy as np
 
-from relayrates import CombiningMode, Permutation, ReceptionRecord
+from relayrates import (
+    CombiningMode,
+    OptimizerConfig,
+    Permutation,
+    ReceptionRecord,
+    SplitMatrix,
+    batch_min_rate,
+    compile_chain,
+    rate_report,
+    row_lengths,
+)
+from relayrates.optimizer import (
+    OptimumResult,
+    _grid_axes,
+    _grid_candidates,
+    _shrink_box,
+    fractions_to_free,
+    free_to_fractions,
+)
 
 
 def reference_record(geometry, prop, power, splits, k, perm=None,
@@ -138,3 +162,73 @@ def reference_joint(channel, inputs, k, perm=None):
         )
         joint[u] = (prob * flat_channel[x]).reshape(channel.output_sizes)
     return joint
+
+
+def reference_optimize_splits(geometry, prop, power, k, perm=None,
+                              mode=CombiningMode.COHERENT, config=OptimizerConfig(),
+                              extra_splits=()):
+    """``optimize_splits`` with each round's grid points built and mapped in
+    full: the warm starts first, then every round's argmax, first in C order."""
+    t_count = geometry.node_count
+    perm = perm or Permutation.identity(t_count)
+    lengths = tuple(row_lengths(t_count, k, perm)[t] for t in range(1, t_count))
+    ndim = sum(m - 1 for m in lengths)
+
+    def result_for(splits, evaluations, achieved, incomplete):
+        report = rate_report(geometry, prop, power, splits, k, perm, mode)
+        return OptimumResult(report.rate, report, splits, evaluations, achieved,
+                             incomplete, permutation=perm)
+
+    if ndim == 0:
+        return result_for(SplitMatrix(tuple((1.0,) for _ in lengths)), 1, 0.0, False)
+
+    problem = compile_chain(geometry, prop, power, k, perm, mode)
+    lo, hi = np.zeros(ndim), np.ones(ndim)
+    evaluations, best_rate, best_free = 0, -math.inf, (lo + hi) / 2.0
+    achieved, incomplete = math.inf, False
+
+    def search(pts):
+        nonlocal evaluations, best_rate, best_free
+        rates = batch_min_rate(problem, free_to_fractions(pts, lengths))
+        evaluations += pts.shape[0]
+        idx = int(np.argmax(rates))
+        improvement = float(rates[idx]) - best_rate
+        if improvement > 0.0:
+            best_rate, best_free = float(rates[idx]), pts[idx].copy()
+        return improvement
+
+    if extra_splits:
+        search(np.stack([fractions_to_free(sm.as_flat(), lengths) for sm in extra_splits]))
+    n_rounds = config.rounds + 1
+    stalled = 0
+    for rnd in range(n_rounds):
+        remaining = config.budget - evaluations
+        if remaining < 2 ** ndim:
+            incomplete = True
+            break
+        per_round = max(2 ** ndim, remaining // (n_rounds - rnd))
+        achieved = max(search(_grid_candidates(
+            _grid_axes(lo, hi, per_round, config.resolution))), 0.0)
+        stalled = stalled + 1 if achieved < config.tolerance else 0
+        if rnd > 0 and stalled >= 2:
+            break
+        lo, hi = _shrink_box(best_free, lo, hi)
+    if not math.isfinite(achieved):
+        achieved = 0.0
+    fracs = free_to_fractions(best_free[None, :], lengths)[0]
+    return result_for(SplitMatrix.from_flat(fracs, lengths), evaluations, achieved,
+                      incomplete)
+
+
+def reference_rates_over_k(geometry, prop, power, ks, perm=None,
+                           mode=CombiningMode.COHERENT, config=OptimizerConfig()):
+    """``optimize_rates_over_k`` on ``reference_optimize_splits``."""
+    t_count = geometry.node_count
+    perm = perm or Permutation.identity(t_count)
+    results = {}
+    for k in sorted(set(ks)):
+        extras = [res.splits.embed(t_count, prev_k, k, perm)
+                  for prev_k, res in results.items()]
+        results[k] = reference_optimize_splits(geometry, prop, power, k, perm, mode,
+                                               config, extras)
+    return results

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayrates import (
     CombiningMode,
@@ -18,7 +20,14 @@ from relayrates import (
     optimize_splits,
     rate_report,
 )
-from relayrates.optimizer import _grid_candidates, fractions_to_free, free_to_fractions
+from relayrates.optimizer import (
+    _grid_candidates,
+    _grid_fractions,
+    fractions_to_free,
+    free_to_fractions,
+)
+
+from reference import reference_optimize_splits, reference_rates_over_k
 
 PROP = PropagationModel()
 
@@ -56,6 +65,75 @@ def test_grid_candidates_match_meshgrid(sizes):
     got = _grid_candidates(axes)
     assert np.array_equal(got, want)
     assert got.flags.f_contiguous
+
+
+@st.composite
+def grid_rows(draw, max_points=4096):
+    """Simplex row lengths, either drawn or the omniscient strategy's
+    descending ones, and grid axes of 1-5 points over their free coordinates."""
+    if draw(st.booleans()):
+        lengths = tuple(range(draw(st.integers(2, 7)) - 1, 0, -1))
+    else:
+        lengths = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axes, points = [], 1
+    for _ in range(sum(m - 1 for m in lengths)):
+        size = draw(st.integers(1, max(1, min(5, max_points // points))))
+        points *= size
+        axes.append(np.sort(rng.uniform(0.0, 1.0, size)))
+    return lengths, axes
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(grid_rows())
+def test_grid_fractions_match_the_expanded_map(rows):
+    lengths, axes = rows
+    got = _grid_fractions(axes, lengths)
+    assert np.array_equal(got, free_to_fractions(_grid_candidates(axes), lengths))
+    assert got.flags.f_contiguous
+
+
+def assert_same_result(got, want):
+    assert got.rate.hex() == want.rate.hex()
+    assert got.achieved_tolerance.hex() == want.achieved_tolerance.hex()
+    assert (got.evaluations, got.incomplete) == (want.evaluations, want.incomplete)
+    assert ([[v.hex() for v in row] for row in got.splits.rows]
+            == [[v.hex() for v in row] for row in want.splits.rows])
+    assert got.report == want.report
+    assert got.permutation == want.permutation
+
+
+@pytest.mark.parametrize("budget", [400_000, 2_000])
+@pytest.mark.parametrize("mode", list(CombiningMode))
+@pytest.mark.parametrize("node_count", [5, 6, 12])
+def test_search_matches_the_expanded_grid_reference(node_count, mode, budget):
+    # ties, evaluation counts, tolerances and truncation are pinned exactly:
+    # a last-bit change in one candidate can move the optimum far more
+    rng = np.random.default_rng(node_count)
+    geom = build_linear_geometry(rng.uniform(0.5, 1.5, node_count - 1))
+    power = PowerConfig.uniform(node_count, 10.0)
+    config = OptimizerConfig(budget=budget)
+    ks = range(1, node_count)
+    perm = Permutation((1, *rng.permutation(range(2, node_count)).tolist(), node_count))
+    for k in ks:
+        assert_same_result(
+            optimize_splits(geom, PROP, power, k, perm, mode, config),
+            reference_optimize_splits(geom, PROP, power, k, perm, mode, config))
+    got = optimize_rates_over_k(geom, PROP, power, ks, mode=mode, config=config)
+    want = reference_rates_over_k(geom, PROP, power, ks, mode=mode, config=config)
+    assert got.keys() == want.keys()
+    for k in ks:
+        assert_same_result(got[k], want[k])
+
+
+def test_warm_start_past_the_array_dimension_limit():
+    # at T=40, k=3 has 75 free coordinates: 2**75 grid corners exceed any
+    # budget, so only the warm starts are rated, as points
+    rng = np.random.default_rng(40)
+    geom = build_linear_geometry(rng.uniform(0.2, 3.0, 39))
+    res = optimize_rates_over_k(geom, PROP, PowerConfig.uniform(40, 10.0), (1, 2, 3))
+    assert res[3].incomplete and res[3].evaluations == 2
+    assert res[1].rate <= res[2].rate <= res[3].rate
 
 
 def test_optimizer_config_validation():
