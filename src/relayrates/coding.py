@@ -124,10 +124,6 @@ class SplitMatrix:
                     f"row {idx + 1} must sum to 1, got {sum(row)!r}"
                 )
 
-    @property
-    def transmitter_count(self) -> int:
-        return len(self.rows)
-
     def row(self, node: int) -> tuple:
         return self.rows[node - 1]
 

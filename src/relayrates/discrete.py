@@ -55,13 +55,6 @@ class JointPmf:
         except ValueError as exc:
             raise PmfValidationError(f"unknown label in {labels}") from exc
 
-    def marginal(self, keep) -> "JointPmf":
-        keep = [str(v) for v in keep]
-        drop = self.axes_of(v for v in self.labels if v not in keep)
-        table = self.table.sum(axis=drop) if drop else self.table
-        kept = tuple(v for v in self.labels if v in keep)
-        return JointPmf(kept, table)
-
 
 def mutual_information(joint: JointPmf, a, b, c=()) -> float:
     """Conditional mutual information I(A;B|C) in bits.

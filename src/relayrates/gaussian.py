@@ -152,16 +152,18 @@ def _window(pos_r: np.ndarray, t_count: int, k: int) -> np.ndarray:
     return band
 
 
-def _layout(geometry, prop, power, k: int, perm: Permutation, receivers: np.ndarray):
+def _layout(geometry, prop, power, k: int, perm: Permutation):
     """Gain * transmit power from the transmitters at positions 1..T-1
-    (columns) to the receiver node ids ``receivers`` (rows, zero at a
-    receiver's own position), the receivers' positions, and ``col[p-1, j]``,
-    the column of ``SplitMatrix.as_flat`` holding the fraction position p
-    spends on sub-signal p+j (past a row's end: its last column, never read)."""
+    (columns) to the receivers 2..T by node id (rows, zero at a receiver's
+    own position), the receivers' positions, and ``col[p-1, j]``, the column
+    of ``SplitMatrix.as_flat`` holding the fraction position p spends on
+    sub-signal p+j (past a row's end: its last column, never read)."""
     t_count = geometry.node_count
     order = np.asarray(perm.order)
     tx = order[:-1]
-    d = geometry.distances[tx - 1][:, receivers - 1].T
+    # a C-order copy: receiver rows contiguous, as the engine's receiver
+    # blocks and compile_chain's gathers read them
+    d = geometry.distances[tx - 1, 1:].T.copy()
     d = np.where(d > 0.0, d, np.inf)  # no self-gain
     gain = prop.kappa * d ** (-prop.eta) * power.transmit_powers[tx - 1]
     length = np.minimum(k, t_count - np.arange(1, t_count))   # by position
@@ -169,7 +171,7 @@ def _layout(geometry, prop, power, k: int, perm: Permutation, receivers: np.ndar
     by_node[tx - 1] = length
     start = (np.cumsum(by_node) - by_node)[tx - 1, None]
     col = start + np.minimum(np.arange(k), length[:, None] - 1)
-    return gain, np.argsort(order)[receivers - 1] + 1, col
+    return gain, np.argsort(order)[1:] + 1, col
 
 
 def _block_size(t_count: int, width: int) -> int:
@@ -333,34 +335,6 @@ def _lag_powers(by_dist: np.ndarray, frac: np.ndarray):
     return p_sig, p_int
 
 
-def _evaluate(geometry, prop, power, splits, k, perm, mode, receivers, failed):
-    """Reception records of the given receiver node ids."""
-    t_count = geometry.node_count
-    if failed and not all(2 <= f <= t_count - 1 for f in failed):
-        raise ChannelValidationError("only relays (2..T-1) can fail")
-    perm = perm or Permutation.identity(t_count)
-    splits.validate_for(t_count, k, perm)
-
-    rcv = np.asarray(receivers)
-    gain, pos_r, col = _layout(geometry, prop, power, k, perm, rcv)
-    failed_pos = np.isin(perm.order[:-1], list(failed)) if failed else None
-    coherent = mode is CombiningMode.COHERENT
-    flat = splits.as_flat()[:, None]
-    p_sig, p_int = np.empty((2, rcv.size, 1))
-    step = _block_size(t_count, k)
-    scratch = np.empty(_scratch_size(t_count, k, min(step, rcv.size), 1))
-    for lo in range(0, rcv.size, step):
-        hi = min(rcv.size, lo + step)
-        # one plan alive at a time
-        _contract(_plan(gain[lo:hi], pos_r[lo:hi], col, coherent, failed_pos),
-                  flat, p_sig[lo:hi], p_int[lo:hi], scratch)
-    p_sig, p_int = p_sig[:, 0], p_int[:, 0]
-    noise = power.noise_powers[rcv - 2]
-    rates = 0.5 * np.log2(1.0 + p_sig / (noise + p_int))
-    return tuple(map(ReceptionRecord, rcv.tolist(), p_sig.tolist(), p_int.tolist(),
-                     noise.tolist(), rates.tolist()))
-
-
 def reception_rate(
     geometry: NetworkGeometry,
     prop: PropagationModel,
@@ -383,8 +357,8 @@ def reception_rate(
         raise ChannelValidationError("the source does not decode")
     if not 2 <= receiver <= t_count:
         raise ChannelValidationError(f"receiver must be in 2..{t_count}")
-    return _evaluate(geometry, prop, power, splits, k, perm, mode,
-                     (receiver,), failed)[0]
+    return rate_report(geometry, prop, power, splits, k, perm, mode,
+                       failed).record(receiver)
 
 
 def rate_report(
@@ -401,8 +375,30 @@ def rate_report(
 
     Ties for the bottleneck go to the lowest node id.
     """
-    records = _evaluate(geometry, prop, power, splits, k, perm, mode,
-                        range(2, geometry.node_count + 1), failed)
+    t_count = geometry.node_count
+    if failed and not all(2 <= f <= t_count - 1 for f in failed):
+        raise ChannelValidationError("only relays (2..T-1) can fail")
+    perm = perm or Permutation.identity(t_count)
+    splits.validate_for(t_count, k, perm)
+
+    gain, pos_r, col = _layout(geometry, prop, power, k, perm)
+    failed_pos = np.isin(perm.order[:-1], list(failed)) if failed else None
+    coherent = mode is CombiningMode.COHERENT
+    flat = splits.as_flat()[:, None]
+    n_r = t_count - 1
+    p_sig, p_int = np.empty((2, n_r, 1))
+    step = _block_size(t_count, k)
+    scratch = np.empty(_scratch_size(t_count, k, min(step, n_r), 1))
+    for lo in range(0, n_r, step):
+        hi = min(n_r, lo + step)
+        # one plan alive at a time
+        _contract(_plan(gain[lo:hi], pos_r[lo:hi], col, coherent, failed_pos),
+                  flat, p_sig[lo:hi], p_int[lo:hi], scratch)
+    p_sig, p_int = p_sig[:, 0], p_int[:, 0]
+    noise = power.noise_powers
+    rates = 0.5 * np.log2(1.0 + p_sig / (noise + p_int))
+    records = tuple(map(ReceptionRecord, range(2, t_count + 1), p_sig.tolist(),
+                        p_int.tolist(), noise.tolist(), rates.tolist()))
     best = min(records, key=lambda rec: (rec.rate, rec.node))
     return RateReport(records, best.node, best.rate)
 

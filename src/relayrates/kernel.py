@@ -70,8 +70,7 @@ def compile_chain(
     ascending position within a group."""
     t_count = geometry.node_count
     n_cols = sum(row_lengths(t_count, k, perm).values())
-    gain, pos_r, split_col = _layout(geometry, prop, power, k, perm,
-                                     np.arange(2, t_count + 1))
+    gain, pos_r, split_col = _layout(geometry, prop, power, k, perm)
     entry = ((_window(pos_r, t_count, k) != _CANCEL)[:, :, None]
              & (_carriers(t_count, k) >= 1))
     # reversed carrier axis: carriers in ascending position within a group

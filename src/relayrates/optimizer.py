@@ -216,20 +216,6 @@ def _refine(evaluate, ndim, config, warm=None):
     return best_free, evaluations, achieved, incomplete
 
 
-def _refine_points(objective, ndim, config):
-    """``_refine`` for an objective that rates one point at a time.
-
-    ``objective(*point)`` takes the ndim free coordinates as floats.
-    Returns (best_point, evaluations, achieved_tol, incomplete), the point
-    as a list of floats.
-    """
-    def evaluate(axes):
-        return np.array([objective(*point) for point in _grid_candidates(axes).tolist()])
-
-    best_free, *rest = _refine(evaluate, ndim, config)
-    return (best_free.tolist(), *rest)
-
-
 def optimize_splits(
     geometry: NetworkGeometry,
     prop: PropagationModel,
@@ -328,13 +314,14 @@ def optimize_spacing(
     """Best linear node placement with total length ``span``.
 
     Searches the T-1 positive spacings (a scaled simplex) through
-    ``_refine_points``: each candidate geometry is itself optimized over
-    splits with a reduced inner budget (one evaluation when k = 1, whose
-    split is fixed).  The result is the best geometry's split optimum, with
-    ``geometry`` set, ``evaluations`` counting every inner evaluation, and
-    the outer search's ``achieved_tolerance`` and ``incomplete``.  Every
-    spacing is at least ``SPACING_MIN_SHARE`` of the equal spacing
-    span / (T-1).
+    ``_refine``: each candidate geometry is itself optimized over splits with
+    a reduced inner budget (one evaluation when k = 1, whose split is fixed).
+    The result is the best geometry's split optimum, kept from the search,
+    with ``geometry`` set, ``evaluations`` summing every inner search, and
+    the outer search's ``achieved_tolerance`` and ``incomplete``.  When the
+    outer budget runs out before its first round, the result is the split
+    optimum of the box midpoint.  Every spacing is at least
+    ``SPACING_MIN_SHARE`` of the equal spacing span / (T-1).
     """
     if span <= 0.0:
         raise ValueError("span must be positive")
@@ -347,29 +334,37 @@ def optimize_spacing(
     )
 
     floor = SPACING_MIN_SHARE / (node_count - 1)
+    inner_evals = 0
+    # the (result, geometry) of the point _refine picks: the first strict best
+    best, best_rate = None, -math.inf
 
-    def geometry_for(*free):
-        fracs = free_to_fractions(np.array([free]), (node_count - 1,))[0]
-        return build_linear_geometry(span * (floor + (1.0 - SPACING_MIN_SHARE) * fracs))
+    def optimize_at(fracs):
+        nonlocal inner_evals
+        geom = build_linear_geometry(span * (floor + (1.0 - SPACING_MIN_SHARE) * fracs))
+        res = optimize_splits(geom, prop, power, k, perm, mode, inner_config)
+        inner_evals += res.evaluations
+        return res, geom
 
-    inner_evals = []
-
-    def objective(*free):
-        res = optimize_splits(geometry_for(*free), prop, power, k, perm, mode,
-                              inner_config)
-        inner_evals.append(res.evaluations - 1)
-        return res.rate
+    def evaluate(axes):
+        nonlocal best, best_rate
+        rates = []
+        for fracs in _grid_fractions(axes, (node_count - 1,)):
+            res, geom = optimize_at(fracs)
+            if res.rate > best_rate:
+                best, best_rate = (res, geom), res.rate
+            rates.append(res.rate)
+        return np.array(rates)
 
     # outer budget counts geometries; each costs one split optimization
     inner_cost = 1 if k == 1 else inner_config.budget
     outer = replace(config, budget=max(300, config.budget // inner_cost))
-    best_free, evals, achieved, incomplete = _refine_points(
-        objective, node_count - 2, outer)
-    geom = geometry_for(*best_free)
-    res = optimize_splits(geom, prop, power, k, perm, mode, inner_config)
+    best_free, _, achieved, incomplete = _refine(evaluate, node_count - 2, outer)
+    if best is None:
+        best = optimize_at(free_to_fractions(best_free[None, :], (node_count - 1,))[0])
+    res, geom = best
     return replace(
         res,
-        evaluations=evals + sum(inner_evals) + res.evaluations,
+        evaluations=inner_evals,
         achieved_tolerance=achieved,
         incomplete=incomplete,
         geometry=geom,

@@ -21,6 +21,10 @@ search with every grid round expanded into its (n, ndim) points and mapped
 by ``free_to_fractions`` as a whole, the form the library's row-by-row grid
 map replaces.  They share the kernel, the grid axes and the box schedule
 with the library, so they check only the map and the search around it.
+
+``reference_refine_points`` runs the library's grid refinement on an
+objective that rates one point at a time, the scalar form of the MARC and
+BRC searches' whole-array evaluators.
 """
 
 import math
@@ -42,6 +46,7 @@ from relayrates.optimizer import (
     OptimumResult,
     _grid_axes,
     _grid_candidates,
+    _refine,
     _shrink_box,
     fractions_to_free,
     free_to_fractions,
@@ -232,3 +237,17 @@ def reference_rates_over_k(geometry, prop, power, ks, perm=None,
         results[k] = reference_optimize_splits(geometry, prop, power, k, perm, mode,
                                                config, extras)
     return results
+
+
+def reference_refine_points(objective, ndim, config):
+    """``_refine`` for an objective that rates one point at a time.
+
+    ``objective(*point)`` takes the ndim free coordinates as floats.
+    Returns (best_point, evaluations, achieved_tol, incomplete), the point
+    as a list of floats.
+    """
+    def evaluate(axes):
+        return np.array([objective(*point) for point in _grid_candidates(axes).tolist()])
+
+    best_free, *rest = _refine(evaluate, ndim, config)
+    return (best_free.tolist(), *rest)

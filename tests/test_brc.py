@@ -13,7 +13,8 @@ from relayrates import (
     brc_optimize,
 )
 from relayrates.brc import _omniscient_rates
-from relayrates.optimizer import _refine_points
+
+from reference import reference_refine_points
 
 
 def test_geometry_is_derived_from_d12():
@@ -144,7 +145,7 @@ def test_search_equals_the_scalar_objective_search():
         for _ in range(5):
             cfg = random_config(rng)
             got = brc_optimize(cfg, opt)
-            (alpha,), evals, _, incomplete = _refine_points(
+            (alpha,), evals, _, incomplete = reference_refine_points(
                 lambda a: brc_omniscient_common_rate(replace(cfg, alpha=a)).common_rate, 1, opt)
             assert got.config == replace(cfg, alpha=alpha)
             assert (got.evaluations, got.incomplete) == (evals, incomplete)

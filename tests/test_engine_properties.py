@@ -21,6 +21,7 @@ from relayrates import (
     failure_impact,
     large_T_report,
     rate_report,
+    reception_rate,
     row_lengths,
 )
 
@@ -89,6 +90,18 @@ def test_failure_impact_matches_oracle(case):
     report = failure_impact(geom, prop, power, splits, k, failed, perm, mode)
     want = reference_records(geom, prop, power, splits, k, perm, mode, failed)
     assert_records_match(report.records, want)
+
+
+@PROPERTY
+@given(channels(max_nodes=12))
+def test_reception_rate_is_the_report_record(case):
+    # one record per receiver: asked alone, a receiver gets the report's
+    # record to the last bit, with or without failures
+    geom, prop, power, splits, k, perm, mode, failed = case
+    report = rate_report(geom, prop, power, splits, k, perm, mode, failed)
+    for node in range(2, geom.node_count + 1):
+        got = reception_rate(geom, prop, power, splits, k, perm, mode, node, failed)
+        assert got == report.record(node)
 
 
 @PROPERTY

@@ -13,7 +13,8 @@ from relayrates import (
     marc_optimize,
 )
 from relayrates.marc import _omniscient_rates, _onehop_rates
-from relayrates.optimizer import _refine_points
+
+from reference import reference_refine_points
 
 
 def test_geometry_is_derived_from_d34():
@@ -195,7 +196,7 @@ def test_search_equals_the_scalar_objective_search(search):
                 return replace(cfg, alpha1=a1, alpha2=a2, beta1=b1, beta2=1.0 - b1)
             got = marc_optimize(cfg, "omniscient", opt, asymmetric=True)
             closed_form, ndim = marc_omniscient_sumrate, 3
-        best, evals, _, incomplete = _refine_points(
+        best, evals, _, incomplete = reference_refine_points(
             lambda *point: closed_form(config_for(*point)).sum_rate, ndim, opt)
         assert got.config == config_for(*best)
         assert (got.evaluations, got.incomplete) == (evals, incomplete)

@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from relayrates import (
     optimize_splits,
     rate_report,
 )
+from relayrates import optimizer
 from relayrates.optimizer import (
     _grid_candidates,
     _grid_fractions,
@@ -273,6 +275,44 @@ def test_spacing_search_keeps_every_spacing_apart(node_count):
     assert res.rate == pytest.approx(rate_report(
         res.geometry, PROP, PowerConfig.uniform(node_count, 10.0),
         SplitMatrix.own_only(node_count, 1), 1).rate, rel=1e-12)
+
+
+def test_spacing_search_runs_one_split_search_per_grid_point():
+    # the winner's split search is kept from the grid, not run again
+    outer, inner = [], []
+
+    def recording(func, sink):
+        def call(*args):
+            sink.append(func(*args))
+            return sink[-1]
+        return call
+
+    with mock.patch.object(optimizer, "_refine", recording(optimizer._refine, outer)), \
+         mock.patch.object(optimizer, "optimize_splits", recording(optimize_splits, inner)):
+        res = optimize_spacing(4.0, 5, 2, PowerConfig.uniform(5, 10.0), PROP,
+                               OptimizerConfig(resolution=3, rounds=1, budget=20_000))
+    # every split search runs _refine too; the spacing search's ends last
+    grid_points = outer[-1][1]
+    assert len(inner) == grid_points > 0
+    assert res.evaluations == sum(r.evaluations for r in inner)
+    best = max(inner, key=lambda r: r.rate)
+    assert (res.rate, res.splits) == (best.rate, best.splits)
+
+
+def test_spacing_search_without_a_round_rates_the_box_midpoint():
+    # 9 free spacing coordinates need 2**9 geometries per round, more than
+    # the outer budget of 300, so no round runs and the midpoint is rated
+    power = PowerConfig.uniform(11, 10.0)
+    res = optimize_spacing(10.0, 11, 2, power, PROP)
+    fracs = free_to_fractions(np.full((1, 9), 0.5), (10,))[0]
+    geom = build_linear_geometry(10.0 * (1e-4 + 0.999 * fracs))
+    inner = OptimizerConfig(resolution=9, rounds=2, budget=2000)
+    want = optimize_splits(geom, PROP, power, 2, config=inner)
+    assert res.rate == want.rate
+    assert res.splits == want.splits
+    assert np.array_equal(res.geometry.distances, geom.distances)
+    assert res.incomplete
+    assert res.evaluations == want.evaluations
 
 
 def test_fading_mode_threads_through():

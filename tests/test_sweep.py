@@ -1,3 +1,4 @@
+import copy
 import json
 import tempfile
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from relayrates import ConfigError, SweepAxis, run_experiment, validate_config
 from relayrates.brc import BrcConfig, brc_onehop_common_rate, brc_optimize
-from relayrates.cli import DEFAULT_CONFIGS
+from relayrates.cli import DEFAULT_CONFIGS, apply_override
 from relayrates.marc import MarcConfig, marc_optimize
 
 
@@ -96,6 +97,46 @@ def test_validate_rejects_invalid_optimizer_settings(field, value, message):
         validate_config(mrc_config(optimizer={"rounds": 2, "budget": 800, field: value}))
     assert any(e.startswith(f"optimizer: {message}") for e in exc.value.errors), \
         exc.value.errors
+
+
+# a discrete config short of its table; the other scenarios start from the
+# CLI defaults
+DISCRETE_WITHOUT_TABLE = {
+    "scenario": "discrete",
+    "sweep": {"variable": "k", "start": 1, "stop": 1, "steps": 2},
+    "channel": {"input_sizes": [2, 2], "output_sizes": [2, 2],
+                "inputs": [{"u_pmf": [0.5, 0.5], "x_map": [0, 1]}] * 2},
+}
+
+
+@pytest.mark.parametrize("scenario,overrides,message", [
+    ("discrete", {}, "channel: discrete scenario requires 'table'"),
+    ("marc", {"channel.p3": "loud"}, "channel.p3 must be a number"),
+    ("mrc", {"channel.node_count": 2.5}, "channel.node_count must be an integer >= 3"),
+    ("marc", {"channel.p3": -1.0}, "channel.p3 must be non-negative"),
+    ("mrc", {"strategies.0": 1}, "strategies[0]: must be an object"),
+    ("marc", {"strategies.0.which": "twohop"},
+     "strategies[0].which must be 'onehop' or 'omniscient'"),
+    ("large", {"strategies": [{"k": 1}]},
+     "strategies[0]: scenario 'large' takes no strategy list entries beyond the default"),
+    ("mrc", {"sweep": []}, "sweep must be an object"),
+    ("mrc", {"sweep.bogus": 1}, "sweep: unknown key 'bogus'"),
+    ("mrc", {"sweep.start": 0.0}, "sweep: log spacing needs a positive start"),
+    ("marc", {"sweep.variable": "d34", "sweep.start": 0.0, "sweep.log": False},
+     "sweep.start must be positive for a d34 sweep"),
+    ("mrc", {"sweep.start": -1.0, "sweep.log": False},
+     "sweep.start must be non-negative for a power sweep"),
+    ("mrc", {"optimizer": 5}, "optimizer must be an object"),
+    ("mrc", {"mode": "loud"}, "mode must be 'coherent' or 'fading'"),
+])
+def test_validate_reports_each_malformed_section(scenario, overrides, message):
+    raw = copy.deepcopy(DISCRETE_WITHOUT_TABLE if scenario == "discrete"
+                        else DEFAULT_CONFIGS[scenario])
+    for dotted, value in overrides.items():
+        apply_override(raw, dotted, value)
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    assert message in exc.value.errors
 
 
 def test_validate_accepts_integral_float_optimizer_counts():
