@@ -73,9 +73,7 @@ from .marc import (
 from .optimizer import (
     OptimizerConfig,
     OptimumResult,
-    optimize_permutation,
     optimize_rates_over_k,
-    optimize_spacing,
     optimize_splits,
 )
 from .sweep import ConfigError, ExperimentConfig, SweepAxis, run_experiment, validate_config
@@ -134,9 +132,7 @@ __all__ = [
     "marc_optimize",
     "mutual_information",
     "onehop_dmc_rate",
-    "optimize_permutation",
     "optimize_rates_over_k",
-    "optimize_spacing",
     "optimize_splits",
     "point_to_point_rate",
     "rate_report",

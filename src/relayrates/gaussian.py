@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelValidationError, NetworkGeometry, PowerConfig, PropagationModel
-from .coding import CombiningMode, Permutation, SplitMatrix, _carriers
+from .coding import CombiningMode, Permutation, SplitMatrix, SplitValidationError, _carriers
 
 EFFICIENCY_SLACK = 1e-9
 
@@ -152,13 +152,27 @@ def _window(pos_r: np.ndarray, t_count: int, k: int) -> np.ndarray:
     return band
 
 
+def _check_sizes(geometry, power, perm: Permutation) -> None:
+    """Raise ``ChannelValidationError`` unless the power config (T-1 transmit
+    powers) and the relay order are for the geometry's T nodes."""
+    for what, nodes in (("power config", power.transmit_powers.size + 1),
+                        ("permutation", perm.node_count)):
+        if nodes != geometry.node_count:
+            raise ChannelValidationError(
+                f"the {what} is for {nodes} nodes; the geometry has {geometry.node_count}")
+
+
 def _layout(geometry, prop, power, k: int, perm: Permutation):
     """Gain * transmit power from the transmitters at positions 1..T-1
     (columns) to the receivers 2..T by node id (rows, zero at a receiver's
     own position), the receivers' positions, and ``col[p-1, j]``, the column
     of ``SplitMatrix.as_flat`` holding the fraction position p spends on
-    sub-signal p+j (past a row's end: its last column, never read)."""
+    sub-signal p+j (past a row's end: its last column, never read).
+    Checks the sizes and k first: nothing is indexed or allocated past them."""
+    _check_sizes(geometry, power, perm)
     t_count = geometry.node_count
+    if not 1 <= k < t_count:
+        raise SplitValidationError(f"k must be in 1..{t_count - 1}, got {k}")
     order = np.asarray(perm.order)
     tx = order[:-1]
     # a C-order copy: receiver rows contiguous, as the engine's receiver
@@ -379,9 +393,8 @@ def rate_report(
     if failed and not all(2 <= f <= t_count - 1 for f in failed):
         raise ChannelValidationError("only relays (2..T-1) can fail")
     perm = perm or Permutation.identity(t_count)
-    splits.validate_for(t_count, k, perm)
-
     gain, pos_r, col = _layout(geometry, prop, power, k, perm)
+    splits.validate_for(t_count, k, perm)
     failed_pos = np.isin(perm.order[:-1], list(failed)) if failed else None
     coherent = mode is CombiningMode.COHERENT
     flat = splits.as_flat()[:, None]

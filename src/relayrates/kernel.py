@@ -69,8 +69,8 @@ def compile_chain(
     """Receivers by node id; CSR groups by sub-signal position, carriers in
     ascending position within a group."""
     t_count = geometry.node_count
-    n_cols = sum(row_lengths(t_count, k, perm).values())
     gain, pos_r, split_col = _layout(geometry, prop, power, k, perm)
+    n_cols = sum(row_lengths(t_count, k, perm).values())
     entry = ((_window(pos_r, t_count, k) != _CANCEL)[:, :, None]
              & (_carriers(t_count, k) >= 1))
     # reversed carrier axis: carriers in ascending position within a group

@@ -1,7 +1,7 @@
 """Deterministic nested grid-refinement for the max-min rate problems.
 
 The objective min_t R_t has kinks where the bottleneck receiver switches,
-so derivative-free search over the split/spacing simplices is used
+so derivative-free search over the split simplices is used
 throughout.  Simplex rows with m entries are parameterized by m-1 free
 coordinates in [0, 1] via the stick-breaking map, which keeps every grid
 point feasible.
@@ -9,21 +9,18 @@ point feasible.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .channel import NetworkGeometry, PowerConfig, PropagationModel, build_linear_geometry
+from .channel import NetworkGeometry, PowerConfig, PropagationModel
 from .coding import CombiningMode, Permutation, SplitMatrix, row_lengths
-from .gaussian import RateReport, rate_report
+from .gaussian import RateReport, _check_sizes, rate_report
 from .kernel import batch_min_rate, compile_chain
 
-PERMUTATION_NODE_CAP = 9
-SPACING_MIN_SHARE = 1e-3
 SHRINK = 5.0  # each refinement round narrows the box by this factor per axis
 
 
@@ -64,7 +61,6 @@ class OptimumResult:
     evaluations: int
     achieved_tolerance: float
     incomplete: bool
-    geometry: Optional[NetworkGeometry] = None
     permutation: Optional[Permutation] = None
 
 
@@ -237,6 +233,7 @@ def optimize_splits(
     """
     t_count = geometry.node_count
     perm = perm or Permutation.identity(t_count)
+    _check_sizes(geometry, power, perm)
     lengths = tuple(row_lengths(t_count, k, perm)[t] for t in range(1, t_count))
     ndim = sum(m - 1 for m in lengths)
 
@@ -274,101 +271,6 @@ def optimize_splits(
     fracs = free_to_fractions(best_free[None, :], lengths)[0]
     splits = SplitMatrix.from_flat(fracs, lengths)
     return result_for(splits, evals, achieved, incomplete)
-
-
-def optimize_permutation(
-    geometry: NetworkGeometry,
-    prop: PropagationModel,
-    power: PowerConfig,
-    k: int,
-    mode: CombiningMode = CombiningMode.COHERENT,
-    config: OptimizerConfig = OptimizerConfig(),
-) -> OptimumResult:
-    """Best relay ordering by exhaustive enumeration (T capped at 9)."""
-    t_count = geometry.node_count
-    if t_count > PERMUTATION_NODE_CAP:
-        raise ValueError(
-            f"permutation search enumerates (T-2)! orderings and is capped at "
-            f"T={PERMUTATION_NODE_CAP}; pass an explicit permutation instead"
-        )
-    best = None
-    total = 0
-    for relays in itertools.permutations(range(2, t_count)):
-        perm = Permutation((1,) + relays + (t_count,))
-        res = optimize_splits(geometry, prop, power, k, perm, mode, config)
-        total += res.evaluations
-        if best is None or res.rate > best.rate:
-            best = res
-    return replace(best, evaluations=total)
-
-
-def optimize_spacing(
-    span: float,
-    node_count: int,
-    k: int,
-    power: PowerConfig,
-    prop: PropagationModel,
-    config: OptimizerConfig = OptimizerConfig(),
-    mode: CombiningMode = CombiningMode.COHERENT,
-) -> OptimumResult:
-    """Best linear node placement with total length ``span``.
-
-    Searches the T-1 positive spacings (a scaled simplex) through
-    ``_refine``: each candidate geometry is itself optimized over splits with
-    a reduced inner budget (one evaluation when k = 1, whose split is fixed).
-    The result is the best geometry's split optimum, kept from the search,
-    with ``geometry`` set, ``evaluations`` summing every inner search, and
-    the outer search's ``achieved_tolerance`` and ``incomplete``.  When the
-    outer budget runs out before its first round, the result is the split
-    optimum of the box midpoint.  Every spacing is at least
-    ``SPACING_MIN_SHARE`` of the equal spacing span / (T-1).
-    """
-    if span <= 0.0:
-        raise ValueError("span must be positive")
-    perm = Permutation.identity(node_count)
-    inner_config = replace(
-        config,
-        resolution=min(config.resolution, 9),
-        rounds=max(config.rounds - 1, 1),
-        budget=max(2_000, config.budget // 200),
-    )
-
-    floor = SPACING_MIN_SHARE / (node_count - 1)
-    inner_evals = 0
-    # the (result, geometry) of the point _refine picks: the first strict best
-    best, best_rate = None, -math.inf
-
-    def optimize_at(fracs):
-        nonlocal inner_evals
-        geom = build_linear_geometry(span * (floor + (1.0 - SPACING_MIN_SHARE) * fracs))
-        res = optimize_splits(geom, prop, power, k, perm, mode, inner_config)
-        inner_evals += res.evaluations
-        return res, geom
-
-    def evaluate(axes):
-        nonlocal best, best_rate
-        rates = []
-        for fracs in _grid_fractions(axes, (node_count - 1,)):
-            res, geom = optimize_at(fracs)
-            if res.rate > best_rate:
-                best, best_rate = (res, geom), res.rate
-            rates.append(res.rate)
-        return np.array(rates)
-
-    # outer budget counts geometries; each costs one split optimization
-    inner_cost = 1 if k == 1 else inner_config.budget
-    outer = replace(config, budget=max(300, config.budget // inner_cost))
-    best_free, _, achieved, incomplete = _refine(evaluate, node_count - 2, outer)
-    if best is None:
-        best = optimize_at(free_to_fractions(best_free[None, :], (node_count - 1,))[0])
-    res, geom = best
-    return replace(
-        res,
-        evaluations=inner_evals,
-        achieved_tolerance=achieved,
-        incomplete=incomplete,
-        geometry=geom,
-    )
 
 
 def optimize_rates_over_k(

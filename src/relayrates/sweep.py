@@ -87,6 +87,13 @@ class ExperimentConfig:
     mode: CombiningMode = CombiningMode.COHERENT
 
 
+def _number(value, kind=float):
+    """``kind(value)`` for a JSON number; ``True`` and ``False`` are none."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return kind(value)
+
+
 def _check_channel(scenario, raw, errors):
     """Validate per-scenario channel parameters; returns a cleaned dict."""
     known = {
@@ -112,13 +119,13 @@ def _check_channel(scenario, raw, errors):
     for key, val in out.items():
         if key == "spacings":
             if not (isinstance(val, list) and len(val) >= 2
-                    and all(isinstance(v, (int, float)) and 0.0 < v < math.inf
-                            for v in val)):
+                    and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                            and 0.0 < v < math.inf for v in val)):
                 errors.append("channel.spacings must list at least 2 positive, "
                               "finite numbers")
             continue
         try:
-            v = float(val)
+            v = _number(val)
         except (TypeError, ValueError):
             errors.append(f"channel.{key} must be a number")
             continue
@@ -235,7 +242,8 @@ def _check_strategies(scenario, raw, errors):
         else:
             if s.get("omniscient"):
                 tag = "omniscient"
-            elif isinstance(s.get("k"), int) and s["k"] >= 1:
+            elif (isinstance(s.get("k"), int) and not isinstance(s["k"], bool)
+                  and s["k"] >= 1):
                 tag = f"k{s['k']}"
             else:
                 errors.append(f"strategies[{i}]: need integer k >= 1 or omniscient flag")
@@ -285,9 +293,9 @@ def validate_config(raw) -> ExperimentConfig:
                 f"for scenario {scenario!r}, got {var!r}"
             )
         try:
-            start = float(sweep_raw.get("start"))
-            stop = float(sweep_raw.get("stop"))
-            steps = int(sweep_raw.get("steps"))
+            start = _number(sweep_raw.get("start"))
+            stop = _number(sweep_raw.get("stop"))
+            steps = _number(sweep_raw.get("steps"), int)
             use_log = bool(sweep_raw.get("log", False))
             if steps < 2:
                 errors.append("sweep.steps must be at least 2")

@@ -12,7 +12,10 @@ from relayrates import (
     PropagationModel,
     SplitMatrix,
     build_linear_geometry,
+    compile_chain,
     efficiency,
+    failure_impact,
+    optimize_splits,
     point_to_point_rate,
     rate_report,
     reception_rate,
@@ -117,6 +120,35 @@ def test_report_bottleneck_and_tie_break():
     assert report.record(2).rate == report.record(3).rate
     assert report.bottleneck == 2
     assert report.rate == report.record(2).rate
+
+
+FIVE_NODES = build_linear_geometry([1.0] * 4)
+SIZE_CALLS = {
+    "compile_chain": lambda power, perm: compile_chain(
+        FIVE_NODES, PropagationModel(), power, 2, perm, CombiningMode.COHERENT),
+    "rate_report": lambda power, perm: rate_report(
+        FIVE_NODES, PropagationModel(), power, SplitMatrix.own_only(5, 2), 2, perm),
+    "failure_impact": lambda power, perm: failure_impact(
+        FIVE_NODES, PropagationModel(), power, SplitMatrix.own_only(5, 2), 2, {3}, perm),
+    "optimize_splits": lambda power, perm: optimize_splits(
+        FIVE_NODES, PropagationModel(), power, 2, perm),
+}
+
+
+@pytest.mark.parametrize("powers,orders,message", [
+    (6, 5, "the power config is for 6 nodes; the geometry has 5"),
+    (4, 5, "the power config is for 4 nodes; the geometry has 5"),
+    (5, 6, "the permutation is for 6 nodes; the geometry has 5"),
+    (5, 4, "the permutation is for 4 nodes; the geometry has 5"),
+    (5, 3, "the permutation is for 3 nodes; the geometry has 5"),
+], ids=["power_too_long", "power_too_short", "perm_too_long", "perm_too_short",
+        "perm_far_too_short"])
+@pytest.mark.parametrize("call", list(SIZE_CALLS))
+def test_sizes_must_fit_the_geometry(call, powers, orders, message):
+    # the mismatch is named before anything indexes or broadcasts past it
+    with pytest.raises(ChannelValidationError) as exc:
+        SIZE_CALLS[call](PowerConfig.uniform(powers, 10.0), Permutation.identity(orders))
+    assert str(exc.value) == message
 
 
 def test_bad_receiver_rejected():

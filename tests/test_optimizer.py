@@ -1,10 +1,6 @@
-import itertools
-from dataclasses import replace
-from unittest import mock
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relayrates import (
@@ -15,13 +11,10 @@ from relayrates import (
     PropagationModel,
     SplitMatrix,
     build_linear_geometry,
-    optimize_permutation,
     optimize_rates_over_k,
-    optimize_spacing,
     optimize_splits,
     rate_report,
 )
-from relayrates import optimizer
 from relayrates.optimizer import (
     _grid_candidates,
     _grid_fractions,
@@ -202,13 +195,37 @@ def test_extra_splits_never_hurt():
     assert seeded.rate >= plain.rate - 1e-9
 
 
-def test_rates_over_k_monotone():
-    rng = np.random.default_rng(7)
-    geom = build_linear_geometry(rng.uniform(0.5, 1.5, 4))
-    power = PowerConfig.uniform(5, 8.0)
-    results = optimize_rates_over_k(geom, PROP, power, [1, 2, 3, 4])
-    rates = [results[k].rate for k in (1, 2, 3, 4)]
-    assert all(rates[i] <= rates[i + 1] + 1e-9 for i in range(3))
+@st.composite
+def chains_over_k(draw):
+    """A non-uniform chain (T 4-8, spacings U(0.2, 3)), its power per node,
+    a relay order, a mode and a non-empty subset of the hop depths 1..T-1."""
+    t_count = draw(st.integers(4, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spacings = rng.uniform(0.2, 3.0, t_count - 1)
+    relays = rng.permutation(range(2, t_count)).tolist()
+    ks = draw(st.sets(st.integers(1, t_count - 1), min_size=1))
+    return (spacings, draw(st.floats(0.5, 20.0)), Permutation((1, *relays, t_count)),
+            draw(st.sampled_from(list(CombiningMode))), ks)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(chains_over_k())
+@example((np.random.default_rng(7).uniform(0.5, 1.5, 4), 8.0, Permutation.identity(5),
+          CombiningMode.COHERENT, {1, 2, 3, 4}))
+def test_rates_over_k_monotone(chain):
+    # each result is a feasible split rated by the reference path, and the
+    # rates never fall as k grows: a larger k can always embed a smaller one
+    spacings, watts, perm, mode, ks = chain
+    geom = build_linear_geometry(spacings)
+    power = PowerConfig.uniform(geom.node_count, watts)
+    results = optimize_rates_over_k(geom, PROP, power, ks, perm, mode,
+                                    OptimizerConfig(budget=5000))
+    assert sorted(results) == sorted(ks)
+    for k, res in results.items():
+        res.splits.validate_for(geom.node_count, k, perm)
+        assert res.rate == rate_report(geom, PROP, power, res.splits, k, perm, mode).rate
+    rates = [results[k].rate for k in sorted(ks)]
+    assert all(a <= b + 1e-9 for a, b in zip(rates, rates[1:]))
 
 
 def test_budget_exhaustion_is_flagged():
@@ -216,103 +233,6 @@ def test_budget_exhaustion_is_flagged():
     res = optimize_splits(geom, PROP, power, 5,
                           config=OptimizerConfig(budget=100))
     assert res.incomplete
-
-
-def test_identity_permutation_optimal_on_a_line():
-    geom, power = unit_chain(5)
-    res = optimize_permutation(geom, PROP, power, 2,
-                               config=OptimizerConfig(budget=20_000))
-    assert res.permutation == Permutation.identity(5)
-
-
-def test_permutation_result_is_best_ordering_with_summed_evaluations():
-    geom = build_linear_geometry([1.0, 0.7, 1.3, 0.9])
-    power = PowerConfig.uniform(5, 10.0)
-    config = OptimizerConfig(budget=5_000)
-    best, total = None, 0
-    for relays in itertools.permutations(range(2, 5)):
-        res = optimize_splits(geom, PROP, power, 2, Permutation((1,) + relays + (5,)),
-                              config=config)
-        total += res.evaluations
-        if best is None or res.rate > best.rate:
-            best = res
-    got = optimize_permutation(geom, PROP, power, 2, config=config)
-    assert got.evaluations == total
-    assert got == replace(best, evaluations=total)
-
-
-def test_permutation_search_capped():
-    geom, power = unit_chain(10)
-    with pytest.raises(ValueError):
-        optimize_permutation(geom, PROP, power, 1)
-
-
-def test_spacing_search_beats_equal_spacing():
-    power = PowerConfig.uniform(5, 10.0)
-    equal = rate_report(
-        build_linear_geometry([1.0] * 4), PROP, power,
-        SplitMatrix.own_only(5, 1), 1,
-    ).rate
-    res = optimize_spacing(4.0, 5, 1, power, PROP,
-                           config=OptimizerConfig(budget=20_000))
-    assert res.geometry is not None
-    assert res.geometry.distance(1, 5) == pytest.approx(4.0, rel=1e-9)
-    assert res.rate >= equal - 1e-9
-    # the source-side hops shrink to lift the early bottlenecks
-    assert res.geometry.distance(1, 2) < 1.0
-
-
-@pytest.mark.parametrize("node_count", [6, 7, 8])
-def test_spacing_search_keeps_every_spacing_apart(node_count):
-    # stick-breaking coordinates at the edge of their box once shrank the
-    # last spacing to 1e-3 ** (T-2) of the span, below the geometry's floor
-    span = node_count - 1.0
-    res = optimize_spacing(span, node_count, 1, PowerConfig.uniform(node_count, 10.0),
-                           PROP, OptimizerConfig(resolution=5, rounds=2, budget=3000))
-    spacings = np.diff([res.geometry.distance(1, t) for t in range(1, node_count + 1)])
-    assert spacings.sum() == pytest.approx(span, rel=1e-9)
-    assert spacings.min() >= 1e-3 * span / (node_count - 1) * (1 - 1e-9)
-    assert res.rate == pytest.approx(rate_report(
-        res.geometry, PROP, PowerConfig.uniform(node_count, 10.0),
-        SplitMatrix.own_only(node_count, 1), 1).rate, rel=1e-12)
-
-
-def test_spacing_search_runs_one_split_search_per_grid_point():
-    # the winner's split search is kept from the grid, not run again
-    outer, inner = [], []
-
-    def recording(func, sink):
-        def call(*args):
-            sink.append(func(*args))
-            return sink[-1]
-        return call
-
-    with mock.patch.object(optimizer, "_refine", recording(optimizer._refine, outer)), \
-         mock.patch.object(optimizer, "optimize_splits", recording(optimize_splits, inner)):
-        res = optimize_spacing(4.0, 5, 2, PowerConfig.uniform(5, 10.0), PROP,
-                               OptimizerConfig(resolution=3, rounds=1, budget=20_000))
-    # every split search runs _refine too; the spacing search's ends last
-    grid_points = outer[-1][1]
-    assert len(inner) == grid_points > 0
-    assert res.evaluations == sum(r.evaluations for r in inner)
-    best = max(inner, key=lambda r: r.rate)
-    assert (res.rate, res.splits) == (best.rate, best.splits)
-
-
-def test_spacing_search_without_a_round_rates_the_box_midpoint():
-    # 9 free spacing coordinates need 2**9 geometries per round, more than
-    # the outer budget of 300, so no round runs and the midpoint is rated
-    power = PowerConfig.uniform(11, 10.0)
-    res = optimize_spacing(10.0, 11, 2, power, PROP)
-    fracs = free_to_fractions(np.full((1, 9), 0.5), (10,))[0]
-    geom = build_linear_geometry(10.0 * (1e-4 + 0.999 * fracs))
-    inner = OptimizerConfig(resolution=9, rounds=2, budget=2000)
-    want = optimize_splits(geom, PROP, power, 2, config=inner)
-    assert res.rate == want.rate
-    assert res.splits == want.splits
-    assert np.array_equal(res.geometry.distances, geom.distances)
-    assert res.incomplete
-    assert res.evaluations == want.evaluations
 
 
 def test_fading_mode_threads_through():

@@ -128,6 +128,16 @@ DISCRETE_WITHOUT_TABLE = {
      "sweep.start must be non-negative for a power sweep"),
     ("mrc", {"optimizer": 5}, "optimizer must be an object"),
     ("mrc", {"mode": "loud"}, "mode must be 'coherent' or 'fading'"),
+    # JSON booleans are no numbers, though Python's float() and int() take them
+    ("mrc", {"strategies": [{"k": True}]},
+     "strategies[0]: need integer k >= 1 or omniscient flag"),
+    ("mrc", {"channel.power": True}, "channel.power must be a number"),
+    ("marc", {"channel.d34": False}, "channel.d34 must be a number"),
+    ("mrc", {"channel.spacings": [1.0, True, 1.0, 1.0]},
+     "channel.spacings must list at least 2 positive, finite numbers"),
+    ("mrc", {"sweep.start": True}, "sweep needs numeric start/stop and integer steps"),
+    ("mrc", {"sweep.stop": True}, "sweep needs numeric start/stop and integer steps"),
+    ("mrc", {"sweep.steps": True}, "sweep needs numeric start/stop and integer steps"),
 ])
 def test_validate_reports_each_malformed_section(scenario, overrides, message):
     raw = copy.deepcopy(DISCRETE_WITHOUT_TABLE if scenario == "discrete"
