@@ -35,7 +35,7 @@ class NetworkGeometry:
             )
         if not np.all(np.isfinite(d)):
             raise ChannelValidationError("distances must be finite")
-        if not np.allclose(d, d.T, rtol=1e-12, atol=0.0):
+        if not np.all(np.abs(d - d.T) <= 1e-12 * np.abs(d.T)):
             raise ChannelValidationError("distance matrix must be symmetric")
         if np.any(np.diag(d) != 0.0):
             raise ChannelValidationError("self-distances must be zero")

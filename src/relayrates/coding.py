@@ -8,6 +8,7 @@ power over the sub-signals it carries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,6 +72,9 @@ class Permutation:
 
 def row_lengths(node_count: int, k: int, perm: Permutation) -> dict:
     """Number of sub-signals carried by each transmitter, keyed by node id."""
+    if perm.node_count != node_count:
+        raise SplitValidationError(
+            f"the permutation is for {perm.node_count} nodes, not {node_count}")
     if not 1 <= k <= node_count - 1:
         raise SplitValidationError(f"k must be in 1..{node_count - 1}, got {k}")
     out = {}
@@ -117,9 +121,11 @@ class SplitMatrix:
         for idx, row in enumerate(rows):
             if len(row) == 0:
                 raise SplitValidationError(f"row {idx + 1} is empty")
+            if not all(math.isfinite(v) for v in row):
+                raise SplitValidationError(f"row {idx + 1} has a non-finite fraction")
             if any(v < 0.0 for v in row):
                 raise SplitValidationError(f"row {idx + 1} has a negative fraction")
-            if abs(sum(row) - 1.0) > ROW_SUM_TOL:
+            if not abs(sum(row) - 1.0) <= ROW_SUM_TOL:
                 raise SplitValidationError(
                     f"row {idx + 1} must sum to 1, got {sum(row)!r}"
                 )

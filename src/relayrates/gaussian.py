@@ -175,11 +175,13 @@ def _layout(geometry, prop, power, k: int, perm: Permutation):
         raise SplitValidationError(f"k must be in 1..{t_count - 1}, got {k}")
     order = np.asarray(perm.order)
     tx = order[:-1]
-    # a C-order copy: receiver rows contiguous, as the engine's receiver
-    # blocks and compile_chain's gathers read them
-    d = geometry.distances[tx - 1, 1:].T.copy()
-    d = np.where(d > 0.0, d, np.inf)  # no self-gain
-    gain = prop.kappa * d ** (-prop.eta) * power.transmit_powers[tx - 1]
+    # a C-order copy, turned into gains in place: receiver rows contiguous,
+    # as the engine's receiver blocks and compile_chain's gathers read them
+    gain = geometry.distances[tx - 1, 1:].T.copy()
+    gain[gain == 0.0] = np.inf  # no self-gain
+    np.power(gain, -prop.eta, out=gain)
+    np.multiply(prop.kappa, gain, out=gain)
+    np.multiply(gain, power.transmit_powers[tx - 1], out=gain)
     length = np.minimum(k, t_count - np.arange(1, t_count))   # by position
     by_node = np.empty_like(length)
     by_node[tx - 1] = length

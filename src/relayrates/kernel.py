@@ -44,7 +44,11 @@ class ChainProblem:
     """One channel laid out for the engine (``gain``, ``pos_r``, ``split_col``
     from ``gaussian._layout``), with the window's (receiver, decoded or
     interfering sub-signal) groups as CSR over their carriers: the gain *
-    fraction terms one candidate costs."""
+    fraction terms one candidate costs.
+
+    Every receiver's entries are the same carrier template, sub-signals
+    q = 1..T-1 in order and each one's carriers in ascending position, less
+    the one contiguous slice of the sub-signals it cancels."""
 
     n_receivers: int
     n_cols: int
@@ -67,24 +71,33 @@ def compile_chain(
     mode: CombiningMode,
 ) -> ChainProblem:
     """Receivers by node id; CSR groups by sub-signal position, carriers in
-    ascending position within a group."""
+    ascending position within a group.
+
+    The entries come from one template: the min(k, q) carriers of each
+    sub-signal q = 1..T-1 in order, at positions max(1, q-k+1)..q ascending,
+    with their ``split_col`` columns.  A receiver keeps every template entry
+    of the sub-signals it does not cancel (``_window``), so one (receiver,
+    template entry) mask picks both the entries' columns and their gains,
+    and a group's pointer is the running count of the carriers kept."""
     t_count = geometry.node_count
     gain, pos_r, split_col = _layout(geometry, prop, power, k, perm)
     n_cols = sum(row_lengths(t_count, k, perm).values())
-    entry = ((_window(pos_r, t_count, k) != _CANCEL)[:, :, None]
-             & (_carriers(t_count, k) >= 1))
-    # reversed carrier axis: carriers in ascending position within a group
-    r_idx, q_idx, j_rev = np.nonzero(entry[:, :, ::-1])
-    j = k - 1 - j_rev
-    p_idx = q_idx - j                          # carrier at position q - j
-    first = np.flatnonzero(np.diff(r_idx * t_count + q_idx, prepend=-1))
+    tx = _carriers(t_count, k)[:, ::-1]         # ascending position per q
+    present = tx >= 1
+    pos = tx[present] - 1                       # 0-based carrier position
+    col = split_col[pos, (np.arange(1, t_count)[:, None] - tx)[present]].astype(np.int32)
+    width = present.sum(axis=1)                 # min(k, q) carriers of q
+    kept = _window(pos_r, t_count, k) != _CANCEL
+    keep = kept[:, np.repeat(np.arange(t_count - 1), width)]
+    grp_ptr = np.zeros(np.count_nonzero(kept) + 1, dtype=np.int64)
+    np.cumsum(np.broadcast_to(width, kept.shape)[kept], out=grp_ptr[1:])
 
     return ChainProblem(
         n_receivers=t_count - 1,
         n_cols=n_cols,
-        grp_ptr=np.append(first, r_idx.size).astype(np.int64),
-        ent_const=gain.ravel()[r_idx * (t_count - 1) + p_idx],
-        ent_col=split_col.ravel()[p_idx * k + j].astype(np.int32),
+        grp_ptr=grp_ptr,
+        ent_const=gain[:, pos][keep],
+        ent_col=np.broadcast_to(col, keep.shape)[keep],
         noise=np.array(power.noise_powers, dtype=np.float64),
         coherent=mode is CombiningMode.COHERENT,
         gain=gain,

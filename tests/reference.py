@@ -22,6 +22,12 @@ by ``free_to_fractions`` as a whole, the form the library's row-by-row grid
 map replaces.  They share the kernel, the grid axes and the box schedule
 with the library, so they check only the map and the search around it.
 
+``reference_chain_csr`` builds ``compile_chain``'s CSR the way the library
+did before its carrier template: a (receiver, sub-signal, carrier) mask, its
+``np.nonzero`` and a group search over the flat (receiver, sub-signal)
+index.  It shares ``_layout``, ``_window`` and ``_carriers`` with the library,
+so it checks only the CSR built from them.
+
 ``reference_refine_points`` runs the library's grid refinement on an
 objective that rates one point at a time, the scalar form of the MARC and
 BRC searches' whole-array evaluators.
@@ -42,6 +48,8 @@ from relayrates import (
     rate_report,
     row_lengths,
 )
+from relayrates.coding import _carriers
+from relayrates.gaussian import _CANCEL, _layout, _window
 from relayrates.optimizer import (
     OptimumResult,
     _grid_axes,
@@ -167,6 +175,23 @@ def reference_joint(channel, inputs, k, perm=None):
         )
         joint[u] = (prob * flat_channel[x]).reshape(channel.output_sizes)
     return joint
+
+
+def reference_chain_csr(geometry, prop, power, k, perm):
+    """``(grp_ptr, ent_const, ent_col)`` of ``compile_chain`` from the 3-D
+    entry mask."""
+    t_count = geometry.node_count
+    gain, pos_r, split_col = _layout(geometry, prop, power, k, perm)
+    entry = ((_window(pos_r, t_count, k) != _CANCEL)[:, :, None]
+             & (_carriers(t_count, k) >= 1))
+    # reversed carrier axis: carriers in ascending position within a group
+    r_idx, q_idx, j_rev = np.nonzero(entry[:, :, ::-1])
+    j = k - 1 - j_rev
+    p_idx = q_idx - j                          # carrier at position q - j
+    first = np.flatnonzero(np.diff(r_idx * t_count + q_idx, prepend=-1))
+    return (np.append(first, r_idx.size).astype(np.int64),
+            gain.ravel()[r_idx * (t_count - 1) + p_idx],
+            split_col.ravel()[p_idx * k + j].astype(np.int32))
 
 
 def reference_optimize_splits(geometry, prop, power, k, perm=None,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,27 @@ def test_split_rows_must_sum_to_one():
         SplitMatrix(((1.5, -0.5), (1.0,)))
     sm = SplitMatrix(((0.25, 0.75), (1.0,)))
     assert sm.row(1) == (0.25, 0.75)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_split_rows_reject_non_finite_fractions(bad):
+    # NaN passes both v < 0 and |sum - 1| > tol, so it needs its own check
+    with pytest.raises(SplitValidationError, match="row 1 has a non-finite fraction"):
+        SplitMatrix(((bad, 1.0), (1.0,)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda perm: row_lengths(5, 2, perm),
+    lambda perm: carrier_layout(5, 2, perm),
+    lambda perm: SplitMatrix.own_only(5, 2, perm),
+    lambda perm: SplitMatrix.uniform(5, 2, perm),
+    lambda perm: SplitMatrix.own_only(5, 1).embed(5, 1, 2, perm),
+], ids=["row_lengths", "carrier_layout", "own_only", "uniform", "embed"])
+@pytest.mark.parametrize("nodes", [3, 6], ids=["short", "long"])
+def test_helpers_reject_a_permutation_for_another_node_count(call, nodes):
+    with pytest.raises(SplitValidationError,
+                       match=f"the permutation is for {nodes} nodes, not 5"):
+        call(Permutation.identity(nodes))
 
 
 def test_split_constructors():

@@ -28,7 +28,7 @@ from relayrates import (
 from relayrates import gaussian, kernel
 from relayrates.gaussian import _convolve_runs, _lag_powers
 
-from reference import reference_lag_powers, reference_records
+from reference import reference_chain_csr, reference_lag_powers, reference_records
 
 REL = 1e-12
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -112,6 +112,19 @@ def test_compiled_kernel_matches_oracle(case):
     rate = batch_min_rate(problem, splits.as_flat()[None, :])[0]
     want = reference_records(geom, prop, power, splits, k, perm, mode)
     assert close(rate, min(w.rate for w in want))
+
+
+@PROPERTY
+@given(channels(max_nodes=60))
+def test_chain_csr_matches_the_entry_mask(case):
+    # the carrier template must give the 3-D mask's arrays to the bit, in
+    # the same order and dtypes
+    geom, prop, power, _, k, perm, mode, _ = case
+    problem = compile_chain(geom, prop, power, k, perm, mode)
+    got = (problem.grp_ptr, problem.ent_const, problem.ent_col)
+    for a, b in zip(got, reference_chain_csr(geom, prop, power, k, perm)):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
 
 
 @st.composite

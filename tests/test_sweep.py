@@ -149,6 +149,17 @@ def test_validate_reports_each_malformed_section(scenario, overrides, message):
     assert message in exc.value.errors
 
 
+def test_validate_takes_only_whole_sweep_steps():
+    raw = copy.deepcopy(DEFAULT_CONFIGS["mrc"])
+    apply_override(raw, "sweep.steps", 2.7)
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    assert exc.value.errors == ("sweep needs numeric start/stop and integer steps",)
+    apply_override(raw, "sweep.steps", 3.0)
+    steps = validate_config(raw).sweep.steps
+    assert steps == 3 and type(steps) is int
+
+
 def test_validate_accepts_integral_float_optimizer_counts():
     # JSON and --set give 1e3 as a float; it is stored as an int
     opt = validate_config(mrc_config(optimizer={"budget": 1e3, "rounds": 2.0})).optimizer
