@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NetworkGeometry, PowerConfig, PropagationModel
-from .coding import CombiningMode, Permutation, _carriers, row_lengths
+from .coding import CombiningMode, Permutation, _carriers
 from .gaussian import (_CANCEL, _DECODE, _NOISE, _block_size, _carrier_pairs, _contract,
                        _layout, _plan, _scratch_size, _window)
 
@@ -81,7 +81,6 @@ def compile_chain(
     and a group's pointer is the running count of the carriers kept."""
     t_count = geometry.node_count
     gain, pos_r, split_col = _layout(geometry, prop, power, k, perm)
-    n_cols = sum(row_lengths(t_count, k, perm).values())
     tx = _carriers(t_count, k)[:, ::-1]         # ascending position per q
     present = tx >= 1
     pos = tx[present] - 1                       # 0-based carrier position
@@ -94,7 +93,7 @@ def compile_chain(
 
     return ChainProblem(
         n_receivers=t_count - 1,
-        n_cols=n_cols,
+        n_cols=int(width.sum()),   # one template entry per split column
         grp_ptr=grp_ptr,
         ent_const=gain[:, pos][keep],
         ent_col=np.broadcast_to(col, keep.shape)[keep],
