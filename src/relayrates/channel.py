@@ -35,12 +35,14 @@ class NetworkGeometry:
             )
         if not np.all(np.isfinite(d)):
             raise ChannelValidationError("distances must be finite")
-        if not np.all(np.abs(d - d.T) <= 1e-12 * np.abs(d.T)):
+        # exact symmetry, as line geometries have it, settles the 1e-12 test
+        if not (np.array_equal(d, d.T)
+                or np.all(np.abs(d - d.T) <= 1e-12 * np.abs(d.T))):
             raise ChannelValidationError("distance matrix must be symmetric")
         if np.any(np.diag(d) != 0.0):
             raise ChannelValidationError("self-distances must be zero")
-        off = d[~np.eye(d.shape[0], dtype=bool)]
-        if np.any(off < MIN_DISTANCE_M):
+        # the zero diagonal accounts for exactly T entries below the floor
+        if np.count_nonzero(d < MIN_DISTANCE_M) > d.shape[0]:
             raise ChannelValidationError(
                 f"off-diagonal distances must be >= {MIN_DISTANCE_M} m"
             )

@@ -2,21 +2,23 @@
 
 The grid-refinement optimizer evaluates one channel at hundreds of thousands
 of candidate splits: ``compile_chain`` lays the channel out once for the
-engine of ``gaussian``, and each ``batch_min_rate`` call turns the layout
-into weights over carrier-pair features (``_pair_features``, the pair
-expansion of ``gaussian``) and rates blocks of candidates with one matrix
-product each, (decode and noise rows of every receiver, feature) @
-(feature, candidate), into buffers it allocates once.  Where the features
+engine of ``gaussian``, and the first ``batch_min_rate`` call on that
+``ChainProblem`` turns the layout into weights over carrier-pair features
+(``_pair_features``, the pair expansion of ``gaussian``), which the problem
+then holds for every later call.  Each call rates blocks of candidates with
+one matrix product each, (decode and noise rows of every receiver, feature)
+@ (feature, candidate), into buffers it allocates once.  Where the features
 would outgrow the candidates' fractions (coherent k >= 4) or the weights
-their budget (k near T-1 on long chains), the call plans ``gaussian``'s
-per-sub-signal contraction once instead and streams the blocks through
-it; ``rate_report`` always takes the contraction.  The two agree to 1e-12
-relative.
+their budget (k near T-1 on long chains), the call takes ``gaussian``'s
+per-sub-signal contraction instead, planned on first use and likewise held
+by the problem, and streams the blocks through it; ``rate_report`` always
+takes the contraction.  The two agree to 1e-12 relative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +50,12 @@ class ChainProblem:
 
     Every receiver's entries are the same carrier template, sub-signals
     q = 1..T-1 in order and each one's carriers in ascending position, less
-    the one contiguous slice of the sub-signals it cancels."""
+    the one contiguous slice of the sub-signals it cancels.
+
+    The problem also holds its batch plan: the pair weights of
+    ``_pair_features`` or the contraction's ``_Plan``, each built by the
+    first ``batch_min_rate`` call that takes it, never by
+    ``compile_chain``."""
 
     n_receivers: int
     n_cols: int
@@ -60,6 +67,16 @@ class ChainProblem:
     gain: np.ndarray        # receivers 2..T by transmitter position
     pos_r: np.ndarray       # positions of receivers 2..T
     split_col: np.ndarray   # flat split column by (transmitter position, slot)
+
+    @cached_property
+    def _pairs(self):
+        """``_pair_features(self)``, built on first use."""
+        return _pair_features(self)
+
+    @cached_property
+    def _contraction(self):
+        """The contraction's ``_Plan`` of every receiver, built on first use."""
+        return _plan(self.gain, self.pos_r, self.split_col, self.coherent)
 
 
 def compile_chain(
@@ -161,8 +178,9 @@ def _pair_powers(problem: ChainProblem, width: int):
     """The block evaluator of the pair product: a function of a block of up
     to ``width`` candidates (one per row) that returns their signal and
     interference power, each (receivers, padded block), from one matrix
-    product, ``_pair_features``' weights @ (feature, candidate)."""
-    weights, cols, slabs = _pair_features(problem)
+    product, the problem's ``_pair_features`` weights @ (feature,
+    candidate)."""
+    weights, cols, slabs = problem._pairs
     n_feat, n_rcv, n_cols = weights.shape[1], problem.n_receivers, problem.n_cols
     feat_buf = np.empty(n_feat * width)
     power_buf = np.empty(2 * n_rcv * width)
@@ -185,10 +203,10 @@ def _pair_powers(problem: ChainProblem, width: int):
 
 def _contracted_powers(problem: ChainProblem, width: int):
     """``_pair_powers``' block evaluator through ``gaussian``'s
-    per-sub-signal contraction, planned once for all receivers."""
+    per-sub-signal contraction, with the problem's plan of all receivers."""
     n_rcv, n_cols = problem.n_receivers, problem.n_cols
     k = problem.split_col.shape[1]
-    plan = _plan(problem.gain, problem.pos_r, problem.split_col, problem.coherent)
+    plan = problem._contraction
     scratch = np.empty(_scratch_size(n_rcv + 1, k, n_rcv, width))
     cand_buf = np.empty(n_cols * width)
     power_buf = np.empty((2, n_rcv * width))
@@ -215,9 +233,12 @@ def batch_min_rate(problem: ChainProblem, cands: np.ndarray) -> np.ndarray:
     the features would pass ``_PAIR_WIDTH`` or their weights
     ``_PAIR_ELEMENTS``, through the contraction of ``gaussian``
     (``_contracted_powers``); the lowest SINR over receivers then takes one
-    log2 per candidate.  Blocks are zero-padded to a multiple of ``_PAD``
-    candidates: BLAS then runs every candidate through the same full-width
-    tiles, so a rate does not depend on the block it falls in."""
+    log2 per candidate.  Each call chooses between the two and sizes its
+    blocks afresh; the weights or the plan it takes are the problem's,
+    built by the first call that needs them.  Blocks are zero-padded to a
+    multiple of ``_PAD`` candidates: BLAS then runs every candidate through
+    the same full-width tiles, so a rate does not depend on the block it
+    falls in."""
     cands = np.asarray(cands, dtype=np.float64)
     if cands.ndim != 2 or cands.shape[1] != problem.n_cols:
         raise ValueError(f"candidates must have shape (n, {problem.n_cols}), "

@@ -9,6 +9,7 @@ point feasible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -22,6 +23,10 @@ from .gaussian import RateReport, _check_sizes, rate_report
 from .kernel import batch_min_rate, compile_chain
 
 SHRINK = 5.0  # each refinement round narrows the box by this factor per axis
+
+# a grid round reaches the kernel in slabs of at most this many split
+# fractions (8 bytes each), never as one (points, fractions) array
+_SLAB_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,27 @@ def _grid_fractions(axes, lengths):
     return out
 
 
+def _grid_slabs(axes, n_cols):
+    """The ``ij`` grid over ``axes`` as consecutive runs of its C order, each
+    as large as ``_SLAB_ELEMENTS`` allows at ``n_cols`` fractions a point
+    (one point at least): lists of axes with the leading ones cut to one
+    value, the next to a run of consecutive values and the rest whole."""
+    cap = max(1, _SLAB_ELEMENTS // n_cols)
+    cut, tail = len(axes), 1        # axes[cut:] fit whole, tail points
+    while cut > 0 and tail * axes[cut - 1].size <= cap:
+        cut -= 1
+        tail *= axes[cut].size
+    if cut == 0:
+        yield axes
+        return
+    run, whole = cap // tail, axes[cut:]
+    cut -= 1
+    for lead in itertools.product(*(range(axis.size) for axis in axes[:cut])):
+        fixed = [axis[i:i + 1] for axis, i in zip(axes, lead)]
+        for lo in range(0, axes[cut].size, run):
+            yield [*fixed, axes[cut][lo:lo + run], *whole]
+
+
 def _grid_point(axes, idx):
     """Row ``idx`` of ``_grid_candidates(axes)``, without building the grid."""
     point = np.empty(len(axes))
@@ -227,9 +253,11 @@ def optimize_splits(
     ``extra_splits`` are always-evaluated candidates (e.g. the optimum of a
     smaller k embedded with zero forward mass), which keeps optimized rates
     monotone in k by feasible-set nesting.  They are rated as points, in one
-    batch before the grid; each grid round reaches the kernel as split
-    fractions built from its axes by ``_grid_fractions``, without its (n,
-    ndim) array of free coordinates.
+    batch before the grid.  Each grid round is rated in consecutive slabs of
+    its C order (``_grid_slabs``), at most ``_SLAB_ELEMENTS`` split
+    fractions each, built from the slab's axes by ``_grid_fractions``
+    without an array of free coordinates; the kernel rates a candidate alike
+    in any batch, so the slabs change no rate.
     """
     t_count = geometry.node_count
     perm = perm or Permutation.identity(t_count)
@@ -256,7 +284,8 @@ def optimize_splits(
     problem = compile_chain(geometry, prop, power, k, perm, mode)
 
     def evaluate(axes):
-        return batch_min_rate(problem, _grid_fractions(axes, lengths))
+        return np.concatenate([batch_min_rate(problem, _grid_fractions(slab, lengths))
+                               for slab in _grid_slabs(axes, problem.n_cols)])
 
     extras = []
     for sm in extra_splits:

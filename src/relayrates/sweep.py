@@ -88,9 +88,10 @@ class ExperimentConfig:
 
 
 def _number(value, kind=float):
-    """``kind(value)`` for a JSON number; ``True`` and ``False`` are none,
-    and an ``int`` is whole: 3.0 gives 3, 2.7 is refused, not truncated."""
-    if isinstance(value, bool):
+    """``kind(value)`` for a JSON number; ``True``, ``False`` and strings
+    such as ``"10"`` are none, and an ``int`` is whole: 3.0 gives 3, 2.7 is
+    refused, not truncated."""
+    if isinstance(value, (bool, str)):
         raise TypeError(f"expected a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")

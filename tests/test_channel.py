@@ -31,6 +31,28 @@ def test_geometry_rejects_asymmetry_and_zero_distance():
         NetworkGeometry(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("distances,message", [
+    (np.zeros((3, 4)), "distance matrix must be square"),
+    (np.zeros(3), "distance matrix must be square"),
+    (np.zeros((2, 2)), "need at least 3 nodes (source, one relay, destination)"),
+    ([[0, 1, 2], [1, 0, np.nan], [2, np.nan, 0]], "distances must be finite"),
+    ([[0, 1, 2], [1, 0, np.inf], [2, np.inf, 0]], "distances must be finite"),
+    ([[0, 1, 2], [1 + 2e-12, 0, 1], [2, 1, 0]], "distance matrix must be symmetric"),
+    ([[1e-12, 1, 2], [1, 0, 1], [2, 1, 0]], "self-distances must be zero"),
+    ([[0, 1e-10, 2], [1e-10, 0, 1], [2, 1, 0]], "off-diagonal distances must be >= 1e-09 m"),
+    ([[0, 1, -2], [1, 0, 1], [-2, 1, 0]], "off-diagonal distances must be >= 1e-09 m"),
+])
+def test_geometry_rejection_messages(distances, message):
+    with pytest.raises(ChannelValidationError) as exc:
+        NetworkGeometry(distances)
+    assert str(exc.value) == message
+
+
+def test_geometry_symmetry_tolerates_1e12_relative():
+    d = np.array([[0.0, 1.0, 2.0], [1.0 + 5e-13, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    assert NetworkGeometry(d).distance(2, 1) == 1.0 + 5e-13
+
+
 def test_geometry_is_read_only():
     geom = build_linear_geometry([1.0, 1.0])
     with pytest.raises(ValueError):

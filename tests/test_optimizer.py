@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,14 +12,19 @@ from relayrates import (
     PowerConfig,
     PropagationModel,
     SplitMatrix,
+    batch_min_rate,
     build_linear_geometry,
+    compile_chain,
     optimize_rates_over_k,
     optimize_splits,
     rate_report,
+    row_lengths,
 )
+from relayrates import kernel, optimizer
 from relayrates.optimizer import (
     _grid_candidates,
     _grid_fractions,
+    _grid_slabs,
     fractions_to_free,
     free_to_fractions,
 )
@@ -86,6 +93,18 @@ def test_grid_fractions_match_the_expanded_map(rows):
     got = _grid_fractions(axes, lengths)
     assert np.array_equal(got, free_to_fractions(_grid_candidates(axes), lengths))
     assert got.flags.f_contiguous
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(grid_rows(), st.integers(1, 64), st.integers(1, 6))
+def test_grid_slabs_cover_the_grid_in_order(rows, elements, n_cols):
+    _, axes = rows
+    with mock.patch.object(optimizer, "_SLAB_ELEMENTS", elements):
+        slabs = list(_grid_slabs(axes, n_cols))
+    cap = max(1, elements // n_cols)
+    assert all(len(_grid_candidates(slab)) <= cap for slab in slabs)
+    assert np.array_equal(np.concatenate([_grid_candidates(slab) for slab in slabs]),
+                          _grid_candidates(axes))
 
 
 def assert_same_result(got, want):
@@ -240,3 +259,70 @@ def test_fading_mode_threads_through():
     coh = optimize_splits(geom, PROP, power, 2, mode=CombiningMode.COHERENT)
     fad = optimize_splits(geom, PROP, power, 2, mode=CombiningMode.FADING)
     assert fad.rate <= coh.rate + 1e-9
+
+
+@st.composite
+def slabbed_searches(draw):
+    """A non-uniform chain (T 4-8, spacings U(0.2, 3)) with a random relay
+    order, a mode, a hop depth of 1-9 free coordinates, an evaluation budget
+    from one corner grid (2**ndim points) up and a slab budget of 1-400
+    split fractions."""
+    t_count = draw(st.integers(4, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spacings = rng.uniform(0.2, 3.0, t_count - 1)
+    perm = Permutation((1, *rng.permutation(range(2, t_count)).tolist(), t_count))
+    free = {k: sum(m - 1 for m in row_lengths(t_count, k, perm).values())
+            for k in range(2, t_count)}
+    k = draw(st.sampled_from([k for k, ndim in free.items() if ndim <= 9]))
+    budget = draw(st.integers(2 ** free[k], 2 ** free[k] + 2500))
+    return (spacings, perm, draw(st.sampled_from(list(CombiningMode))), k, budget,
+            draw(st.integers(1, 400)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(slabbed_searches())
+def test_slabs_change_no_search_result(search):
+    # ragged, many-slab rounds give the one-slab search's point bit for bit
+    spacings, perm, mode, k, budget, elements = search
+    geom = build_linear_geometry(spacings)
+    power = PowerConfig.uniform(geom.node_count, 10.0)
+    config = OptimizerConfig(budget=budget)
+    with mock.patch.object(optimizer, "_SLAB_ELEMENTS", 1 << 62):
+        want = optimize_splits(geom, PROP, power, k, perm, mode, config)
+    with mock.patch.object(optimizer, "_SLAB_ELEMENTS", elements):
+        got = optimize_splits(geom, PROP, power, k, perm, mode, config)
+    assert_same_result(got, want)
+
+
+@pytest.mark.parametrize("node_count,k,mode,builder", [
+    (7, 2, CombiningMode.COHERENT, "_pair_features"),
+    (7, 3, CombiningMode.FADING, "_pair_features"),
+    (6, 4, CombiningMode.COHERENT, "_plan"),
+])
+def test_batch_plan_built_once_per_problem(monkeypatch, node_count, k, mode, builder):
+    # compile_chain builds no plan; the first batch_min_rate call builds the
+    # problem's, and later calls and a slabbed search reuse it
+    built = []
+    original = getattr(kernel, builder)
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernel, builder, counted)
+    rng = np.random.default_rng(k)
+    geom = build_linear_geometry(rng.uniform(0.2, 3.0, node_count - 1))
+    power = PowerConfig.uniform(node_count, 10.0)
+    perm = Permutation((1, *rng.permutation(range(2, node_count)).tolist(), node_count))
+    problem = compile_chain(geom, PROP, power, k, perm, mode)
+    assert built == []
+    lengths = tuple(row_lengths(node_count, k, perm)[t] for t in range(1, node_count))
+    for n in (1, 40, 3):
+        free = rng.random((n, sum(m - 1 for m in lengths)))
+        batch_min_rate(problem, free_to_fractions(free, lengths))
+    assert len(built) == 1
+    built.clear()
+    monkeypatch.setattr(optimizer, "_SLAB_ELEMENTS", 64)
+    with mock.patch.object(optimizer, "batch_min_rate", wraps=batch_min_rate) as rated:
+        optimize_splits(geom, PROP, power, k, perm, mode, OptimizerConfig(budget=2000))
+    assert rated.call_count > 4 and len(built) == 1

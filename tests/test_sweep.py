@@ -138,6 +138,9 @@ DISCRETE_WITHOUT_TABLE = {
     ("mrc", {"sweep.start": True}, "sweep needs numeric start/stop and integer steps"),
     ("mrc", {"sweep.stop": True}, "sweep needs numeric start/stop and integer steps"),
     ("mrc", {"sweep.steps": True}, "sweep needs numeric start/stop and integer steps"),
+    # nor are JSON strings, though float() and int() parse them
+    ("mrc", {"channel.power": "10"}, "channel.power must be a number"),
+    ("mrc", {"sweep.steps": "3"}, "sweep needs numeric start/stop and integer steps"),
 ])
 def test_validate_reports_each_malformed_section(scenario, overrides, message):
     raw = copy.deepcopy(DISCRETE_WITHOUT_TABLE if scenario == "discrete"
