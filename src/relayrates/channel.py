@@ -18,6 +18,16 @@ class ChannelValidationError(ValueError):
     """Raised when a geometry, propagation, or power description is invalid."""
 
 
+def _read_only(value, dtype=float) -> np.ndarray:
+    """``value`` as a read-only array, copied first only if it is the
+    caller's own writeable array, which ``np.asarray`` hands back uncopied."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.flags.writeable and (arr is value or arr.base is not None):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class NetworkGeometry:
     """Pairwise distances between the T nodes of a relay network."""
@@ -25,7 +35,7 @@ class NetworkGeometry:
     distances: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.distances, dtype=float)
+        d = _read_only(self.distances)
         object.__setattr__(self, "distances", d)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ChannelValidationError("distance matrix must be square")
@@ -46,7 +56,6 @@ class NetworkGeometry:
             raise ChannelValidationError(
                 f"off-diagonal distances must be >= {MIN_DISTANCE_M} m"
             )
-        d.setflags(write=False)
 
     @property
     def node_count(self) -> int:
@@ -72,7 +81,9 @@ def build_linear_geometry(spacings) -> NetworkGeometry:
         pos = np.concatenate([[0.0], np.cumsum(s)])
     if not np.isfinite(pos[-1]):   # positions increase, so the last is largest
         raise ChannelValidationError("the spacings must sum to a finite length")
-    return NetworkGeometry(np.abs(pos[:, None] - pos[None, :]))
+    d = np.abs(pos[:, None] - pos[None, :])
+    d.setflags(write=False)
+    return NetworkGeometry(d)
 
 
 @dataclass(frozen=True)
@@ -106,8 +117,8 @@ class PowerConfig:
     noise_powers: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.transmit_powers, dtype=float)
-        n = np.asarray(self.noise_powers, dtype=float)
+        p = _read_only(self.transmit_powers)
+        n = _read_only(self.noise_powers)
         object.__setattr__(self, "transmit_powers", p)
         object.__setattr__(self, "noise_powers", n)
         if p.ndim != 1 or n.ndim != 1 or p.size != n.size:
@@ -122,15 +133,12 @@ class PowerConfig:
             raise ChannelValidationError(
                 "noise powers must be strictly positive and finite"
             )
-        p.setflags(write=False)
-        n.setflags(write=False)
 
     @classmethod
     def uniform(cls, node_count: int, power: float, noise: float = 1.0) -> "PowerConfig":
-        return cls(
-            np.full(node_count - 1, float(power)),
-            np.full(node_count - 1, float(noise)),
-        )
+        rows = np.repeat([[float(power)], [float(noise)]], node_count - 1, axis=1)
+        rows.setflags(write=False)
+        return cls(*rows)
 
     def transmit_power(self, i: int) -> float:
         """Average transmit power of node i (1-based, i <= T-1)."""

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _read_only
 from .coding import Permutation, row_lengths
 
 MASS_TOL = 1e-12
@@ -35,7 +36,7 @@ class JointPmf:
 
     def __post_init__(self):
         labels = tuple(str(v) for v in self.labels)
-        table = np.asarray(self.table, dtype=float)
+        table = _read_only(self.table)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "table", table)
         if len(labels) != table.ndim:
@@ -47,7 +48,6 @@ class JointPmf:
         # negated so that a NaN or infinite entry fails too
         if not abs(float(table.sum()) - 1.0) <= MASS_TOL:
             raise PmfValidationError(f"total mass must be 1, got {table.sum()!r}")
-        table.setflags(write=False)
 
     def axes_of(self, labels) -> tuple:
         try:
@@ -99,7 +99,7 @@ class DmcChannel:
     def __post_init__(self):
         ins = tuple(int(v) for v in self.input_sizes)
         outs = tuple(int(v) for v in self.output_sizes)
-        table = np.asarray(self.table, dtype=float)
+        table = _read_only(self.table)
         object.__setattr__(self, "input_sizes", ins)
         object.__setattr__(self, "output_sizes", outs)
         object.__setattr__(self, "table", table)
@@ -116,7 +116,6 @@ class DmcChannel:
         slices = table.reshape(int(np.prod(ins)), -1).sum(axis=1)
         if not np.all(np.abs(slices - 1.0) <= MASS_TOL):
             raise PmfValidationError("each conditional slice must sum to 1")
-        table.setflags(write=False)
 
     @property
     def node_count(self) -> int:
@@ -136,7 +135,7 @@ class NodeInput:
     x_map: np.ndarray
 
     def __post_init__(self):
-        pmf = np.asarray(self.u_pmf, dtype=float)
+        pmf = _read_only(self.u_pmf)
         raw = np.asarray(self.x_map)
         if pmf.ndim != 1 or pmf.size < 1:
             raise PmfValidationError("u_pmf must be a non-empty vector")
@@ -152,7 +151,6 @@ class NodeInput:
         xmap = raw.astype(int)
         object.__setattr__(self, "u_pmf", pmf)
         object.__setattr__(self, "x_map", xmap)
-        pmf.setflags(write=False)
         xmap.setflags(write=False)
 
 
@@ -228,6 +226,7 @@ def build_joint(
     joint = flat_channel[x]
     joint *= prob[..., None]
     joint = joint.reshape(u_sizes + channel.output_sizes)
+    joint.setflags(write=False)
 
     labels = tuple(f"U{n}" for n in range(1, t_count)) + tuple(
         f"Y{n}" for n in range(2, t_count + 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -58,7 +58,10 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimumResult:
-    """Best operating point found, re-evaluated through the reference path."""
+    """Best operating point found, re-evaluated through the reference path.
+    ``free``, left out of equality, is the unit-box point ``splits`` maps
+    from (empty if no split is free, as at k = 1): a larger-k search seeds
+    from it exactly."""
 
     rate: float
     report: RateReport
@@ -67,6 +70,7 @@ class OptimumResult:
     achieved_tolerance: float
     incomplete: bool
     permutation: Optional[Permutation] = None
+    free: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
 
 
 def free_to_fractions(free: np.ndarray, lengths) -> np.ndarray:
@@ -91,19 +95,24 @@ def free_to_fractions(free: np.ndarray, lengths) -> np.ndarray:
     return out
 
 
-def fractions_to_free(fracs, lengths) -> np.ndarray:
-    """Inverse stick-breaking map for a single concatenated fraction vector."""
-    fracs = np.asarray(fracs, dtype=float)
-    free = []
-    at = 0
-    for m in lengths:
-        rem = 1.0
-        for j in range(m - 1):
-            v = fracs[at + j] / rem if rem > 1e-300 else 0.0
-            free.append(min(max(v, 0.0), 1.0))
-            rem -= fracs[at + j]
-        at += m
-    return np.array(free)
+def _seed_point(free, rows, lengths) -> np.ndarray:
+    """The point at row lengths ``lengths`` that maps to ``rows``, the map of
+    ``free``, padded with zeros, bit for bit.  Per row: ``free``'s
+    coordinates up to the first 1.0 (the row's mass is then spent); where the
+    row grows, 1.0 if mass is left and 0.0 if not; then zeros."""
+    point = np.zeros(sum(m - 1 for m in lengths))
+    at_from = at = 0
+    for row, m in zip(rows, lengths):
+        coords = free[at_from:at_from + len(row) - 1]
+        spent = np.flatnonzero(coords == 1.0)
+        if spent.size:
+            coords = coords[:spent[0] + 1]
+        point[at:at + coords.size] = coords
+        if m > len(row) and row[-1] > 0.0:
+            point[at + len(row) - 1] = 1.0
+        at_from += len(row) - 1
+        at += m - 1
+    return point
 
 
 def _grid_axes(box_lo, box_hi, per_round_budget, resolution):
@@ -193,8 +202,10 @@ def _refine(evaluate, ndim, config, warm=None):
     round's list of axes to the (n,) rates of its points in C order, the
     order of ``_grid_candidates(axes)``.  ``warm`` is an optional pair
     (points, rates) of candidates the caller has rated, an (n, ndim) array
-    and its (n,) rates, searched before the first round.  Returns
-    (best_free, evaluations, achieved_tol, incomplete).
+    and its (n,) rates: its best point is the incumbent, and the centre of
+    the first shrunk box, before the first round.  Without ``warm``, a
+    budget below one corner grid (2**ndim points) returns the box midpoint
+    unrated.  Returns (best_free, evaluations, achieved_tol, incomplete).
     """
     lo, hi = np.zeros(ndim), np.ones(ndim)  # _shrink_box returns new arrays
     evaluations = 0
@@ -246,18 +257,19 @@ def optimize_splits(
     perm: Permutation = None,
     mode: CombiningMode = CombiningMode.COHERENT,
     config: OptimizerConfig = OptimizerConfig(),
-    extra_splits=(),
+    warm=(),
 ) -> OptimumResult:
     """Max-min rate over all feasible split matrices for a fixed channel.
 
-    ``extra_splits`` are always-evaluated candidates (e.g. the optimum of a
-    smaller k embedded with zero forward mass), which keeps optimized rates
-    monotone in k by feasible-set nesting.  They are rated as points, in one
-    batch before the grid.  Each grid round is rated in consecutive slabs of
-    its C order (``_grid_slabs``), at most ``_SLAB_ELEMENTS`` split
-    fractions each, built from the slab's axes by ``_grid_fractions``
-    without an array of free coordinates; the kernel rates a candidate alike
-    in any batch, so the slabs change no rate.
+    One batch before the grid rates ``own_only``, whose point is
+    (1, 0, ..., 0) per row, and each ``warm`` optimum of a smaller k on the
+    same channel and relay order, embedded exactly with zero forward mass,
+    which keeps optimized rates monotone in k by feasible-set nesting.  So
+    the result is never an unrated point, nor below ``own_only``.  Each grid
+    round is rated in consecutive slabs of its C order (``_grid_slabs``), at
+    most ``_SLAB_ELEMENTS`` split fractions each, built from the slab's axes
+    by ``_grid_fractions`` without an array of free coordinates; the kernel
+    rates a candidate alike in any batch, so the slabs change no rate.
     """
     t_count = geometry.node_count
     perm = perm or Permutation.identity(t_count)
@@ -265,41 +277,32 @@ def optimize_splits(
     lengths = tuple(row_lengths(t_count, k, perm)[t] for t in range(1, t_count))
     ndim = sum(m - 1 for m in lengths)
 
-    def result_for(splits, evaluations, achieved, incomplete):
+    def result_for(splits, evaluations, achieved, incomplete, free):
         report = rate_report(geometry, prop, power, splits, k, perm, mode)
-        return OptimumResult(
-            rate=report.rate,
-            report=report,
-            splits=splits,
-            evaluations=evaluations,
-            achieved_tolerance=achieved,
-            incomplete=incomplete,
-            permutation=perm,
-        )
+        free.setflags(write=False)
+        return OptimumResult(report.rate, report, splits, evaluations, achieved,
+                             incomplete, perm, free)
 
+    own_only = ((1.0,),) * len(lengths)
     if ndim == 0:
-        only = SplitMatrix(tuple((1.0,) * 1 for _ in lengths))
-        return result_for(only, 1, 0.0, False)
+        return result_for(SplitMatrix(own_only), 1, 0.0, False, np.empty(0))
 
+    for res in warm:
+        if res.permutation != perm or any(len(r) > m for r, m in zip(res.splits.rows, lengths)):
+            raise ValueError(f"warm optima must be of a k up to {k} on the same relay order")
     problem = compile_chain(geometry, prop, power, k, perm, mode)
 
     def evaluate(axes):
         return np.concatenate([batch_min_rate(problem, _grid_fractions(slab, lengths))
                                for slab in _grid_slabs(axes, problem.n_cols)])
 
-    extras = []
-    for sm in extra_splits:
-        sm.validate_for(t_count, k, perm)
-        extras.append(fractions_to_free(sm.as_flat(), lengths))
-    warm = None
-    if extras:
-        points = np.stack(extras)
-        warm = (points, batch_min_rate(problem, free_to_fractions(points, lengths)))
-
-    best_free, evals, achieved, incomplete = _refine(evaluate, ndim, config, warm)
+    seeds = np.stack([_seed_point(np.empty(0), own_only, lengths)]
+                     + [_seed_point(res.free, res.splits.rows, lengths) for res in warm])
+    seeded = (seeds, batch_min_rate(problem, free_to_fractions(seeds, lengths)))
+    best_free, evals, achieved, incomplete = _refine(evaluate, ndim, config, seeded)
     fracs = free_to_fractions(best_free[None, :], lengths)[0]
     splits = SplitMatrix.from_flat(fracs, lengths)
-    return result_for(splits, evals, achieved, incomplete)
+    return result_for(splits, evals, achieved, incomplete, best_free)
 
 
 def optimize_rates_over_k(
@@ -311,17 +314,10 @@ def optimize_rates_over_k(
     mode: CombiningMode = CombiningMode.COHERENT,
     config: OptimizerConfig = OptimizerConfig(),
 ) -> dict:
-    """Optimized rate per k, warm-starting each k from the smaller ones."""
-    t_count = geometry.node_count
-    perm = perm or Permutation.identity(t_count)
+    """Optimized rate per k, warm-starting each k from every smaller one but
+    k = 1, whose embedding is the ``own_only`` point every search rates."""
     results = {}
     for k in sorted(set(int(k) for k in ks)):
-        extras = [
-            res.splits.embed(t_count, prev_k, k, perm)
-            for prev_k, res in results.items()
-            if prev_k < k
-        ]
-        results[k] = optimize_splits(
-            geometry, prop, power, k, perm, mode, config, extra_splits=extras
-        )
+        warm = [res for prev_k, res in results.items() if prev_k > 1]
+        results[k] = optimize_splits(geometry, prop, power, k, perm, mode, config, warm)
     return results

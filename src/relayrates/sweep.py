@@ -284,6 +284,7 @@ def validate_config(raw) -> ExperimentConfig:
 
     sweep_raw = raw.get("sweep", {})
     axis = None
+    n_errors = len(errors)
     if not isinstance(sweep_raw, dict):
         errors.append("sweep must be an object")
     else:
@@ -313,7 +314,7 @@ def validate_config(raw) -> ExperimentConfig:
                 errors.append(f"sweep.start must be positive for a {var} sweep")
             elif var in ("power", "source_power") and start < 0.0:
                 errors.append(f"sweep.start must be non-negative for a {var} sweep")
-            if not errors or all("sweep" not in e for e in errors):
+            if len(errors) == n_errors:
                 axis = SweepAxis(var, start, stop, steps, use_log)
         except (TypeError, ValueError):
             errors.append("sweep needs numeric start/stop and integer steps")
@@ -467,13 +468,8 @@ def _large_row(config: ExperimentConfig, value):
 
 def _dmc_from(ch: dict):
     """The channel and node inputs a discrete config describes."""
-    channel = DmcChannel(
-        tuple(ch["input_sizes"]), tuple(ch["output_sizes"]), np.asarray(ch["table"])
-    )
-    inputs = [
-        NodeInput(np.asarray(n["u_pmf"]), np.asarray(n["x_map"]))
-        for n in ch["inputs"]
-    ]
+    channel = DmcChannel(ch["input_sizes"], ch["output_sizes"], ch["table"])
+    inputs = [NodeInput(n["u_pmf"], n["x_map"]) for n in ch["inputs"]]
     return channel, inputs
 
 

@@ -19,8 +19,10 @@ the sub-signals at a time.
 ``reference_optimize_splits`` and ``reference_rates_over_k`` run the split
 search with every grid round expanded into its (n, ndim) points and mapped
 by ``free_to_fractions`` as a whole, the form the library's row-by-row grid
-map replaces.  They share the kernel, the grid axes and the box schedule
-with the library, so they check only the map and the search around it.
+map replaces, and build its seeds (``own_only`` and the smaller-k optima)
+one coordinate at a time.  They share the kernel, the grid axes and the box
+schedule with the library, so they check only the map, the seeds and the
+search around them.
 
 ``reference_chain_csr`` builds ``compile_chain``'s CSR the way the library
 did before its carrier template: a (receiver, sub-signal, carrier) mask, its
@@ -56,7 +58,6 @@ from relayrates.optimizer import (
     _grid_candidates,
     _refine,
     _shrink_box,
-    fractions_to_free,
     free_to_fractions,
 )
 
@@ -194,20 +195,39 @@ def reference_chain_csr(geometry, prop, power, k, perm):
             split_col.ravel()[p_idx * k + j].astype(np.int32))
 
 
+def reference_seed(free, rows, lengths):
+    """The search point at row lengths ``lengths`` of the optimum whose point
+    is ``free`` and whose split rows are ``rows``: per row, the coordinates
+    until one is 1.0 and zeros after it, then 1.0 for the first new one if
+    the row's last fraction is positive, and zeros."""
+    point, at = [], 0
+    for row, m in zip(rows, lengths):
+        spent = False
+        for j in range(m - 1):
+            if j < len(row) - 1:
+                point.append(0.0 if spent else float(free[at + j]))
+                spent = spent or point[-1] == 1.0
+            else:
+                point.append(1.0 if j == len(row) - 1 and row[-1] > 0.0 else 0.0)
+        at += len(row) - 1
+    return np.array(point)
+
+
 def reference_optimize_splits(geometry, prop, power, k, perm=None,
                               mode=CombiningMode.COHERENT, config=OptimizerConfig(),
-                              extra_splits=()):
+                              warm=()):
     """``optimize_splits`` with each round's grid points built and mapped in
-    full: the warm starts first, then every round's argmax, first in C order."""
+    full: ``own_only`` and the warm optima first, then every round's argmax,
+    first in C order."""
     t_count = geometry.node_count
     perm = perm or Permutation.identity(t_count)
     lengths = tuple(row_lengths(t_count, k, perm)[t] for t in range(1, t_count))
     ndim = sum(m - 1 for m in lengths)
 
-    def result_for(splits, evaluations, achieved, incomplete):
+    def result_for(splits, evaluations, achieved, incomplete, free=np.empty(0)):
         report = rate_report(geometry, prop, power, splits, k, perm, mode)
         return OptimumResult(report.rate, report, splits, evaluations, achieved,
-                             incomplete, permutation=perm)
+                             incomplete, permutation=perm, free=free)
 
     if ndim == 0:
         return result_for(SplitMatrix(tuple((1.0,) for _ in lengths)), 1, 0.0, False)
@@ -227,8 +247,9 @@ def reference_optimize_splits(geometry, prop, power, k, perm=None,
             best_rate, best_free = float(rates[idx]), pts[idx].copy()
         return improvement
 
-    if extra_splits:
-        search(np.stack([fractions_to_free(sm.as_flat(), lengths) for sm in extra_splits]))
+    own_only = [(1.0,)] * len(lengths)
+    search(np.stack([reference_seed([], own_only, lengths)]
+                    + [reference_seed(res.free, res.splits.rows, lengths) for res in warm]))
     n_rounds = config.rounds + 1
     stalled = 0
     for rnd in range(n_rounds):
@@ -247,20 +268,18 @@ def reference_optimize_splits(geometry, prop, power, k, perm=None,
         achieved = 0.0
     fracs = free_to_fractions(best_free[None, :], lengths)[0]
     return result_for(SplitMatrix.from_flat(fracs, lengths), evaluations, achieved,
-                      incomplete)
+                      incomplete, best_free)
 
 
 def reference_rates_over_k(geometry, prop, power, ks, perm=None,
                            mode=CombiningMode.COHERENT, config=OptimizerConfig()):
-    """``optimize_rates_over_k`` on ``reference_optimize_splits``."""
-    t_count = geometry.node_count
-    perm = perm or Permutation.identity(t_count)
+    """``optimize_rates_over_k`` on ``reference_optimize_splits``: every
+    smaller k's optimum seeds k but k = 1's, which is ``own_only``."""
     results = {}
     for k in sorted(set(ks)):
-        extras = [res.splits.embed(t_count, prev_k, k, perm)
-                  for prev_k, res in results.items()]
+        warm = [res for prev_k, res in results.items() if prev_k > 1]
         results[k] = reference_optimize_splits(geometry, prop, power, k, perm, mode,
-                                               config, extras)
+                                               config, warm)
     return results
 
 

@@ -59,6 +59,32 @@ def test_geometry_is_read_only():
         geom.distances[0, 1] = 5.0
 
 
+@pytest.mark.parametrize("make,build,held", [
+    (lambda: build_linear_geometry([1.0, 2.0]).distances.copy(), NetworkGeometry,
+     lambda obj: obj.distances),
+    (lambda: np.full(3, 10.0), lambda a: PowerConfig(a, [1.0, 1.0, 1.0]),
+     lambda obj: obj.transmit_powers),
+    (lambda: np.full(3, 1.0), lambda a: PowerConfig([10.0, 10.0, 10.0], a),
+     lambda obj: obj.noise_powers),
+], ids=["geometry", "transmit_powers", "noise_powers"])
+def test_value_types_leave_the_callers_array_writeable(make, build, held):
+    mine = make()
+    obj = build(mine)
+    kept = held(obj).copy()
+    mine[...] = 7.0             # raises if the object froze the caller's array
+    assert np.array_equal(held(obj), kept)
+    assert not held(obj).flags.writeable
+
+
+def test_value_types_keep_read_only_arrays_uncopied():
+    geom = build_linear_geometry([1.0, 2.0])
+    assert NetworkGeometry(geom.distances).distances is geom.distances
+    power = PowerConfig.uniform(4, 10.0)
+    again = PowerConfig(power.transmit_powers, power.noise_powers)
+    assert again.transmit_powers is power.transmit_powers
+    assert again.noise_powers is power.noise_powers
+
+
 def test_propagation_eta_floor():
     PropagationModel(eta=2.0)
     PropagationModel(eta=1.5, allow_low_eta=True)

@@ -266,3 +266,21 @@ def test_joint_matches_the_outcome_loop(case):
     assert joint.labels == tuple(f"U{n}" for n in range(1, t_count)) + tuple(
         f"Y{n}" for n in range(2, t_count + 1))
     assert np.array_equal(joint.table, reference_joint(channel, inputs, k, perm))
+
+
+
+@pytest.mark.parametrize("make,build,held", [
+    (lambda: np.full((2, 2), 0.25), lambda a: JointPmf(("A", "B"), a),
+     lambda obj: obj.table),
+    (lambda: np.full((2, 2, 2, 2), 0.25), lambda a: DmcChannel((2, 2), (2, 2), a),
+     lambda obj: obj.table),
+    (lambda: np.array([0.25, 0.75]), lambda a: NodeInput(a, [0, 1]),
+     lambda obj: obj.u_pmf),
+], ids=["joint", "channel", "node_input"])
+def test_value_types_leave_the_callers_array_writeable(make, build, held):
+    mine = make()
+    obj = build(mine)
+    kept = held(obj).copy()
+    mine[...] = 7.0             # raises if the object froze the caller's array
+    assert np.array_equal(held(obj), kept)
+    assert not held(obj).flags.writeable

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,6 @@ from relayrates.optimizer import (
     _grid_candidates,
     _grid_fractions,
     _grid_slabs,
-    fractions_to_free,
     free_to_fractions,
 )
 
@@ -37,16 +37,6 @@ PROP = PropagationModel()
 def unit_chain(node_count, power=10.0):
     geom = build_linear_geometry([1.0] * (node_count - 1))
     return geom, PowerConfig.uniform(node_count, power)
-
-
-def test_stick_breaking_round_trip():
-    rng = np.random.default_rng(0)
-    lengths = (4, 3, 2, 1)
-    for _ in range(50):
-        fracs = np.concatenate([rng.dirichlet(np.ones(m)) for m in lengths])
-        free = fractions_to_free(fracs, lengths)
-        back = free_to_fractions(free[None, :], lengths)[0]
-        assert np.allclose(back, fracs, atol=1e-12)
 
 
 def test_stick_breaking_stays_on_simplex():
@@ -201,17 +191,82 @@ def test_twohop_optimum_matches_scalar_scan():
     assert res.rate >= best - 1e-8
 
 
-def test_extra_splits_never_hurt():
+def test_warm_starts_never_hurt():
     geom, power = unit_chain(6)
+    k2 = optimize_splits(geom, PROP, power, 2, config=OptimizerConfig(budget=300))
     plain = optimize_splits(geom, PROP, power, 3)
-    seeded = optimize_splits(
-        geom, PROP, power, 3,
-        extra_splits=[SplitMatrix.uniform(6, 3)],
-    )
+    seeded = optimize_splits(geom, PROP, power, 3, warm=[k2])
     assert seeded.rate >= rate_report(
-        geom, PROP, power, SplitMatrix.uniform(6, 3), 3
+        geom, PROP, power, k2.splits.embed(6, 2, 3), 3
     ).rate - 1e-12
     assert seeded.rate >= plain.rate - 1e-9
+
+
+def test_warm_optima_must_fit_the_search():
+    geom, power = unit_chain(6)
+    k3 = optimize_splits(geom, PROP, power, 3, config=OptimizerConfig(budget=300))
+    with pytest.raises(ValueError, match="warm optima"):
+        optimize_splits(geom, PROP, power, 2, warm=[k3])
+    with pytest.raises(ValueError, match="warm optima"):
+        optimize_splits(geom, PROP, power, 4, Permutation((1, 3, 2, 4, 5, 6)), warm=[k3])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_search_never_ends_below_own_only(seed):
+    # at T=12 k=3 no grid round fits the default budget: the search must
+    # still return a point it rated, never the unrated box midpoint
+    geom = build_linear_geometry(np.random.default_rng(seed).uniform(0.2, 3.0, 11))
+    power = PowerConfig.uniform(12, 10.0)
+    res = optimize_splits(geom, PROP, power, 3)
+    assert res.rate >= rate_report(geom, PROP, power, SplitMatrix.own_only(12, 3), 3).rate
+    assert res.evaluations == 1 and res.incomplete
+
+
+@st.composite
+def warm_searches(draw):
+    """A non-uniform chain (T 3-9, spacings U(0.2, 3)) with a random relay
+    order, a mode, a hop depth k >= 2, a non-empty set of smaller ones and a
+    seed for their search points, whose coordinates are drawn from [0, 1]
+    with about a third of them forced to 0 or 1."""
+    t_count = draw(st.integers(3, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spacings = rng.uniform(0.2, 3.0, t_count - 1)
+    perm = Permutation((1, *rng.permutation(range(2, t_count)).tolist(), t_count))
+    k = draw(st.integers(2, t_count - 1))
+    smaller = draw(st.sets(st.integers(1, k - 1), min_size=1))
+    return (spacings, perm, draw(st.sampled_from(list(CombiningMode))), k, sorted(smaller),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(warm_searches())
+def test_warm_optima_are_rated_as_their_embedding(search):
+    # the first batch rates own_only and then each warm optimum's embedding
+    # at k, bit for bit: no round trip through the fractions moves a seed
+    spacings, perm, mode, k, smaller, seed = search
+    geom = build_linear_geometry(spacings)
+    t_count = geom.node_count
+    power = PowerConfig.uniform(t_count, 10.0)
+    rng = np.random.default_rng(seed)
+    warm = []
+    for k_from in smaller:
+        res = optimize_splits(geom, PROP, power, k_from, perm, mode,
+                              OptimizerConfig(budget=50))
+        lengths = tuple(row_lengths(t_count, k_from, perm)[t] for t in range(1, t_count))
+        free = rng.random(res.free.size)
+        forced = rng.random(free.size) < 1 / 3
+        free[forced] = rng.integers(0, 2, forced.sum())
+        fracs = free_to_fractions(free[None, :], lengths)[0]
+        warm.append(dataclasses.replace(
+            res, free=free, splits=SplitMatrix.from_flat(fracs, lengths)))
+    with mock.patch.object(optimizer, "batch_min_rate", wraps=batch_min_rate) as rated:
+        optimize_splits(geom, PROP, power, k, perm, mode, OptimizerConfig(budget=1), warm)
+    seeds = rated.call_args_list[0].args[1]
+    assert len(seeds) == 1 + len(warm)
+    wants = [SplitMatrix.own_only(t_count, k, perm)] + [
+        res.splits.embed(t_count, k_from, k, perm) for k_from, res in zip(smaller, warm)]
+    for got, want in zip(seeds, wants):
+        assert got.tobytes() == want.as_flat().tobytes()
 
 
 @st.composite

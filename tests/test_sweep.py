@@ -141,6 +141,9 @@ DISCRETE_WITHOUT_TABLE = {
     # nor are JSON strings, though float() and int() parse them
     ("mrc", {"channel.power": "10"}, "channel.power must be a number"),
     ("mrc", {"sweep.steps": "3"}, "sweep needs numeric start/stop and integer steps"),
+    # an unknown top-level key holds back none of the sweep-dependent checks
+    ("mrc", {"sweeps": 1, "sweep.start": 1e-12, "sweep.variable": "spacing"},
+     "sweep: off-diagonal distances must be >= 1e-09 m"),
 ])
 def test_validate_reports_each_malformed_section(scenario, overrides, message):
     raw = copy.deepcopy(DISCRETE_WITHOUT_TABLE if scenario == "discrete"
