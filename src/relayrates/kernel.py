@@ -52,9 +52,9 @@ class ChainProblem:
     q = 1..T-1 in order and each one's carriers in ascending position, less
     the one contiguous slice of the sub-signals it cancels.
 
-    The problem also holds its batch plan: the pair weights of
-    ``_pair_features`` or the contraction's ``_Plan``, each built by the
-    first ``batch_min_rate`` call that takes it, never by
+    The problem also holds its batch plan: its feature count, the pair
+    weights of ``_pair_features`` or the contraction's ``_Plan``, each built
+    by the first ``batch_min_rate`` call that needs it, never by
     ``compile_chain``."""
 
     n_receivers: int
@@ -72,6 +72,11 @@ class ChainProblem:
     def _pairs(self):
         """``_pair_features(self)``, built on first use."""
         return _pair_features(self)
+
+    @cached_property
+    def _n_features(self):
+        """``_feature_count`` of this problem, counted once."""
+        return _feature_count(self.n_receivers + 1, self.split_col.shape[1], self.coherent)
 
     @cached_property
     def _contraction(self):
@@ -244,9 +249,8 @@ def batch_min_rate(problem: ChainProblem, cands: np.ndarray) -> np.ndarray:
         raise ValueError(f"candidates must have shape (n, {problem.n_cols}), "
                          f"got {cands.shape}")
     n, n_rcv = cands.shape[0], problem.n_receivers
-    k = problem.split_col.shape[1]
     step = _block_size(n_rcv + 1, n_rcv)
-    n_feat = _feature_count(n_rcv + 1, k, problem.coherent)
+    n_feat = problem._n_features
     pairs = (n_feat <= _PAIR_WIDTH * problem.n_cols
              and 2 * n_rcv * n_feat <= _PAIR_ELEMENTS)
     powers = (_pair_powers if pairs else _contracted_powers)(problem, _padded(min(step, n)))

@@ -10,6 +10,7 @@ point feasible.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -21,6 +22,8 @@ from .channel import NetworkGeometry, PowerConfig, PropagationModel
 from .coding import CombiningMode, Permutation, SplitMatrix, row_lengths
 from .gaussian import RateReport, _check_sizes, rate_report
 from .kernel import batch_min_rate, compile_chain
+
+log = logging.getLogger("relayrates")
 
 SHRINK = 5.0  # each refinement round narrows the box by this factor per axis
 
@@ -136,46 +139,115 @@ def _grid_candidates(axes):
     return cands
 
 
+def _row_maps(axes, lengths):
+    """Each simplex row's sub-grid map: ``free_to_fractions`` of the ``ij``
+    grid over that row's own axes, a (points, m) table in C order (one row
+    of 1.0 where m = 1)."""
+    at = 0
+    for m in lengths:
+        yield free_to_fractions(_grid_candidates(axes[at:at + m - 1]), (m,))
+        at += m - 1
+
+
+def _product_fractions(tables):
+    """The C-order product of per-row fraction tables, one point per row,
+    stored column-major like ``free_to_fractions``' output: each column of a
+    table is broadcast over the points of the tables before and after it."""
+    sizes = [len(table) for table in tables]
+    out = np.empty((math.prod(sizes), sum(table.shape[1] for table in tables)), order="F")
+    at = 0
+    for r, table in enumerate(tables):
+        view = (math.prod(sizes[:r]), sizes[r], math.prod(sizes[r + 1:]))
+        for j in range(table.shape[1]):
+            out[:, at + j].reshape(view)[...] = table[:, j, None]
+        at += table.shape[1]
+    return out
+
+
 def _grid_fractions(axes, lengths):
     """``free_to_fractions(_grid_candidates(axes), lengths)``, built one
     simplex row at a time from that row's own axes.
 
     A row's fractions depend only on its own free coordinates, whose axes are
-    contiguous in the C-order grid, so each of its columns is the row's
-    sub-grid map broadcast over the points before and after those axes.
+    contiguous in the C-order grid, so the grid's fractions are the product
+    of the rows' sub-grid maps.
     """
-    sizes = [axis.size for axis in axes]
-    out = np.empty((math.prod(sizes), sum(lengths)), order="F")
-    at_f, at_c = 0, 0
-    for m in lengths:
-        sub = free_to_fractions(_grid_candidates(axes[at_f:at_f + m - 1]), (m,))
-        view = (math.prod(sizes[:at_f]), sub.shape[0], math.prod(sizes[at_f + m - 1:]))
-        for j in range(m):
-            out[:, at_c + j].reshape(view)[...] = sub[:, j, None]
-        at_f += m - 1
-        at_c += m
-    return out
+    return _product_fractions(list(_row_maps(axes, lengths)))
 
 
-def _grid_slabs(axes, n_cols):
-    """The ``ij`` grid over ``axes`` as consecutive runs of its C order, each
-    as large as ``_SLAB_ELEMENTS`` allows at ``n_cols`` fractions a point
-    (one point at least): lists of axes with the leading ones cut to one
-    value, the next to a run of consecutive values and the rest whole."""
+def _distinct_points(row_axes):
+    """Which points of the ``ij`` grid over one simplex row's axes, in C
+    order, are the first with their fractions: None if every point is, else
+    a (points,) mask.  After a coordinate of 1.0 the row's mass is spent and
+    its later fractions are 0.0 whatever their coordinates, so a point
+    repeats an earlier one exactly when a coordinate before its last is 1.0
+    and a later one is not at its axis's first value; rows of at most 2
+    fractions never repeat."""
+    if not any(np.any(axis == 1.0) for axis in row_axes[:-1]):
+        return None
+    shape = tuple(len(axis) for axis in row_axes)
+    spent = repeat = np.zeros((1,) * len(shape), dtype=bool)
+    for d, axis in enumerate(row_axes):
+        along = [1] * len(shape)
+        along[d] = -1
+        repeat = repeat | spent & (np.arange(len(axis)) > 0).reshape(along)
+        spent = spent | (axis == 1.0).reshape(along)
+    return ~np.broadcast_to(repeat, shape).ravel()
+
+
+def _rate_round(problem, axes, lengths):
+    """The (n,) rates of a grid round's points in C order, each distinct
+    split rated once.
+
+    Each simplex row keeps its sub-grid's distinct fraction rows at their
+    first C-order occurrence (``_distinct_points``); the product of the kept
+    rows is rated in consecutive slabs of its C order (``_grid_slabs``), at
+    most ``_SLAB_ELEMENTS`` split fractions each, and the rates are expanded
+    back to the round's points along each row's axis.  A repeat comes after
+    its first occurrence in the run of points that share its coordinates up
+    to the 1.0, so the running count of kept points maps it there.  The
+    kernel rates a candidate alike in any batch, so neither the slabs nor
+    the repeats change a rate.
+    """
+    tables, maps, at = [], [], 0
+    for m, table in zip(lengths, _row_maps(axes, lengths)):
+        kept = _distinct_points(axes[at:at + m - 1])
+        at += m - 1
+        if kept is None:
+            maps.append(None)
+        else:
+            table = table[kept]
+            maps.append(np.cumsum(kept) - 1)
+        tables.append(table)
+    rates = np.concatenate([batch_min_rate(problem, _product_fractions(slab))
+                            for slab in _grid_slabs(tables, problem.n_cols)])
+    rates = rates.reshape([len(table) for table in tables])
+    for r, index in enumerate(maps):
+        if index is not None:
+            rates = np.take(rates, index, axis=r)
+    return rates.ravel()
+
+
+def _grid_slabs(tables, n_cols):
+    """The C-order product of ``tables`` (grid axes, or per-row fraction
+    tables) as consecutive runs of it, each as large as ``_SLAB_ELEMENTS``
+    allows at ``n_cols`` fractions a point (one point at least): lists of
+    tables with the leading ones cut to one entry, the next to a run of
+    consecutive entries and the rest whole."""
     cap = max(1, _SLAB_ELEMENTS // n_cols)
-    cut, tail = len(axes), 1        # axes[cut:] fit whole, tail points
-    while cut > 0 and tail * axes[cut - 1].size <= cap:
+    cut, tail = len(tables), 1      # tables[cut:] fit whole, tail points
+    while cut > 0 and tail * len(tables[cut - 1]) <= cap:
         cut -= 1
-        tail *= axes[cut].size
+        tail *= len(tables[cut])
     if cut == 0:
-        yield axes
+        yield tables
         return
-    run, whole = cap // tail, axes[cut:]
+    run, whole = cap // tail, tables[cut:]
     cut -= 1
-    for lead in itertools.product(*(range(axis.size) for axis in axes[:cut])):
-        fixed = [axis[i:i + 1] for axis, i in zip(axes, lead)]
-        for lo in range(0, axes[cut].size, run):
-            yield [*fixed, axes[cut][lo:lo + run], *whole]
+    for lead in itertools.product(*(range(len(table)) for table in tables[:cut])):
+        fixed = [table[i:i + 1] for table, i in zip(tables, lead)]
+        for lo in range(0, len(tables[cut]), run):
+            yield [*fixed, tables[cut][lo:lo + run], *whole]
 
 
 def _grid_point(axes, idx):
@@ -204,8 +276,9 @@ def _refine(evaluate, ndim, config, warm=None):
     (points, rates) of candidates the caller has rated, an (n, ndim) array
     and its (n,) rates: its best point is the incumbent, and the centre of
     the first shrunk box, before the first round.  Without ``warm``, a
-    budget below one corner grid (2**ndim points) returns the box midpoint
-    unrated.  Returns (best_free, evaluations, achieved_tol, incomplete).
+    budget below one corner grid (2**ndim points) rates the box midpoint
+    alone, flags the search incomplete and logs a WARNING.  Returns
+    (best_free, evaluations, achieved_tol, incomplete).
     """
     lo, hi = np.zeros(ndim), np.ones(ndim)  # _shrink_box returns new arrays
     evaluations = 0
@@ -244,6 +317,10 @@ def _refine(evaluate, ndim, config, warm=None):
             break
         lo, hi = _shrink_box(best_free, lo, hi)
 
+    if evaluations == 0:
+        log.warning("budget %d is below one %d-dimensional corner grid of %d points: "
+                    "only the box midpoint is rated", config.budget, ndim, 2 ** ndim)
+        search(evaluate([np.array([0.5])] * ndim), lambda idx: best_free)
     if not math.isfinite(achieved):
         achieved = 0.0
     return best_free, evaluations, achieved, incomplete
@@ -266,10 +343,13 @@ def optimize_splits(
     same channel and relay order, embedded exactly with zero forward mass,
     which keeps optimized rates monotone in k by feasible-set nesting.  So
     the result is never an unrated point, nor below ``own_only``.  Each grid
-    round is rated in consecutive slabs of its C order (``_grid_slabs``), at
-    most ``_SLAB_ELEMENTS`` split fractions each, built from the slab's axes
-    by ``_grid_fractions`` without an array of free coordinates; the kernel
-    rates a candidate alike in any batch, so the slabs change no rate.
+    round goes through ``_rate_round``: where a row coordinate of 1.0 spends
+    the row's mass, later coordinates repeat a split already in the round,
+    and the kernel rates each distinct split once, in slabs of at most
+    ``_SLAB_ELEMENTS`` split fractions, without an array of free
+    coordinates.  ``evaluations`` still counts every grid point searched,
+    repeats included, and since the kernel rates a candidate alike in any
+    batch, neither the slabs nor the repeats change a rate or a result.
     """
     t_count = geometry.node_count
     perm = perm or Permutation.identity(t_count)
@@ -292,14 +372,11 @@ def optimize_splits(
             raise ValueError(f"warm optima must be of a k up to {k} on the same relay order")
     problem = compile_chain(geometry, prop, power, k, perm, mode)
 
-    def evaluate(axes):
-        return np.concatenate([batch_min_rate(problem, _grid_fractions(slab, lengths))
-                               for slab in _grid_slabs(axes, problem.n_cols)])
-
     seeds = np.stack([_seed_point(np.empty(0), own_only, lengths)]
                      + [_seed_point(res.free, res.splits.rows, lengths) for res in warm])
     seeded = (seeds, batch_min_rate(problem, free_to_fractions(seeds, lengths)))
-    best_free, evals, achieved, incomplete = _refine(evaluate, ndim, config, seeded)
+    best_free, evals, achieved, incomplete = _refine(
+        lambda axes: _rate_round(problem, axes, lengths), ndim, config, seeded)
     fracs = free_to_fractions(best_free[None, :], lengths)[0]
     splits = SplitMatrix.from_flat(fracs, lengths)
     return result_for(splits, evals, achieved, incomplete, best_free)

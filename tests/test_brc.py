@@ -149,3 +149,15 @@ def test_search_equals_the_scalar_objective_search():
                 lambda a: brc_omniscient_common_rate(replace(cfg, alpha=a)).common_rate, 1, opt)
             assert got.config == replace(cfg, alpha=alpha)
             assert (got.evaluations, got.incomplete) == (evals, incomplete)
+
+
+def test_search_below_one_round_rates_the_midpoint(caplog):
+    # a budget too small for any grid round rates the box midpoint rather
+    # than return it unrated, flags the search and says so
+    cfg = BrcConfig(p1=10, p2=10, d12=1, eta=2)
+    with caplog.at_level("WARNING", logger="relayrates"):
+        got = brc_optimize(cfg, OptimizerConfig(budget=1))
+    assert (got.evaluations, got.incomplete) == (1, True)
+    assert got.config == replace(cfg, alpha=0.5)
+    assert got.common_rate == brc_omniscient_common_rate(got.config).common_rate
+    assert "only the box midpoint is rated" in caplog.text

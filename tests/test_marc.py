@@ -207,3 +207,15 @@ def test_search_equals_the_scalar_objective_search(search):
 def test_power_sweep_rejects_invalid_ends(power):
     with pytest.raises(ChannelValidationError):
         marc_optimize(MarcConfig(), "onehop", sweep_source_power=power)
+
+
+def test_search_below_one_round_rates_the_midpoint(caplog):
+    # a budget too small for any grid round rates the box midpoint rather
+    # than return it unrated, flags the search and says so
+    cfg = MarcConfig()
+    with caplog.at_level("WARNING", logger="relayrates"):
+        got = marc_optimize(cfg, "omniscient", OptimizerConfig(budget=1))
+    assert (got.evaluations, got.incomplete) == (1, True)
+    assert got.config == replace(cfg, alpha1=0.5, alpha2=0.5, beta1=0.5, beta2=0.5)
+    assert got.sum_rate == marc_omniscient_sumrate(got.config).sum_rate
+    assert "only the box midpoint is rated" in caplog.text

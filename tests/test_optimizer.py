@@ -26,6 +26,7 @@ from relayrates.optimizer import (
     _grid_candidates,
     _grid_fractions,
     _grid_slabs,
+    _rate_round,
     free_to_fractions,
 )
 
@@ -95,6 +96,58 @@ def test_grid_slabs_cover_the_grid_in_order(rows, elements, n_cols):
     assert all(len(_grid_candidates(slab)) <= cap for slab in slabs)
     assert np.array_equal(np.concatenate([_grid_candidates(slab) for slab in slabs]),
                           _grid_candidates(axes))
+
+
+@st.composite
+def grid_rounds(draw, max_points=3000):
+    """A non-uniform chain (T 3-8, spacings U(0.2, 3)) with a random relay
+    order, a mode, a hop depth up to T-1 of at most 10 free coordinates and
+    one grid round over them: 2-5 points per axis (2 once the round nears
+    ``max_points``), each axis over [0, 1], over a box edge ending at 1.0 or
+    inside (0, 1), and a slab budget."""
+    t_count = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spacings = rng.uniform(0.2, 3.0, t_count - 1)
+    perm = Permutation((1, *rng.permutation(range(2, t_count)).tolist(), t_count))
+    lengths = {k: tuple(row_lengths(t_count, k, perm)[t] for t in range(1, t_count))
+               for k in range(1, t_count)}
+    k = draw(st.sampled_from([k for k, ls in lengths.items() if sum(ls) - len(ls) <= 10]))
+    axes, points = [], 1
+    for _ in range(sum(lengths[k]) - len(lengths[k])):
+        size = draw(st.integers(2, max(2, min(5, max_points // (2 * points)))))
+        points *= size
+        box = draw(st.sampled_from(["unit", "touching", "interior"]))
+        lo = 0.0 if box == "unit" else rng.uniform(0.0, 0.8)
+        hi = rng.uniform(lo + 0.01, 0.99) if box == "interior" else 1.0
+        axes.append(np.linspace(lo, hi, size))
+    return (spacings, perm, draw(st.sampled_from(list(CombiningMode))), k, lengths[k], axes,
+            draw(st.sampled_from([64, 512, 1 << 20])))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(grid_rounds())
+def test_round_rates_match_the_expanded_grid(round_):
+    # rating each distinct split once and expanding the rates back gives
+    # every grid point the rate of its own fractions, bit for bit
+    spacings, perm, mode, k, lengths, axes, elements = round_
+    geom = build_linear_geometry(spacings)
+    problem = compile_chain(geom, PROP, PowerConfig.uniform(geom.node_count, 10.0),
+                            k, perm, mode)
+    want = batch_min_rate(problem, _grid_fractions(axes, lengths))
+    with mock.patch.object(optimizer, "_SLAB_ELEMENTS", elements):
+        got = _rate_round(problem, axes, lengths)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_kernel_rates_each_distinct_split_once(k):
+    # at k = 3 rows of 3 fractions repeat wherever their first coordinate is
+    # 1.0, and the kernel skips those repeats; rows of at most 2 never repeat
+    geom, power = unit_chain(6)
+    with mock.patch.object(optimizer, "batch_min_rate", wraps=batch_min_rate) as rated:
+        res = optimize_splits(geom, PROP, power, k, config=OptimizerConfig(budget=20_000))
+    cands = sum(len(call.args[1]) for call in rated.call_args_list)
+    assert cands < res.evaluations if k == 3 else cands == res.evaluations
 
 
 def assert_same_result(got, want):
