@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelValidationError
-from .optimizer import OptimizerConfig, _refine
+from .marc import _crossing
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,9 @@ def brc_omniscient_common_rate(cfg: BrcConfig) -> BrcRates:
 
 @dataclass(frozen=True)
 class BrcOptimum:
-    """Best common rate over alpha, with the maximizing configuration."""
+    """Best common rate over alpha, with the maximizing configuration;
+    ``evaluations`` counts the splits rated, and the exact search is never
+    ``incomplete``."""
 
     common_rate: float
     rates: BrcRates
@@ -123,11 +125,22 @@ class BrcOptimum:
     incomplete: bool
 
 
-def brc_optimize(cfg: BrcConfig, opt: OptimizerConfig = OptimizerConfig()) -> BrcOptimum:
-    """Grid-refinement over the single split alpha in [0, 1]."""
-    best, evals, _, incomplete = _refine(
-        lambda axes: np.minimum.reduce(_omniscient_rates(cfg, axes[0])), 1, opt
-    )
-    best_cfg = replace(cfg, alpha=float(best[0]))
+def brc_optimize(cfg: BrcConfig) -> BrcOptimum:
+    """Maximize the common rate over the split alpha in [0, 1] exactly.
+
+    r2 falls with u = sqrt(alpha) and both destination rates rise; the
+    destinations hear the same power, so the noisier one is the lower.  The
+    optimum is an end of [0, 1] or the crossing of r2 with that
+    destination's rate, a quadratic in u.  The search rates both ends and
+    the crossing clipped into [0, 1], and keeps the first best of the three.
+    """
+    # (1 - u^2) relay = direct + u coherent, each an SNR
+    noise = max(cfg.n3, cfg.n4)
+    relay = cfg.gain(cfg.d12) * cfg.p1 / cfg.n2
+    direct = (cfg.gain(cfg.d13) * cfg.p1 + cfg.gain(cfg.d23) * cfg.p2) / noise
+    coherent = 2.0 * math.sqrt(cfg.gain(cfg.d13) * cfg.gain(cfg.d23) * cfg.p1 * cfg.p2) / noise
+    alphas = np.array([0.0, 1.0, _crossing(relay, coherent, direct - relay, 0.0, 1.0) ** 2])
+    best = float(alphas[int(np.argmax(np.minimum.reduce(_omniscient_rates(cfg, alphas))))])
+    best_cfg = replace(cfg, alpha=best)
     rates = brc_omniscient_common_rate(best_cfg)
-    return BrcOptimum(rates.common_rate, rates, best_cfg, evals, incomplete)
+    return BrcOptimum(rates.common_rate, rates, best_cfg, alphas.size, False)

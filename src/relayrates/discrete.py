@@ -1,14 +1,19 @@
 """Exact rate evaluation for small discrete memoryless multiple-relay
-channels, by brute-force summation over joint probability tables.
+channels, by brute-force summation over probability tables.
 
 This is the independent oracle for the Gaussian rate formulas: the same
 k-hop decode/cancel window semantics, but with conditional mutual
 information evaluated term by term instead of in closed form.
+``khop_dmc_rate`` builds one table per receiver, p(u, y_r): each output's
+marginal p(y_r | x), held once per channel, read at the channel inputs
+x(u) and weighted by p(u).  ``build_joint`` gives the full joint of every
+sub-signal and output, the reference those tables are marginals of.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,22 +73,27 @@ def mutual_information(joint: JointPmf, a, b, c=()) -> float:
     merged = a + b + c
     if len(set(merged)) != len(merged):
         raise PmfValidationError("A, B, C must be disjoint")
-    axes = joint.axes_of(merged)
-    drop = tuple(ax for ax in range(joint.table.ndim) if ax not in axes)
-    table = joint.table.sum(axis=drop) if drop else joint.table
-    # summing keeps the remaining axes in label order; reorder to (A..., B..., C...)
+    return _mutual_information(joint.table, joint.axes_of(merged), len(a), len(b))
+
+
+def _mutual_information(table, axes, na, nb) -> float:
+    """I(A;B|C) in bits of the pmf ``table``, where ``axes`` lists the
+    axes of A, then B, then C (``na`` and ``nb`` of the first two); every
+    other axis is summed out."""
+    drop = tuple(ax for ax in range(table.ndim) if ax not in axes)
+    if drop:
+        table = table.sum(axis=drop)
+    # summing keeps the remaining axes in axis order; reorder to (A..., B..., C...)
     kept = sorted(axes)
     p_abc = np.transpose(table, [kept.index(ax) for ax in axes])
-    na, nb = len(a), len(b)
     ax_a = tuple(range(na))
     ax_b = tuple(range(na, na + nb))
     p_ac = p_abc.sum(axis=ax_b, keepdims=True)
     p_bc = p_abc.sum(axis=ax_a, keepdims=True)
     p_c = p_ac.sum(axis=ax_a, keepdims=True)
+    # the ratio is formed on the mask only: off it, it may be zero over zero
     mask = p_abc > 0.0
-    # outcomes off the mask may divide zero by zero; they are never read
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = p_abc * p_c / (p_ac * p_bc)
+    ratio = np.divide(p_abc * p_c, p_ac * p_bc, out=np.ones_like(p_abc), where=mask)
     # I(A;B|C) >= 0, but the summed terms can round to just below 0
     return max(float(np.sum(p_abc[mask] * np.log2(ratio[mask]))), 0.0)
 
@@ -120,6 +130,21 @@ class DmcChannel:
     @property
     def node_count(self) -> int:
         return len(self.input_sizes) + 1
+
+    @cached_property
+    def _output_marginals(self) -> np.ndarray:
+        """Every output's marginal p(y_r | x_1..x_{T-1}) side by side, nodes
+        2..T in order: one row per input tuple x in C order and one column
+        block of |Y_r| columns per output, built on first use.  A block is
+        the table summed over every other output, as one product with a
+        0/1 matrix that maps each output tuple to its symbol of y_r."""
+        n_y = int(np.prod(self.output_sizes))
+        symbols = np.indices(self.output_sizes).reshape(len(self.output_sizes), n_y)
+        onehot = np.concatenate([(np.arange(size) == ys[:, None]).astype(float)
+                                 for size, ys in zip(self.output_sizes, symbols)], axis=1)
+        marginals = self.table.reshape(-1, n_y) @ onehot
+        marginals.setflags(write=False)
+        return marginals
 
 
 @dataclass(frozen=True)
@@ -191,6 +216,23 @@ def carried_signals(channel: DmcChannel, inputs, k: int, perm: Permutation = Non
     return carried
 
 
+def _outcomes(channel: DmcChannel, inputs, k: int, perm: Permutation):
+    """p(u) over every sub-signal outcome u, an array with one axis per
+    sub-signal in node order, and the channel inputs x(u), each node's map
+    read at the sub-signals it carries, as the C-order index of the tuple x
+    in the channel's input alphabets: an integer array of p(u)'s shape."""
+    carried = carried_signals(channel, inputs, k, perm)
+    grids = np.indices(tuple(inp.u_pmf.size for inp in inputs), sparse=True)
+    # p(u) as an outer product, multiplied in node order
+    prob = 1.0
+    for inp, grid in zip(inputs, grids):
+        prob = prob * inp.u_pmf[grid]
+    x = 0
+    for node, size in enumerate(channel.input_sizes, start=1):
+        x = x * size + inputs[node - 1].x_map[tuple(grids[n - 1] for n in carried[node])]
+    return prob, x
+
+
 def build_joint(
     channel: DmcChannel,
     inputs,
@@ -202,28 +244,16 @@ def build_joint(
     factorization: independent sub-signals, each channel input a
     deterministic function of the sub-signals its node carries."""
     t_count = channel.node_count
-    carried = carried_signals(channel, inputs, k, perm)
     u_sizes = tuple(inp.u_pmf.size for inp in inputs)
-    n_u = int(np.prod(u_sizes))
     n_y = int(np.prod(channel.output_sizes))
-    if n_u * n_y > table_cap:
+    prob, x = _outcomes(channel, inputs, k, perm)
+    if prob.size * n_y > table_cap:
         raise TableSizeError(
-            f"joint table would need {n_u * n_y} entries (cap {table_cap})"
+            f"joint table would need {prob.size * n_y} entries (cap {table_cap})"
         )
 
-    # p(u) as an outer product, multiplied in node order; each node's
-    # input as its map read at the sub-signals it carries; then one gather
-    # of p(y | x) per outcome u
-    grids = np.indices(u_sizes, sparse=True)
-    prob = 1.0
-    for inp, grid in zip(inputs, grids):
-        prob = prob * inp.u_pmf[grid]
-    x = tuple(
-        inputs[node - 1].x_map[tuple(grids[n - 1] for n in carried[node])]
-        for node in range(1, t_count)
-    )
-    flat_channel = channel.table.reshape(channel.input_sizes + (n_y,))
-    joint = flat_channel[x]
+    # one gather of p(y | x) per outcome u
+    joint = channel.table.reshape(-1, n_y)[x]
     joint *= prob[..., None]
     joint = joint.reshape(u_sizes + channel.output_sizes)
     joint.setflags(write=False)
@@ -242,22 +272,38 @@ def khop_dmc_rate(
     table_cap: int = DEFAULT_TABLE_CAP,
 ) -> DmcRateReport:
     """Max-min k-hop decode-forward rate of a discrete channel, by exact
-    evaluation of every receiver's conditional mutual information."""
+    evaluation of every receiver's conditional mutual information.
+
+    Receiver r's table is p(u, y_r): its output's marginal p(y_r | x), which
+    the channel holds for every k, read at x(u) and times p(u).  That is the
+    full joint summed over every other output, at |Y_r| / |Y_2..Y_T| of its
+    size; ``table_cap`` bounds the receivers' tables together.
+    """
     t_count = channel.node_count
     perm = perm or Permutation.identity(t_count)
-    joint = build_joint(channel, inputs, k, perm, table_cap)
+    prob, x = _outcomes(channel, inputs, k, perm)
+    marginals = channel._output_marginals
+    if prob.size * marginals.shape[1] > table_cap:
+        raise TableSizeError(
+            f"receiver tables would need {prob.size * marginals.shape[1]} entries "
+            f"(cap {table_cap})"
+        )
+    # every receiver's table side by side, in the marginals' column blocks
+    tables = marginals[x]
+    tables *= prob[..., None]
+    ends = np.cumsum(channel.output_sizes).tolist()
 
+    # axes of a receiver's table: the sub-signals of nodes 1..T-1, then Y_r
+    y_axis = t_count - 1
     rates = {}
     for receiver in range(2, t_count + 1):
         pos = perm.position_of(receiver)
-        decode = [
-            f"U{perm.node_at(q)}" for q in range(max(1, pos - k), pos)
-        ]
-        known = [
-            f"U{perm.node_at(q)}"
-            for q in range(pos, min(pos + k - 1, t_count - 1) + 1)
-        ]
-        rates[receiver] = mutual_information(joint, decode, [f"Y{receiver}"], known)
+        decode = [perm.node_at(q) - 1 for q in range(max(1, pos - k), pos)]
+        known = [perm.node_at(q) - 1 for q in range(pos, min(pos + k - 1, t_count - 1) + 1)]
+        end = ends[receiver - 2]
+        table = tables[..., end - channel.output_sizes[receiver - 2]:end]
+        rates[receiver] = _mutual_information(table, decode + [y_axis] + known,
+                                              len(decode), 1)
 
     bottleneck = min(rates, key=lambda node: (rates[node], node))
     return DmcRateReport(rates, bottleneck, rates[bottleneck])

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelValidationError
-from .optimizer import OptimizerConfig, _grid_candidates, _refine
 
 SPLIT_TOL = 1e-12
 
@@ -138,9 +137,24 @@ def marc_omniscient_sumrate(cfg: MarcConfig) -> MarcRates:
     return MarcRates(r3, r4, min(r3, r4))
 
 
+def _crossing(a, b, c, lo, hi) -> float:
+    """The root x = -2c / (b + sqrt(b^2 - 4ac)) of a x^2 + b x + c = 0,
+    clipped into [lo, hi]; ``lo`` where that root is not real.
+
+    With a, b >= 0 the quadratic rises for x >= 0, so this is its only
+    non-negative root where it has one, and the form subtracts no
+    near-equal terms.
+    """
+    den = b + math.sqrt(max(b * b - 4.0 * a * c, 0.0))
+    root = -2.0 * c / den if den > 0.0 else lo
+    # a NaN root fails the comparison and clips to lo
+    return min(root, hi) if root > lo else lo
+
+
 @dataclass(frozen=True)
 class MarcOptimum:
-    """Best sum rate found, with the maximizing configuration."""
+    """Best sum rate, with the maximizing configuration; ``evaluations``
+    counts the points rated, and the exact search is never ``incomplete``."""
 
     sum_rate: float
     rates: MarcRates
@@ -152,51 +166,60 @@ class MarcOptimum:
 def marc_optimize(
     cfg: MarcConfig,
     which: str = "omniscient",
-    opt: OptimizerConfig = OptimizerConfig(),
     sweep_source_power: tuple = None,
-    asymmetric: bool = False,
 ) -> MarcOptimum:
-    """Maximize the sum rate.
+    """Maximize the sum rate exactly.
 
     ``which='omniscient'`` searches the symmetric split alpha_1 = alpha_2
-    with beta fixed at 1/2 (a 3-D search over alpha_1, alpha_2 and beta_1
-    behind ``asymmetric``).
+    with beta fixed at 1/2: r3 falls and r4 rises with u = sqrt(alpha), so
+    the optimum is an end of [0, 1] or the crossing, a quadratic in u.
     ``which='onehop'`` has no splits; pass ``sweep_source_power=(lo, hi)``
-    to search the common source power P_1 = P_2 instead.
+    to search the common source power P_1 = P_2 instead: r3 rises and r4
+    falls with it, and their crossing is a quadratic in the power.  Each
+    search rates both ends and the crossing clipped into the interval, and
+    keeps the first best of the three.
     """
     if which not in ("onehop", "omniscient"):
         raise ValueError("which must be 'onehop' or 'omniscient'")
 
-    # ``fields`` maps the free coordinates, floats or (n,) arrays alike, to
+    # ``fields`` maps the searched values, floats or (n,) arrays alike, to
     # the MarcConfig fields the search varies
     if which == "onehop":
         if sweep_source_power is None:
             rates = marc_onehop_sumrate(cfg)
             return MarcOptimum(rates.sum_rate, rates, cfg, 1, False)
         lo, hi = map(float, sweep_source_power)
-        sumrate, rates_of, ndim = marc_onehop_sumrate, _onehop_rates, 1
+        sumrate, rates_of = marc_onehop_sumrate, _onehop_rates
 
-        def fields(v):
-            p = lo + v * (hi - lo)
+        def fields(p):
             return dict(p1=p, p2=p)
-    elif asymmetric:
-        sumrate, rates_of, ndim = marc_omniscient_sumrate, _omniscient_rates, 3
 
-        def fields(a1, a2, b1):
-            return dict(alpha1=a1, alpha2=a2, beta1=b1, beta2=1.0 - b1)
+        # every power searched lies between the ends, so valid ends make
+        # every configuration searched valid
+        for end in (lo, hi):
+            replace(cfg, **fields(end))
+        # p g3 / n3 = g34 P3 / (n4 + p g4)
+        g3 = cfg.gain(cfg.d13) + cfg.gain(cfg.d23)
+        g4 = cfg.gain(cfg.d14) + cfg.gain(cfg.d24)
+        crossing = _crossing(g3 * g4, g3 * cfg.n4, -cfg.n3 * cfg.gain(cfg.d34) * cfg.p3,
+                             min(lo, hi), max(lo, hi))
     else:
-        sumrate, rates_of, ndim = marc_omniscient_sumrate, _omniscient_rates, 1
+        lo, hi = 0.0, 1.0
+        sumrate, rates_of = marc_omniscient_sumrate, _omniscient_rates
 
         def fields(a):
             return dict(alpha1=a, alpha2=a, beta1=0.5, beta2=0.5)
 
-    # each parameter is monotone in its coordinate, so if the two corners
-    # of the box are valid configurations, so is every point searched
-    for corner in (0.0, 1.0):
-        replace(cfg, **fields(*[corner] * ndim))
-    best, evals, _, incomplete = _refine(
-        lambda axes: np.minimum(*rates_of(cfg, **fields(*_grid_candidates(axes).T))), ndim, opt
-    )
-    best_cfg = replace(cfg, **fields(*best.tolist()))
+        # (1 - u^2) relay = direct + u coherent, each an SNR
+        g34 = cfg.gain(cfg.d34)
+        relay = (cfg.gain(cfg.d13) * cfg.p1 + cfg.gain(cfg.d23) * cfg.p2) / cfg.n3
+        direct = (cfg.gain(cfg.d14) * cfg.p1 + cfg.gain(cfg.d24) * cfg.p2 + g34 * cfg.p3) / cfg.n4
+        coherent = 2.0 * (math.sqrt(0.5 * cfg.p1 * cfg.p3 * cfg.gain(cfg.d14) * g34)
+                          + math.sqrt(0.5 * cfg.p2 * cfg.p3 * cfg.gain(cfg.d24) * g34)) / cfg.n4
+        crossing = _crossing(relay, coherent, direct - relay, 0.0, 1.0) ** 2
+
+    points = np.array([lo, hi, crossing])
+    best = float(points[int(np.argmax(np.minimum(*rates_of(cfg, **fields(points)))))])
+    best_cfg = replace(cfg, **fields(best))
     rates = sumrate(best_cfg)
-    return MarcOptimum(rates.sum_rate, rates, best_cfg, evals, incomplete)
+    return MarcOptimum(rates.sum_rate, rates, best_cfg, points.size, False)

@@ -62,15 +62,16 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class OptimumResult:
     """Best operating point found, re-evaluated through the reference path.
-    ``free``, left out of equality, is the unit-box point ``splits`` maps
-    from (empty if no split is free, as at k = 1): a larger-k search seeds
-    from it exactly."""
+    ``achieved_tolerance`` is the last grid round's gain, 0.0 where no split
+    is free and None where the budget funded no round.  ``free``, left out
+    of equality, is the unit-box point ``splits`` maps from (empty if no
+    split is free, as at k = 1): a larger-k search seeds from it exactly."""
 
     rate: float
     report: RateReport
     splits: SplitMatrix
     evaluations: int
-    achieved_tolerance: float
+    achieved_tolerance: Optional[float]
     incomplete: bool
     permutation: Optional[Permutation] = None
     free: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
@@ -267,24 +268,23 @@ def _shrink_box(center, lo, hi):
     return new_lo, new_hi
 
 
-def _refine(evaluate, ndim, config, warm=None):
+def _refine(evaluate, ndim, config, warm):
     """Shared refinement loop over the unit box [0, 1]^ndim.
 
     Each round is the ``ij`` grid over ndim axes; ``evaluate`` maps the
     round's list of axes to the (n,) rates of its points in C order, the
-    order of ``_grid_candidates(axes)``.  ``warm`` is an optional pair
-    (points, rates) of candidates the caller has rated, an (n, ndim) array
-    and its (n,) rates: its best point is the incumbent, and the centre of
-    the first shrunk box, before the first round.  Without ``warm``, a
-    budget below one corner grid (2**ndim points) rates the box midpoint
-    alone, flags the search incomplete and logs a WARNING.  Returns
-    (best_free, evaluations, achieved_tol, incomplete).
+    order of ``_grid_candidates(axes)``.  ``warm`` is a pair (points, rates)
+    of at least one candidate the caller has rated, an (n, ndim) array and
+    its (n,) rates: its best point is the incumbent, and the centre of the
+    first shrunk box, before the first round.  Returns (best_free,
+    evaluations, achieved_tol, incomplete); achieved_tol is None if no
+    round ran.
     """
     lo, hi = np.zeros(ndim), np.ones(ndim)  # _shrink_box returns new arrays
     evaluations = 0
     best_rate = -math.inf
-    best_free = (lo + hi) / 2.0
-    achieved = math.inf
+    best_free = None
+    achieved = None
     incomplete = False
 
     def search(rates, point_at):
@@ -296,9 +296,8 @@ def _refine(evaluate, ndim, config, warm=None):
             best_rate, best_free = float(rates[idx]), point_at(idx)
         return improvement
 
-    if warm is not None:
-        points, rates = warm
-        search(rates, lambda idx: points[idx].copy())
+    points, rates = warm
+    search(rates, lambda idx: points[idx].copy())
 
     n_rounds = config.rounds + 1  # coarse pass plus refinement rounds
     stalled = 0
@@ -316,13 +315,6 @@ def _refine(evaluate, ndim, config, warm=None):
         if rnd > 0 and stalled >= 2:
             break
         lo, hi = _shrink_box(best_free, lo, hi)
-
-    if evaluations == 0:
-        log.warning("budget %d is below one %d-dimensional corner grid of %d points: "
-                    "only the box midpoint is rated", config.budget, ndim, 2 ** ndim)
-        search(evaluate([np.array([0.5])] * ndim), lambda idx: best_free)
-    if not math.isfinite(achieved):
-        achieved = 0.0
     return best_free, evaluations, achieved, incomplete
 
 
@@ -350,6 +342,8 @@ def optimize_splits(
     coordinates.  ``evaluations`` still counts every grid point searched,
     repeats included, and since the kernel rates a candidate alike in any
     batch, neither the slabs nor the repeats change a rate or a result.
+    A search the budget truncates is flagged ``incomplete`` and logs one
+    WARNING on the ``relayrates`` logger.
     """
     t_count = geometry.node_count
     perm = perm or Permutation.identity(t_count)
@@ -377,6 +371,10 @@ def optimize_splits(
     seeded = (seeds, batch_min_rate(problem, free_to_fractions(seeds, lengths)))
     best_free, evals, achieved, incomplete = _refine(
         lambda axes: _rate_round(problem, axes, lengths), ndim, config, seeded)
+    if incomplete:
+        log.warning("split search at T=%d, k=%d, %s mode truncated: %d free coordinates, "
+                    "budget %d, %d evaluations", t_count, k, mode.value, ndim,
+                    config.budget, evals)
     fracs = free_to_fractions(best_free[None, :], lengths)[0]
     splits = SplitMatrix.from_flat(fracs, lengths)
     return result_for(splits, evals, achieved, incomplete, best_free)

@@ -333,8 +333,15 @@ def validate_config(raw) -> ExperimentConfig:
     if scenario == "discrete" and len(errors) == n_errors:
         _check_dmc(channel, axis, errors)
 
+    # only the mrc scenario runs the split search, in either combining mode
+    if scenario != "mrc":
+        for key in ("optimizer", "mode"):
+            if key in raw:
+                errors.append(f"{key!r} is not read by scenario {scenario!r}; "
+                              "only 'mrc' takes it")
+
     opt = OptimizerConfig()
-    if "optimizer" in raw:
+    if scenario == "mrc" and "optimizer" in raw:
         if not isinstance(raw["optimizer"], dict):
             errors.append("optimizer must be an object")
         else:
@@ -344,7 +351,7 @@ def validate_config(raw) -> ExperimentConfig:
                 errors.append(f"optimizer: {exc}")
 
     mode = CombiningMode.COHERENT
-    if "mode" in raw:
+    if scenario == "mrc" and "mode" in raw:
         try:
             mode = CombiningMode(raw["mode"])
         except ValueError:
@@ -418,7 +425,7 @@ def _marc_row(config: ExperimentConfig, value):
     cfg, row = _fournode_config(config, value, marc_mod.MarcConfig)
     incomplete = False
     for s in config.strategies:
-        res = marc_mod.marc_optimize(cfg, s["which"], config.optimizer)
+        res = marc_mod.marc_optimize(cfg, s["which"])
         incomplete = incomplete or res.incomplete
         tag = s["tag"]
         row.append((f"{tag}_sum_rate_bits_per_use", res.sum_rate))
@@ -439,7 +446,7 @@ def _brc_row(config: ExperimentConfig, value):
             rates = brc_mod.brc_onehop_common_rate(cfg)
             row.append((f"{tag}_common_rate_bits_per_use", rates.common_rate))
         else:
-            res = brc_mod.brc_optimize(cfg, config.optimizer)
+            res = brc_mod.brc_optimize(cfg)
             incomplete = incomplete or res.incomplete
             rates = res.rates
             row.append((f"{tag}_common_rate_bits_per_use", rates.common_rate))

@@ -24,15 +24,13 @@ one coordinate at a time.  They share the kernel, the grid axes and the box
 schedule with the library, so they check only the map, the seeds and the
 search around them.
 
+``reference_crossing`` finds the crossing of two rates by bisection.
+
 ``reference_chain_csr`` builds ``compile_chain``'s CSR the way the library
 did before its carrier template: a (receiver, sub-signal, carrier) mask, its
 ``np.nonzero`` and a group search over the flat (receiver, sub-signal)
 index.  It shares ``_layout``, ``_window`` and ``_carriers`` with the library,
 so it checks only the CSR built from them.
-
-``reference_refine_points`` runs the library's grid refinement on an
-objective that rates one point at a time, the scalar form of the MARC and
-BRC searches' whole-array evaluators.
 """
 
 import math
@@ -56,7 +54,6 @@ from relayrates.optimizer import (
     OptimumResult,
     _grid_axes,
     _grid_candidates,
-    _refine,
     _shrink_box,
     free_to_fractions,
 )
@@ -218,7 +215,7 @@ def reference_optimize_splits(geometry, prop, power, k, perm=None,
                               warm=()):
     """``optimize_splits`` with each round's grid points built and mapped in
     full: ``own_only`` and the warm optima first, then every round's argmax,
-    first in C order."""
+    first in C order; ``achieved_tolerance`` is None if no round ran."""
     t_count = geometry.node_count
     perm = perm or Permutation.identity(t_count)
     lengths = tuple(row_lengths(t_count, k, perm)[t] for t in range(1, t_count))
@@ -234,8 +231,8 @@ def reference_optimize_splits(geometry, prop, power, k, perm=None,
 
     problem = compile_chain(geometry, prop, power, k, perm, mode)
     lo, hi = np.zeros(ndim), np.ones(ndim)
-    evaluations, best_rate, best_free = 0, -math.inf, (lo + hi) / 2.0
-    achieved, incomplete = math.inf, False
+    evaluations, best_rate, best_free = 0, -math.inf, None
+    achieved, incomplete = None, False
 
     def search(pts):
         nonlocal evaluations, best_rate, best_free
@@ -264,8 +261,6 @@ def reference_optimize_splits(geometry, prop, power, k, perm=None,
         if rnd > 0 and stalled >= 2:
             break
         lo, hi = _shrink_box(best_free, lo, hi)
-    if not math.isfinite(achieved):
-        achieved = 0.0
     fracs = free_to_fractions(best_free[None, :], lengths)[0]
     return result_for(SplitMatrix.from_flat(fracs, lengths), evaluations, achieved,
                       incomplete, best_free)
@@ -283,15 +278,18 @@ def reference_rates_over_k(geometry, prop, power, ks, perm=None,
     return results
 
 
-def reference_refine_points(objective, ndim, config):
-    """``_refine`` for an objective that rates one point at a time.
 
-    ``objective(*point)`` takes the ndim free coordinates as floats.
-    Returns (best_point, evaluations, achieved_tol, incomplete), the point
-    as a list of floats.
-    """
-    def evaluate(axes):
-        return np.array([objective(*point) for point in _grid_candidates(axes).tolist()])
-
-    best_free, *rest = _refine(evaluate, ndim, config)
-    return (best_free.tolist(), *rest)
+def reference_crossing(gap, lo, hi):
+    """The point in [lo, hi] where ``gap`` changes sign, by bisection until
+    the bracket stops shrinking; ``gap(lo)`` and ``gap(hi)`` must differ in
+    sign.  The MARC and BRC searches solve the same crossings in closed
+    form."""
+    below = gap(lo) < 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if (gap(mid) < 0.0) == below:
+            lo = mid
+        else:
+            hi = mid

@@ -15,7 +15,6 @@ from relayrates import (
     MarcConfig,
     NetworkGeometry,
     NodeInput,
-    OptimizerConfig,
     PowerConfig,
     PropagationModel,
     SplitMatrix,
@@ -56,8 +55,7 @@ def test_01_marc_relay_reception_anchor():
 
 def test_02_marc_source_power_crossover():
     t0 = time.perf_counter()
-    opt = OptimizerConfig(resolution=41, rounds=10, tolerance=1e-12, budget=10_000)
-    res = marc_optimize(MarcConfig(), "onehop", opt, sweep_source_power=(0.1, 10.0))
+    res = marc_optimize(MarcConfig(), "onehop", sweep_source_power=(0.1, 10.0))
     elapsed = time.perf_counter() - t0
     gap = abs(res.rates.r3 - res.rates.r4)
     p = res.config.p1
@@ -288,7 +286,6 @@ def test_07_zeta_certified_values():
 
 def test_08_brc_equality_region_is_an_up_set():
     t0 = time.perf_counter()
-    opt = OptimizerConfig(resolution=41, rounds=6, tolerance=1e-10, budget=5000)
     thresholds = {}
     ok = True
     for p in (1.0, 10.0):
@@ -296,7 +293,7 @@ def test_08_brc_equality_region_is_an_up_set():
         for d in np.linspace(0.5, 4.0, 36):
             cfg = BrcConfig(p1=p, p2=p, d12=float(d))
             oh = brc_onehop_common_rate(cfg).common_rate
-            om = brc_optimize(cfg, opt).common_rate
+            om = brc_optimize(cfg).common_rate
             equal.append(abs(om - oh) <= 1e-6)
         first = next((i for i, e in enumerate(equal) if e), None)
         ok = ok and first is not None and all(equal[first:])

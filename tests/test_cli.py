@@ -230,3 +230,20 @@ def test_validate_rejects_the_chain_the_run_rejects(tmp_path, capsys, overrides)
     assert main(["mrc", "--config", path, *sets, "--out", str(tmp_path / "bad.csv")]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("scenario", ["mrc", "marc", "brc", "large", "discrete"])
+@pytest.mark.parametrize("override", ["mode=fading", 'optimizer={"budget": 5}'])
+def test_validate_refuses_search_keys_the_run_ignores(tmp_path, capsys, scenario, override):
+    # the split search's budget and combining mode reach only mrc rows
+    config = discrete_config() if scenario == "discrete" else DEFAULT_CONFIGS[scenario]
+    path = write_json(tmp_path / f"{scenario}.json", config)
+    assert main(["validate", "--config", path]) == 0
+    code = main(["validate", "--config", path, "--set", override])
+    err = capsys.readouterr().err
+    if scenario == "mrc":
+        assert code == 0 and err == ""
+    else:
+        key = override.partition("=")[0]
+        assert code == 1
+        assert f"config error: {key!r} is not read by scenario {scenario!r}" in err

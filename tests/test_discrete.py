@@ -284,3 +284,74 @@ def test_value_types_leave_the_callers_array_writeable(make, build, held):
     mine[...] = 7.0             # raises if the object froze the caller's array
     assert np.array_equal(held(obj), kept)
     assert not held(obj).flags.writeable
+
+
+@st.composite
+def channels_at_every_k(draw):
+    """A random channel at T 3-6 over alphabets of 2-3 symbols whose
+    conditional table has zero entries, a random relay order, and node
+    inputs for every hop depth 1..T-1, some pmfs with zeros too."""
+    t_count = draw(st.integers(3, 6))
+    perm = Permutation((1, *draw(st.permutations(range(2, t_count))), t_count))
+    sizes = st.lists(st.integers(2, 3), min_size=t_count - 1, max_size=t_count - 1)
+    x_sizes, y_sizes, u_sizes = (tuple(draw(sizes)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    table = rng.random(x_sizes + y_sizes) * (rng.random(x_sizes + y_sizes) < 0.6)
+    flat = table.reshape(x_sizes + (-1,))
+    # every conditional slice keeps some mass
+    np.put_along_axis(flat, rng.integers(0, flat.shape[-1], x_sizes + (1,)), 1.0, axis=-1)
+    table /= flat.sum(axis=-1).reshape(x_sizes + (1,) * len(y_sizes))
+    pmfs = []
+    for size in u_sizes:
+        pmf = rng.dirichlet(np.ones(size)) * (rng.random(size) < 0.7)
+        pmf[rng.integers(size)] += 0.5
+        pmfs.append(pmf / pmf.sum())
+    inputs = {}
+    for k in range(1, t_count):
+        lengths = row_lengths(t_count, k, perm)
+        inputs[k] = []
+        for node in range(1, t_count):
+            pos = perm.position_of(node)
+            carried = [u_sizes[perm.node_at(pos + j) - 1] for j in range(lengths[node])]
+            inputs[k].append(NodeInput(pmfs[node - 1],
+                                       rng.integers(0, x_sizes[node - 1], carried)))
+    return DmcChannel(x_sizes, y_sizes, table), inputs, perm
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(channels_at_every_k())
+def test_receiver_tables_match_the_full_joint(case):
+    # each receiver's rate from its own table equals I(decoded; Y_r | known)
+    # on the full joint: the receiver at position p decodes the sub-signals
+    # at positions p-k..p-1 and knows those at p..p+k-1
+    channel, inputs, perm = case
+    t_count = channel.node_count
+    for k, node_inputs in inputs.items():
+        rep = khop_dmc_rate(channel, node_inputs, k, perm)
+        joint = build_joint(channel, node_inputs, k, perm)
+        assert sorted(rep.rates) == list(range(2, t_count + 1))
+        for receiver, rate in rep.rates.items():
+            pos = perm.position_of(receiver)
+            decode = [f"U{perm.node_at(q)}" for q in range(pos - k, pos) if q >= 1]
+            known = [f"U{perm.node_at(q)}" for q in range(pos, pos + k) if q <= t_count - 1]
+            want = mutual_information(joint, decode, [f"Y{receiver}"], known)
+            assert abs(rate - want) <= 1e-12, (k, receiver, rate, want)
+        assert rep.rate == min(rep.rates.values()) == rep.rates[rep.bottleneck]
+
+
+def test_output_marginals_sum_out_the_other_outputs():
+    rng = np.random.default_rng(6)
+    ins, outs = (2, 3, 2), (3, 2, 2)
+    table = rng.random(ins + outs)
+    table /= table.reshape(12, -1).sum(axis=1).reshape(ins + (1, 1, 1))
+    chan = DmcChannel(ins, outs, table)
+    marginals = chan._output_marginals
+    assert marginals.shape == (12, 7) and not marginals.flags.writeable
+    assert chan._output_marginals is marginals
+    at = 0
+    for r, size in enumerate(outs):
+        others = tuple(3 + s for s in range(3) if s != r)
+        want = table.sum(axis=others).reshape(12, size)
+        assert np.abs(marginals[:, at:at + size] - want).max() <= 1e-15
+        at += size

@@ -150,9 +150,13 @@ def test_kernel_rates_each_distinct_split_once(k):
     assert cands < res.evaluations if k == 3 else cands == res.evaluations
 
 
+def hex_or_none(value):
+    return None if value is None else value.hex()
+
+
 def assert_same_result(got, want):
     assert got.rate.hex() == want.rate.hex()
-    assert got.achieved_tolerance.hex() == want.achieved_tolerance.hex()
+    assert hex_or_none(got.achieved_tolerance) == hex_or_none(want.achieved_tolerance)
     assert (got.evaluations, got.incomplete) == (want.evaluations, want.incomplete)
     assert ([[v.hex() for v in row] for row in got.splits.rows]
             == [[v.hex() for v in row] for row in want.splits.rows])
@@ -190,7 +194,39 @@ def test_warm_start_past_the_array_dimension_limit():
     geom = build_linear_geometry(rng.uniform(0.2, 3.0, 39))
     res = optimize_rates_over_k(geom, PROP, PowerConfig.uniform(40, 10.0), (1, 2, 3))
     assert res[3].incomplete and res[3].evaluations == 2
+    assert res[3].achieved_tolerance is None
     assert res[1].rate <= res[2].rate <= res[3].rate
+
+
+def nonuniform_chain(seed, node_count):
+    """Spacings U(0.2, 3) drawn from ``seed``, 10 W per node, unit noise."""
+    rng = np.random.default_rng(seed)
+    geom = build_linear_geometry(rng.uniform(0.2, 3.0, node_count - 1))
+    return geom, PowerConfig.uniform(node_count, 10.0)
+
+
+@pytest.mark.parametrize("mode", list(CombiningMode))
+def test_truncated_search_logs_one_warning(caplog, mode):
+    # T=12 k=3 has 19 free coordinates: no 2**19-point round fits the
+    # default budget, so only the seeds are rated
+    geom, power = nonuniform_chain(1, 12)
+    with caplog.at_level("WARNING", logger="relayrates"):
+        res = optimize_splits(geom, PROP, power, 3, mode=mode)
+    assert res.incomplete and res.evaluations == 1
+    assert res.achieved_tolerance is None
+    (record,) = caplog.records
+    assert record.levelname == "WARNING" and record.name == "relayrates"
+    message = record.getMessage()
+    for part in ("T=12", "k=3", f"{mode.value} mode", "19 free coordinates", "budget 400000"):
+        assert part in message, message
+
+
+def test_complete_search_logs_nothing(caplog):
+    geom, power = nonuniform_chain(1, 5)
+    with caplog.at_level("DEBUG", logger="relayrates"):
+        res = optimize_splits(geom, PROP, power, 2)
+    assert not res.incomplete and isinstance(res.achieved_tolerance, float)
+    assert caplog.records == []
 
 
 def test_optimizer_config_validation():

@@ -155,6 +155,21 @@ def test_validate_reports_each_malformed_section(scenario, overrides, message):
     assert message in exc.value.errors
 
 
+@pytest.mark.parametrize("scenario", ["marc", "brc", "large", "discrete"])
+@pytest.mark.parametrize("key,value", [("mode", "fading"), ("mode", "coherent"),
+                                       ("optimizer", {"budget": 5})])
+def test_validate_refuses_search_keys_outside_mrc(scenario, key, value):
+    # only the mrc scenario runs the split search; elsewhere these keys
+    # would be accepted and ignored
+    raw = copy.deepcopy(DISCRETE_WITHOUT_TABLE if scenario == "discrete"
+                        else DEFAULT_CONFIGS[scenario])
+    raw[key] = value
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    assert f"{key!r} is not read by scenario {scenario!r}; only 'mrc' takes it" \
+        in exc.value.errors
+
+
 def test_validate_takes_only_whole_sweep_steps():
     raw = copy.deepcopy(DEFAULT_CONFIGS["mrc"])
     apply_override(raw, "sweep.steps", 2.7)
@@ -196,9 +211,7 @@ def test_mrc_sweep_csv_is_deterministic_and_monotone(tmp_path):
 
 @pytest.mark.parametrize("scenario", ["mrc", "marc", "brc", "large"])
 def test_parallel_rows_match_serial(tmp_path, scenario):
-    raw = mrc_config() if scenario == "mrc" else dict(
-        DEFAULT_CONFIGS[scenario], optimizer={"rounds": 2, "budget": 800}
-    )
+    raw = mrc_config() if scenario == "mrc" else dict(DEFAULT_CONFIGS[scenario])
     raw["sweep"] = dict(raw["sweep"], steps=4)
     cfg = validate_config(raw)
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
@@ -242,7 +255,6 @@ def test_marc_sweep_crossover_columns(tmp_path):
         "sweep": {"variable": "d34", "start": 0.1, "stop": 2.0, "steps": 5},
         "strategies": [{"which": "onehop"}, {"which": "omniscient"}],
         "channel": {},
-        "optimizer": {"rounds": 3, "budget": 600},
     }
     out = tmp_path / "marc.csv"
     run_experiment(validate_config(raw), str(out))
@@ -255,20 +267,20 @@ def test_marc_sweep_crossover_columns(tmp_path):
         assert vals[omni] >= vals[oh] - 1e-9
 
 
-def marc_columns(cfg, opt):
+def marc_columns(cfg):
     out = {}
     for which in ("onehop", "omniscient"):
-        res = marc_optimize(cfg, which, opt)
+        res = marc_optimize(cfg, which)
         out[f"{which}_sum_rate_bits_per_use"] = res.sum_rate
         out[f"{which}_r3_bits_per_use"] = res.rates.r3
         out[f"{which}_r4_bits_per_use"] = res.rates.r4
     return out
 
 
-def brc_columns(cfg, opt):
+def brc_columns(cfg):
     out = {}
     for which, rates in (("onehop", brc_onehop_common_rate(cfg)),
-                         ("omniscient", brc_optimize(cfg, opt).rates)):
+                         ("omniscient", brc_optimize(cfg).rates)):
         for name in ("common_rate", "r2", "r3", "r4"):
             out[f"{which}_{name}_bits_per_use"] = getattr(rates, name)
     return out
@@ -291,7 +303,6 @@ def test_fournode_rows_rate_the_config_their_variable_names(tmp_path, scenario, 
         "sweep": {"variable": variable, "start": 0.5, "stop": 20.0, "steps": 3},
         "strategies": [{"which": "onehop"}, {"which": "omniscient"}],
         "channel": channel,
-        "optimizer": {"rounds": 2, "budget": 600},
     }
     cfg = validate_config(raw)
     out = tmp_path / f"{scenario}.csv"
@@ -302,7 +313,7 @@ def test_fournode_rows_rate_the_config_their_variable_names(tmp_path, scenario, 
     for value, line in zip(cfg.sweep.values(), lines):
         # source_power sets both source powers; a distance sets only itself
         fields = {"p1": value, "p2": value} if variable == "source_power" else {variable: value}
-        want = columns(config_type(**dict(channel, **fields)), cfg.optimizer)
+        want = columns(config_type(**dict(channel, **fields)))
         row = dict(zip(header, line.split(",")))
         assert set(want) == {c for c in header if c.endswith("_bits_per_use")}
         for column, rate in want.items():
