@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PowerConfig, PropagationModel
+from .channel import PowerConfig, PropagationModel, _fields_equal
 from .gaussian import _lag_powers
 
 DEFAULT_T_CAP = 5000
@@ -92,6 +92,8 @@ class LargeNetworkReport:
     max_interior_interference: float
     bound: float
     bound_satisfied: bool
+
+    __eq__ = _fields_equal
 
 
 def large_T_report(

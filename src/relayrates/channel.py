@@ -7,7 +7,7 @@ nodes 2..T-1 relays.  Distances are in meters, powers in watts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,11 +28,25 @@ def _read_only(value, dtype=float) -> np.ndarray:
     return arr
 
 
+def _fields_equal(self, other):
+    """``__eq__`` for a frozen dataclass with array fields: the same class
+    and every field equal, arrays by ``np.array_equal``.  The dataclass
+    still generates its field-wise ``__hash__``, which raises ``TypeError``
+    on an array, so instances stay unhashable."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+               for a, b in ((getattr(self, f.name), getattr(other, f.name))
+                            for f in fields(self)))
+
+
 @dataclass(frozen=True)
 class NetworkGeometry:
     """Pairwise distances between the T nodes of a relay network."""
 
     distances: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         d = _read_only(self.distances)
@@ -115,6 +129,8 @@ class PowerConfig:
 
     transmit_powers: np.ndarray
     noise_powers: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         p = _read_only(self.transmit_powers)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import _read_only
+from .channel import _fields_equal, _read_only
 from .coding import Permutation, row_lengths
 
 MASS_TOL = 1e-12
@@ -38,6 +38,8 @@ class JointPmf:
 
     labels: tuple
     table: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         labels = tuple(str(v) for v in self.labels)
@@ -106,6 +108,8 @@ class DmcChannel:
     output_sizes: tuple
     table: np.ndarray
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         ins = tuple(int(v) for v in self.input_sizes)
         outs = tuple(int(v) for v in self.output_sizes)
@@ -158,6 +162,8 @@ class NodeInput:
 
     u_pmf: np.ndarray
     x_map: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         pmf = _read_only(self.u_pmf)

@@ -1,10 +1,12 @@
-"""Deterministic nested grid-refinement for the max-min rate problems.
+"""Deterministic nested grid search for the max-min split problem.
 
 The objective min_t R_t has kinks where the bottleneck receiver switches,
-so derivative-free search over the split simplices is used
-throughout.  Simplex rows with m entries are parameterized by m-1 free
-coordinates in [0, 1] via the stick-breaking map, which keeps every grid
-point feasible.
+so ``optimize_splits`` searches the split simplices without derivatives.
+Simplex rows with m entries are parameterized by m-1 free coordinates in
+[0, 1] via the stick-breaking map, which keeps every grid point feasible.
+The search is one function: a coarse grid of up to ``_RESOLUTION`` points
+per axis over the unit box, then up to ``_ROUNDS`` finer grids, each over a
+box ``SHRINK`` times narrower per axis around the incumbent.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .kernel import batch_min_rate, compile_chain
 log = logging.getLogger("relayrates")
 
 SHRINK = 5.0  # each refinement round narrows the box by this factor per axis
+_RESOLUTION = 21  # grid points per axis, fewer where a round's budget is short
+_ROUNDS = 3  # refinement rounds after the coarse pass
 
 # a grid round reaches the kernel in slabs of at most this many split
 # fractions (8 bytes each), never as one (points, fractions) array
@@ -34,29 +38,25 @@ _SLAB_ELEMENTS = 1 << 20
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Grid resolution, refinement schedule, and evaluation budget."""
+    """Stall tolerance and evaluation budget of the split search."""
 
-    resolution: int = 21
-    rounds: int = 3
     tolerance: float = 1e-6
     budget: int = 400_000
 
     def __post_init__(self):
-        for name in ("resolution", "rounds", "budget"):
-            value = getattr(self, name)
-            whole = (isinstance(value, numbers.Integral)
-                     or isinstance(value, float) and value.is_integer())
-            if isinstance(value, bool) or not whole:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        budget = self.budget
+        whole = (isinstance(budget, numbers.Integral)
+                 or isinstance(budget, float) and budget.is_integer())
+        if isinstance(budget, bool) or not whole:
+            raise ValueError(f"budget must be an integer, got {budget!r}")
+        object.__setattr__(self, "budget", int(budget))
         if self.budget < 1:
             raise ValueError(f"budget must be a positive integer, got {self.budget}")
-        if self.resolution < 2:
-            raise ValueError("resolution must be at least 2")
-        if self.rounds < 0:
-            raise ValueError("rounds must be non-negative")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        tol = self.tolerance
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not 0.0 < tol < math.inf):
+            raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
+        object.__setattr__(self, "tolerance", float(tol))
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,6 @@ def _seed_point(free, rows, lengths) -> np.ndarray:
     return point
 
 
-def _grid_axes(box_lo, box_hi, per_round_budget, resolution):
-    ndim = box_lo.size
-    res = resolution
-    while res > 2 and res ** ndim > per_round_budget:
-        res -= 1
-    return [np.linspace(box_lo[d], box_hi[d], res) for d in range(ndim)]
-
-
 def _grid_candidates(axes):
     """Every point of the ``ij`` grid over ``axes``, one per row, stored
     column-major like ``free_to_fractions``' output."""
@@ -163,17 +155,6 @@ def _product_fractions(tables):
             out[:, at + j].reshape(view)[...] = table[:, j, None]
         at += table.shape[1]
     return out
-
-
-def _grid_fractions(axes, lengths):
-    """``free_to_fractions(_grid_candidates(axes), lengths)``, built one
-    simplex row at a time from that row's own axes.
-
-    A row's fractions depend only on its own free coordinates, whose axes are
-    contiguous in the C-order grid, so the grid's fractions are the product
-    of the rows' sub-grid maps.
-    """
-    return _product_fractions(list(_row_maps(axes, lengths)))
 
 
 def _distinct_points(row_axes):
@@ -251,73 +232,6 @@ def _grid_slabs(tables, n_cols):
             yield [*fixed, tables[cut][lo:lo + run], *whole]
 
 
-def _grid_point(axes, idx):
-    """Row ``idx`` of ``_grid_candidates(axes)``, without building the grid."""
-    point = np.empty(len(axes))
-    for d in reversed(range(len(axes))):
-        idx, i = divmod(idx, axes[d].size)
-        point[d] = axes[d][i]
-    return point
-
-
-def _shrink_box(center, lo, hi):
-    width = (hi - lo) / SHRINK
-    new_lo = np.maximum(center - width / 2.0, 0.0)
-    new_hi = np.minimum(new_lo + width, 1.0)
-    new_lo = np.maximum(new_hi - width, 0.0)
-    return new_lo, new_hi
-
-
-def _refine(evaluate, ndim, config, warm):
-    """Shared refinement loop over the unit box [0, 1]^ndim.
-
-    Each round is the ``ij`` grid over ndim axes; ``evaluate`` maps the
-    round's list of axes to the (n,) rates of its points in C order, the
-    order of ``_grid_candidates(axes)``.  ``warm`` is a pair (points, rates)
-    of at least one candidate the caller has rated, an (n, ndim) array and
-    its (n,) rates: its best point is the incumbent, and the centre of the
-    first shrunk box, before the first round.  Returns (best_free,
-    evaluations, achieved_tol, incomplete); achieved_tol is None if no
-    round ran.
-    """
-    lo, hi = np.zeros(ndim), np.ones(ndim)  # _shrink_box returns new arrays
-    evaluations = 0
-    best_rate = -math.inf
-    best_free = None
-    achieved = None
-    incomplete = False
-
-    def search(rates, point_at):
-        nonlocal evaluations, best_rate, best_free
-        evaluations += rates.size
-        idx = int(np.argmax(rates))
-        improvement = float(rates[idx]) - best_rate
-        if improvement > 0.0:
-            best_rate, best_free = float(rates[idx]), point_at(idx)
-        return improvement
-
-    points, rates = warm
-    search(rates, lambda idx: points[idx].copy())
-
-    n_rounds = config.rounds + 1  # coarse pass plus refinement rounds
-    stalled = 0
-    for rnd in range(n_rounds):
-        remaining = config.budget - evaluations
-        if remaining < 2 ** ndim:
-            incomplete = True
-            break
-        per_round = max(2 ** ndim, remaining // (n_rounds - rnd))
-        axes = _grid_axes(lo, hi, per_round, config.resolution)
-        achieved = max(search(evaluate(axes), lambda idx: _grid_point(axes, idx)), 0.0)
-        # a single flat round can just mean the shrunk grid re-hit the
-        # incumbent point, so require two stalled rounds before stopping
-        stalled = stalled + 1 if achieved < config.tolerance else 0
-        if rnd > 0 and stalled >= 2:
-            break
-        lo, hi = _shrink_box(best_free, lo, hi)
-    return best_free, evaluations, achieved, incomplete
-
-
 def optimize_splits(
     geometry: NetworkGeometry,
     prop: PropagationModel,
@@ -334,11 +248,23 @@ def optimize_splits(
     (1, 0, ..., 0) per row, and each ``warm`` optimum of a smaller k on the
     same channel and relay order, embedded exactly with zero forward mass,
     which keeps optimized rates monotone in k by feasible-set nesting.  So
-    the result is never an unrated point, nor below ``own_only``.  Each grid
-    round goes through ``_rate_round``: where a row coordinate of 1.0 spends
-    the row's mass, later coordinates repeat a split already in the round,
-    and the kernel rates each distinct split once, in slabs of at most
-    ``_SLAB_ELEMENTS`` split fractions, without an array of free
+    the result is never an unrated point, nor below ``own_only``.  Its best
+    point is the incumbent.
+
+    Then come up to 1 + ``_ROUNDS`` grid rounds, the first over the unit
+    box of free coordinates.  Each takes an equal share of the budget left
+    (2^ndim at least), at as many points per axis as fit it, at most
+    ``_RESOLUTION``; its first best point in C order becomes the incumbent
+    if better, and its gain is ``achieved_tolerance``.  Two rounds in a row
+    that gain less than ``config.tolerance`` end the search (one flat round
+    can just mean the shrunk grid re-hit the incumbent); otherwise the box
+    shrinks ``SHRINK`` times per axis around the incumbent, inside the unit
+    box.
+
+    Each round goes through ``_rate_round``: where a row coordinate of 1.0
+    spends the row's mass, later coordinates repeat a split already in the
+    round, and the kernel rates each distinct split once, in slabs of at
+    most ``_SLAB_ELEMENTS`` split fractions, without an array of free
     coordinates.  ``evaluations`` still counts every grid point searched,
     repeats included, and since the kernel rates a candidate alike in any
     batch, neither the slabs nor the repeats change a rate or a result.
@@ -368,16 +294,49 @@ def optimize_splits(
 
     seeds = np.stack([_seed_point(np.empty(0), own_only, lengths)]
                      + [_seed_point(res.free, res.splits.rows, lengths) for res in warm])
-    seeded = (seeds, batch_min_rate(problem, free_to_fractions(seeds, lengths)))
-    best_free, evals, achieved, incomplete = _refine(
-        lambda axes: _rate_round(problem, axes, lengths), ndim, config, seeded)
+    rates = batch_min_rate(problem, free_to_fractions(seeds, lengths))
+    idx = int(np.argmax(rates))
+    best_rate, best_free, evaluations = float(rates[idx]), seeds[idx].copy(), len(seeds)
+
+    lo, hi = np.zeros(ndim), np.ones(ndim)
+    achieved, incomplete, stalled = None, False, 0
+    for rnd in range(_ROUNDS + 1):
+        remaining = config.budget - evaluations
+        if remaining < 2 ** ndim:
+            incomplete = True
+            break
+        per_round = max(2 ** ndim, remaining // (_ROUNDS + 1 - rnd))
+        per_axis = _RESOLUTION
+        while per_axis > 2 and per_axis ** ndim > per_round:
+            per_axis -= 1
+        axes = [np.linspace(a, b, per_axis) for a, b in zip(lo, hi)]
+        rates = _rate_round(problem, axes, lengths)
+        evaluations += rates.size
+        idx = int(np.argmax(rates))
+        rate = float(rates[idx])
+        # freed before the next round is rated: held over, the rates of
+        # one round raised chain_sweep's peak RSS from 50 to 57 MB
+        del rates
+        improvement = rate - best_rate
+        if improvement > 0.0:
+            best_rate = rate
+            best_free = np.array([axis[i] for axis, i in
+                                  zip(axes, np.unravel_index(idx, (per_axis,) * ndim))])
+        achieved = max(improvement, 0.0)
+        stalled = stalled + 1 if achieved < config.tolerance else 0
+        if stalled == 2:
+            break
+        width = (hi - lo) / SHRINK
+        lo = np.maximum(best_free - width / 2.0, 0.0)
+        hi = np.minimum(lo + width, 1.0)
+        lo = np.maximum(hi - width, 0.0)
     if incomplete:
         log.warning("split search at T=%d, k=%d, %s mode truncated: %d free coordinates, "
                     "budget %d, %d evaluations", t_count, k, mode.value, ndim,
-                    config.budget, evals)
+                    config.budget, evaluations)
     fracs = free_to_fractions(best_free[None, :], lengths)[0]
     splits = SplitMatrix.from_flat(fracs, lengths)
-    return result_for(splits, evals, achieved, incomplete, best_free)
+    return result_for(splits, evaluations, achieved, incomplete, best_free)
 
 
 def optimize_rates_over_k(

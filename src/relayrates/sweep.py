@@ -12,7 +12,7 @@ import functools
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -345,9 +345,16 @@ def validate_config(raw) -> ExperimentConfig:
         if not isinstance(raw["optimizer"], dict):
             errors.append("optimizer must be an object")
         else:
+            # each unknown key ("rounds", "resolution", ...) is named, and
+            # the known ones are still checked
+            known = {f.name for f in fields(OptimizerConfig)}
+            for key in raw["optimizer"]:
+                if key not in known:
+                    errors.append(f"optimizer: unknown key {key!r}")
             try:
-                opt = OptimizerConfig(**raw["optimizer"])
-            except (TypeError, ValueError) as exc:
+                opt = OptimizerConfig(**{key: value for key, value in raw["optimizer"].items()
+                                         if key in known})
+            except ValueError as exc:
                 errors.append(f"optimizer: {exc}")
 
     mode = CombiningMode.COHERENT
@@ -401,8 +408,10 @@ def _mrc_row(config: ExperimentConfig, value):
         for j, frac in enumerate(flat):
             row.append((f"{tag}_split_{j}_frac", float(frac)))
         if omni_rate is not None and tag != "omniscient":
-            row.append((f"{tag}_efficiency_ratio",
-                        efficiency(res.rate, omni_rate).ratio))
+            # zero power, or 1 + SNR rounding to 1 below ~2e-16 W per unit
+            # noise, makes every rate exactly 0 and the ratio 0/0
+            ratio = efficiency(res.rate, omni_rate).ratio if omni_rate > 0.0 else math.nan
+            row.append((f"{tag}_efficiency_ratio", ratio))
     row.append(("incomplete", incomplete))
     return row
 

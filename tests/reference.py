@@ -20,9 +20,10 @@ the sub-signals at a time.
 search with every grid round expanded into its (n, ndim) points and mapped
 by ``free_to_fractions`` as a whole, the form the library's row-by-row grid
 map replaces, and build its seeds (``own_only`` and the smaller-k optima)
-one coordinate at a time.  They share the kernel, the grid axes and the box
-schedule with the library, so they check only the map, the seeds and the
-search around them.
+one coordinate at a time.  The round schedule (21 points per axis at most,
+a coarse pass and 3 refinement rounds, each box 5 times narrower) is
+written out here too, so they check the map, the seeds and the schedule,
+sharing only the kernel and the stick-breaking map with the library.
 
 ``reference_crossing`` finds the crossing of two rates by bisection.
 
@@ -50,13 +51,7 @@ from relayrates import (
 )
 from relayrates.coding import _carriers
 from relayrates.gaussian import _CANCEL, _layout, _window
-from relayrates.optimizer import (
-    OptimumResult,
-    _grid_axes,
-    _grid_candidates,
-    _shrink_box,
-    free_to_fractions,
-)
+from relayrates.optimizer import OptimumResult, free_to_fractions
 
 
 def reference_record(geometry, prop, power, splits, k, perm=None,
@@ -210,6 +205,15 @@ def reference_seed(free, rows, lengths):
     return np.array(point)
 
 
+def reference_box(center, lo, hi):
+    """One axis of the next round's box: 5 times narrower than [lo, hi],
+    centred on ``center`` and moved, where it would leave [0, 1], back to
+    touch the face it crossed (the upper face first, then the lower)."""
+    width = (hi - lo) / 5.0
+    new_hi = min(max(center - width / 2.0, 0.0) + width, 1.0)
+    return max(new_hi - width, 0.0), new_hi
+
+
 def reference_optimize_splits(geometry, prop, power, k, perm=None,
                               mode=CombiningMode.COHERENT, config=OptimizerConfig(),
                               warm=()):
@@ -232,7 +236,7 @@ def reference_optimize_splits(geometry, prop, power, k, perm=None,
     problem = compile_chain(geometry, prop, power, k, perm, mode)
     lo, hi = np.zeros(ndim), np.ones(ndim)
     evaluations, best_rate, best_free = 0, -math.inf, None
-    achieved, incomplete = None, False
+    achieved, incomplete, stalled = None, False, 0
 
     def search(pts):
         nonlocal evaluations, best_rate, best_free
@@ -247,20 +251,22 @@ def reference_optimize_splits(geometry, prop, power, k, perm=None,
     own_only = [(1.0,)] * len(lengths)
     search(np.stack([reference_seed([], own_only, lengths)]
                     + [reference_seed(res.free, res.splits.rows, lengths) for res in warm]))
-    n_rounds = config.rounds + 1
-    stalled = 0
-    for rnd in range(n_rounds):
+    # a coarse pass over the unit box, then up to 3 refinement rounds
+    for rounds_left in (4, 3, 2, 1):
         remaining = config.budget - evaluations
         if remaining < 2 ** ndim:
             incomplete = True
             break
-        per_round = max(2 ** ndim, remaining // (n_rounds - rnd))
-        achieved = max(search(_grid_candidates(
-            _grid_axes(lo, hi, per_round, config.resolution))), 0.0)
+        # an equal share of what is left, 2**ndim at least, and the most
+        # points per axis, 21 at most and 2 at least, whose grid fits it
+        share = max(2 ** ndim, remaining // rounds_left)
+        res = next((r for r in range(21, 2, -1) if r ** ndim <= share), 2)
+        grids = np.meshgrid(*[np.linspace(a, b, res) for a, b in zip(lo, hi)], indexing="ij")
+        achieved = max(search(np.stack([g.ravel() for g in grids], axis=1)), 0.0)
         stalled = stalled + 1 if achieved < config.tolerance else 0
-        if rnd > 0 and stalled >= 2:
+        if stalled == 2:
             break
-        lo, hi = _shrink_box(best_free, lo, hi)
+        lo, hi = np.array([reference_box(*axis) for axis in zip(best_free, lo, hi)]).T
     fracs = free_to_fractions(best_free[None, :], lengths)[0]
     return result_for(SplitMatrix.from_flat(fracs, lengths), evaluations, achieved,
                       incomplete, best_free)

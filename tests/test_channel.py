@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,8 +11,10 @@ from relayrates import (
     PropagationModel,
     build_linear_geometry,
     gain,
+    large_T_report,
     received_power,
 )
+from relayrates.discrete import DmcChannel, JointPmf, NodeInput
 
 
 def test_linear_geometry_distances_add():
@@ -83,6 +86,27 @@ def test_value_types_keep_read_only_arrays_uncopied():
     again = PowerConfig(power.transmit_powers, power.noise_powers)
     assert again.transmit_powers is power.transmit_powers
     assert again.noise_powers is power.noise_powers
+
+
+@pytest.mark.parametrize("build,name,change", [
+    (lambda: build_linear_geometry([1.0, 2.0]), "distances", lambda a: 2.0 * a),
+    (lambda: PowerConfig.uniform(4, 10.0), "noise_powers", lambda a: 2.0 * a),
+    (lambda: DmcChannel((2, 2), (2, 2), np.full((2, 2, 2, 2), 0.25)), "table",
+     lambda a: np.eye(4).reshape(a.shape)),
+    (lambda: NodeInput([0.5, 0.5], [0, 1]), "x_map", lambda a: a[::-1]),
+    (lambda: JointPmf(("a", "b"), np.full((2, 2), 0.25)), "table",
+     lambda a: np.diag([0.5, 0.5])),
+    (lambda: large_T_report(8), "p_int", lambda a: a + 1.0),
+], ids=["geometry", "power", "dmc_channel", "node_input", "joint_pmf", "large_report"])
+def test_array_value_types_compare_field_by_field(build, name, change):
+    one, two = build(), build()
+    assert getattr(one, name) is not getattr(two, name)
+    assert one == two and not one != two
+    changed = dataclasses.replace(one, **{name: change(getattr(one, name))})
+    assert one != changed and not one == changed
+    assert one != (1, 2) and not one == "another type"
+    with pytest.raises(TypeError):
+        hash(one)
 
 
 def test_propagation_eta_floor():

@@ -54,13 +54,39 @@ def test_default_mrc_sweep_writes_csv_and_svg(tmp_path, capsys):
     code = main([
         "mrc", "--out", str(out), "--svg", str(svg),
         "--set", "sweep.steps=3",
-        "--set", "optimizer.budget=500", "--set", "optimizer.rounds=2",
+        "--set", "optimizer.budget=500",
     ])
     assert code == 0
     assert "wrote 3 rows" in capsys.readouterr().out
     assert out.exists() and svg.exists()
     header = out.read_text().splitlines()[0].split(",")
     assert "k2_rate_bits_per_use" in header
+
+
+@pytest.mark.parametrize("overrides", [
+    ["sweep.start=1e-20", "sweep.stop=1"],
+    ["sweep.start=0", "sweep.stop=1", "sweep.log=false"],
+    ["channel.power=0", "sweep.variable=spacing", "sweep.start=0.5", "sweep.stop=2"],
+], ids=["snr_below_rounding", "linear_from_zero", "zero_power_spacing"])
+def test_mrc_writes_nan_efficiency_where_every_rate_is_zero(tmp_path, overrides):
+    # zero power, or 1 + SNR rounding to 1, makes the omniscient rate
+    # exactly 0 and each efficiency ratio 0/0; every other column is filled
+    out = tmp_path / "mrc.csv"
+    sets = [arg for item in overrides + ["sweep.steps=3", "optimizer.budget=400"]
+            for arg in ("--set", item)]
+    assert main(["mrc", "--out", str(out), *sets]) == 0
+    header, *lines = out.read_text().splitlines()
+    header = header.split(",")
+    ratios = [i for i, name in enumerate(header) if name.endswith("_efficiency_ratio")]
+    omni = header.index("omniscient_rate_bits_per_use")
+    zero_rows = 0
+    for line in lines:
+        cells = line.split(",")
+        zero = float(cells[omni]) == 0.0
+        zero_rows += zero
+        for i, cell in enumerate(cells):
+            assert np.isnan(float(cell)) == (zero and i in ratios), (header[i], cell)
+    assert len(ratios) == 2 and zero_rows >= 1
 
 
 def test_validate_subcommand_ok_and_exit_code(tmp_path, capsys):
@@ -171,7 +197,7 @@ def test_override_values_are_json_decoded(tmp_path):
     code = main([
         "mrc", "--out", str(out),
         "--set", "sweep.steps=2", "--set", "sweep.log=false",
-        "--set", "optimizer.budget=400", "--set", "optimizer.rounds=2",
+        "--set", "optimizer.budget=400",
         "--set", "strategies=" + json.dumps([{"k": 1}]),
     ])
     assert code == 0
@@ -207,7 +233,7 @@ def test_mrc_power_and_spacing_sweeps_agree_on_node_count(tmp_path):
         assert main([
             "mrc", "--out", str(out), "--set", 'channel={"node_count": 6}',
             "--set", f"sweep.variable={variable}", "--set", "sweep.steps=2",
-            "--set", "optimizer.budget=400", "--set", "optimizer.rounds=1",
+            "--set", "optimizer.budget=400",
             "--set", 'strategies=[{"k": 1}, {"k": 5}]',
         ]) == 0
         headers.append(out.read_text().splitlines()[0].split(",")[1:])

@@ -24,9 +24,10 @@ from relayrates import (
 from relayrates import kernel, optimizer
 from relayrates.optimizer import (
     _grid_candidates,
-    _grid_fractions,
     _grid_slabs,
+    _product_fractions,
     _rate_round,
+    _row_maps,
     free_to_fractions,
 )
 
@@ -81,7 +82,7 @@ def grid_rows(draw, max_points=4096):
 @given(grid_rows())
 def test_grid_fractions_match_the_expanded_map(rows):
     lengths, axes = rows
-    got = _grid_fractions(axes, lengths)
+    got = _product_fractions(list(_row_maps(axes, lengths)))
     assert np.array_equal(got, free_to_fractions(_grid_candidates(axes), lengths))
     assert got.flags.f_contiguous
 
@@ -133,7 +134,7 @@ def test_round_rates_match_the_expanded_grid(round_):
     geom = build_linear_geometry(spacings)
     problem = compile_chain(geom, PROP, PowerConfig.uniform(geom.node_count, 10.0),
                             k, perm, mode)
-    want = batch_min_rate(problem, _grid_fractions(axes, lengths))
+    want = batch_min_rate(problem, free_to_fractions(_grid_candidates(axes), lengths))
     with mock.patch.object(optimizer, "_SLAB_ELEMENTS", elements):
         got = _rate_round(problem, axes, lengths)
     assert got.tobytes() == want.tobytes()
@@ -207,10 +208,14 @@ def test_complete_search_logs_nothing(caplog):
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(resolution=1)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tolerance=0.0)
+    # the grid's resolution and round count are fixed, not settings
+    for key in ("resolution", "rounds"):
+        with pytest.raises(TypeError, match=key):
+            OptimizerConfig(**{key: 3})
+    for bad in (0.0, -1e-6, True, float("inf"), float("nan"), "1e-6", None):
+        with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+            OptimizerConfig(tolerance=bad)
+    assert type(OptimizerConfig(tolerance=1).tolerance) is float
 
 
 def test_k1_has_no_freedom():
@@ -248,8 +253,7 @@ def test_optimum_beats_fixed_heuristics():
 def test_twohop_optimum_matches_scalar_scan():
     # 3-node chain has a single free split; compare against a fine scan
     geom, power = unit_chain(3)
-    res = optimize_splits(geom, PROP, power, 2,
-                          config=OptimizerConfig(rounds=6, tolerance=1e-12))
+    res = optimize_splits(geom, PROP, power, 2, config=OptimizerConfig(tolerance=1e-12))
     best = max(
         rate_report(geom, PROP, power, SplitMatrix.two_hop([a]), 2).rate
         for a in np.linspace(0.0, 1.0, 20001)

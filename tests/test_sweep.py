@@ -20,7 +20,7 @@ def mrc_config(**over):
                   "steps": 4, "log": True},
         "strategies": [{"k": 1}, {"k": 2}, {"omniscient": True}],
         "channel": {"spacings": [1.0, 1.0, 1.0, 1.0]},
-        "optimizer": {"rounds": 2, "budget": 800},
+        "optimizer": {"budget": 800},
     }
     raw.update(over)
     return raw
@@ -88,15 +88,27 @@ def test_eta_below_two_rejected_in_configs():
     ("budget", 1.5, "budget must be an integer"),
     ("budget", True, "budget must be an integer"),
     ("budget", "many", "budget must be an integer"),
-    ("resolution", 2.5, "resolution must be an integer"),
-    ("rounds", 1.5, "rounds must be an integer"),
-    ("tolerance", float("nan"), "tolerance must be positive"),
+    ("tolerance", 0.0, "tolerance must be a positive finite number"),
+    ("tolerance", float("nan"), "tolerance must be a positive finite number"),
+    ("tolerance", float("inf"), "tolerance must be a positive finite number"),
+    ("tolerance", True, "tolerance must be a positive finite number"),
+    ("tolerance", "small", "tolerance must be a positive finite number"),
 ])
 def test_validate_rejects_invalid_optimizer_settings(field, value, message):
     with pytest.raises(ConfigError) as exc:
-        validate_config(mrc_config(optimizer={"rounds": 2, "budget": 800, field: value}))
+        validate_config(mrc_config(optimizer={"budget": 800, field: value}))
     assert any(e.startswith(f"optimizer: {message}") for e in exc.value.errors), \
         exc.value.errors
+
+
+def test_validate_refuses_the_fixed_grid_keys():
+    # the grid's resolution and round count are fixed: each key is named,
+    # and the settings beside them are still checked
+    with pytest.raises(ConfigError) as exc:
+        validate_config(mrc_config(optimizer={"resolution": 21, "rounds": 3, "budget": 0}))
+    assert exc.value.errors == ("optimizer: unknown key 'resolution'",
+                                "optimizer: unknown key 'rounds'",
+                                "optimizer: budget must be a positive integer, got 0")
 
 
 # a discrete config short of its table; the other scenarios start from the
@@ -183,9 +195,8 @@ def test_validate_takes_only_whole_sweep_steps():
 
 def test_validate_accepts_integral_float_optimizer_counts():
     # JSON and --set give 1e3 as a float; it is stored as an int
-    opt = validate_config(mrc_config(optimizer={"budget": 1e3, "rounds": 2.0})).optimizer
-    assert (opt.budget, opt.rounds) == (1000, 2)
-    assert type(opt.budget) is int and type(opt.rounds) is int
+    opt = validate_config(mrc_config(optimizer={"budget": 1e3})).optimizer
+    assert opt.budget == 1000 and type(opt.budget) is int
 
 
 def test_mrc_sweep_csv_is_deterministic_and_monotone(tmp_path):
@@ -233,7 +244,7 @@ def random_mrc_configs(draw):
         strategies=strategies,
         channel={"spacings": draw(st.lists(st.floats(0.2, 3.0), min_size=t - 1,
                                            max_size=t - 1))},
-        optimizer={"rounds": 1, "budget": draw(st.integers(50, 300))},
+        optimizer={"budget": draw(st.integers(50, 300))},
         mode=draw(st.sampled_from(["coherent", "fading"])),
     )
 
