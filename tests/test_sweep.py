@@ -88,6 +88,9 @@ def test_eta_below_two_rejected_in_configs():
     ("budget", 1.5, "budget must be an integer"),
     ("budget", True, "budget must be an integer"),
     ("budget", "many", "budget must be an integer"),
+    # the grid's resolution and round count are fixed: the keys are refused
+    ("resolution", 2.5, "unknown key 'resolution'"),
+    ("rounds", 1.5, "unknown key 'rounds'"),
     ("tolerance", 0.0, "tolerance must be a positive finite number"),
     ("tolerance", float("nan"), "tolerance must be a positive finite number"),
     ("tolerance", float("inf"), "tolerance must be a positive finite number"),
