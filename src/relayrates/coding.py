@@ -9,6 +9,7 @@ power over the sub-signals it carries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,18 +71,22 @@ class Permutation:
         return self.order.index(node) + 1
 
 
+def _check_hop_depth(node_count: int, k) -> None:
+    """Raise ``SplitValidationError`` unless k is an integer hop depth in
+    1..T-1; a bool is refused like any other non-integer."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise SplitValidationError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= node_count - 1:
+        raise SplitValidationError(f"k must be in 1..{node_count - 1}, got {k}")
+
+
 def row_lengths(node_count: int, k: int, perm: Permutation) -> dict:
     """Number of sub-signals carried by each transmitter, keyed by node id."""
     if perm.node_count != node_count:
         raise SplitValidationError(
             f"the permutation is for {perm.node_count} nodes, not {node_count}")
-    if not 1 <= k <= node_count - 1:
-        raise SplitValidationError(f"k must be in 1..{node_count - 1}, got {k}")
-    out = {}
-    for p in range(1, node_count):
-        node = perm.node_at(p)
-        out[node] = min(k, node_count - p)
-    return out
+    _check_hop_depth(node_count, k)
+    return {node: min(k, node_count - p) for p, node in enumerate(perm.order[:-1], start=1)}
 
 
 def _carriers(node_count: int, k: int) -> np.ndarray:

@@ -3,17 +3,24 @@ channels, by brute-force summation over probability tables.
 
 This is the independent oracle for the Gaussian rate formulas: the same
 k-hop decode/cancel window semantics, but with conditional mutual
-information evaluated term by term instead of in closed form.
-``khop_dmc_rate`` builds one table per receiver, p(u, y_r): each output's
-marginal p(y_r | x), held once per channel, read at the channel inputs
-x(u) and weighted by p(u).  ``build_joint`` gives the full joint of every
-sub-signal and output, the reference those tables are marginals of.
+information evaluated from probability tables instead of in closed form.
+``khop_dmc_rate`` rates each receiver from entropies: the sub-signals are
+independent, so I(U_D; Y_r | U_K) = H(U_D) + H(U_K, Y_r) - H(U_D, U_K, Y_r),
+with H(U_D) the sum of the decoded sub-signals' pmf entropies.  Both tables
+are marginals of p(u, y_r): the output's marginal p(y_r | x), held once per
+channel, read at the channel inputs x(u) and weighted by p(u).  Every
+entropy of a call, over every receiver, comes from one ``log2`` and one
+segment sum.  ``build_joint`` gives the full joint of every sub-signal and
+output, and ``mutual_information`` sums I(A;B|C) on it term by term in
+ratio form: the reference the entropy form is tested against.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,7 +71,8 @@ class JointPmf:
 
 
 def mutual_information(joint: JointPmf, a, b, c=()) -> float:
-    """Conditional mutual information I(A;B|C) in bits.
+    """Conditional mutual information I(A;B|C) in bits, summed term by term
+    as p(a,b,c) log2 [p(a,b,c) p(c) / (p(a,c) p(b,c))].
 
     Zero-probability outcomes contribute nothing; A, B, and C must be
     disjoint subsets of the joint's labels.
@@ -75,21 +83,16 @@ def mutual_information(joint: JointPmf, a, b, c=()) -> float:
     merged = a + b + c
     if len(set(merged)) != len(merged):
         raise PmfValidationError("A, B, C must be disjoint")
-    return _mutual_information(joint.table, joint.axes_of(merged), len(a), len(b))
-
-
-def _mutual_information(table, axes, na, nb) -> float:
-    """I(A;B|C) in bits of the pmf ``table``, where ``axes`` lists the
-    axes of A, then B, then C (``na`` and ``nb`` of the first two); every
-    other axis is summed out."""
+    axes = joint.axes_of(merged)
+    table = joint.table
     drop = tuple(ax for ax in range(table.ndim) if ax not in axes)
     if drop:
         table = table.sum(axis=drop)
     # summing keeps the remaining axes in axis order; reorder to (A..., B..., C...)
     kept = sorted(axes)
     p_abc = np.transpose(table, [kept.index(ax) for ax in axes])
-    ax_a = tuple(range(na))
-    ax_b = tuple(range(na, na + nb))
+    ax_a = tuple(range(len(a)))
+    ax_b = tuple(range(len(a), len(a) + len(b)))
     p_ac = p_abc.sum(axis=ax_b, keepdims=True)
     p_bc = p_abc.sum(axis=ax_a, keepdims=True)
     p_c = p_ac.sum(axis=ax_a, keepdims=True)
@@ -98,6 +101,18 @@ def _mutual_information(table, axes, na, nb) -> float:
     ratio = np.divide(p_abc * p_c, p_ac * p_bc, out=np.ones_like(p_abc), where=mask)
     # I(A;B|C) >= 0, but the summed terms can round to just below 0
     return max(float(np.sum(p_abc[mask] * np.log2(ratio[mask]))), 0.0)
+
+
+def _alphabet_sizes(sizes, what: str) -> tuple:
+    """``sizes`` as ints, each a whole number of at least 1: a fractional
+    size would be truncated and a zero one leaves nothing to reshape."""
+    out = []
+    for v in sizes:
+        whole = isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
+        if isinstance(v, bool) or not whole or v < 1:
+            raise PmfValidationError(f"{what} alphabet size must be a positive integer, got {v!r}")
+        out.append(int(v))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -111,8 +126,8 @@ class DmcChannel:
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        ins = tuple(int(v) for v in self.input_sizes)
-        outs = tuple(int(v) for v in self.output_sizes)
+        ins = _alphabet_sizes(self.input_sizes, "input")
+        outs = _alphabet_sizes(self.output_sizes, "output")
         table = _read_only(self.table)
         object.__setattr__(self, "input_sizes", ins)
         object.__setattr__(self, "output_sizes", outs)
@@ -204,20 +219,18 @@ def carried_signals(channel: DmcChannel, inputs, k: int, perm: Permutation = Non
     perm = perm or Permutation.identity(t_count)
     lengths = row_lengths(t_count, k, perm)
 
-    u_sizes = tuple(inp.u_pmf.size for inp in inputs)
+    order = perm.order
     carried = {}
-    for p in range(1, t_count):
-        node = perm.node_at(p)
-        ahead = tuple(perm.node_at(p + j) for j in range(lengths[node]))
+    for p, node in enumerate(order[:-1]):
+        ahead = order[p:p + lengths[node]]
         carried[node] = ahead
-        want = tuple(u_sizes[n - 1] for n in ahead)
-        if inputs[node - 1].x_map.shape != want:
+        xmap = inputs[node - 1].x_map
+        want = tuple(inputs[n - 1].u_pmf.size for n in ahead)
+        if xmap.shape != want:
             raise PmfValidationError(
-                f"x_map for node {node} must have shape {want}, "
-                f"got {inputs[node - 1].x_map.shape}"
+                f"x_map for node {node} must have shape {want}, got {xmap.shape}"
             )
-        xmax = int(inputs[node - 1].x_map.max(initial=0))
-        if xmax >= channel.input_sizes[node - 1]:
+        if int(xmap.max(initial=0)) >= channel.input_sizes[node - 1]:
             raise PmfValidationError(f"x_map for node {node} leaves the alphabet")
     return carried
 
@@ -280,10 +293,13 @@ def khop_dmc_rate(
     """Max-min k-hop decode-forward rate of a discrete channel, by exact
     evaluation of every receiver's conditional mutual information.
 
-    Receiver r's table is p(u, y_r): its output's marginal p(y_r | x), which
-    the channel holds for every k, read at x(u) and times p(u).  That is the
-    full joint summed over every other output, at |Y_r| / |Y_2..Y_T| of its
-    size; ``table_cap`` bounds the receivers' tables together.
+    The receiver at position p decodes the sub-signals U_D at positions
+    p-k..p-1 and knows U_K at p..p+k-1, so its rate is H(U_D) + H(U_K, Y_r)
+    - H(U_D, U_K, Y_r), clamped at 0.  Its tables p(u_D, u_K, y_r) and
+    p(u_K, y_r) are sums of p(u, y_r): its output's marginal p(y_r | x),
+    which the channel holds for every k, read at x(u) and times p(u).  The
+    pmf entropies and the tables of every receiver are concatenated and
+    reduced at once.  ``table_cap`` bounds the p(u, y_r) tables together.
     """
     t_count = channel.node_count
     perm = perm or Permutation.identity(t_count)
@@ -294,22 +310,45 @@ def khop_dmc_rate(
             f"receiver tables would need {prob.size * marginals.shape[1]} entries "
             f"(cap {table_cap})"
         )
-    # every receiver's table side by side, in the marginals' column blocks
+    # every receiver's p(u, y_r) side by side, in the marginals' column blocks
     tables = marginals[x]
     tables *= prob[..., None]
     ends = np.cumsum(channel.output_sizes).tolist()
 
-    # axes of a receiver's table: the sub-signals of nodes 1..T-1, then Y_r
-    y_axis = t_count - 1
+    # the pmfs, then per receiver its two tables, whose axes are the
+    # sub-signals of its window in node order, then Y_r
+    order = perm.order
+    position = {node: p for p, node in enumerate(order, start=1)}
+    n_u = t_count - 1
+    segments = [inp.u_pmf for inp in inputs]
+    decoded = {}
+    for receiver, end, size in zip(range(2, t_count + 1), ends, channel.output_sizes):
+        p = position[receiver]
+        lo, hi = max(0, p - k - 1), min(p + k - 1, n_u)   # the window's slice of order
+        window = sorted(node - 1 for node in order[lo:hi])
+        decoded[receiver] = [node - 1 for node in order[lo:p - 1]]
+        drop = tuple(ax for ax in range(n_u) if ax not in window)
+        table = tables[..., end - size:end]
+        if drop:
+            table = table.sum(axis=drop)
+        segments += [table, table.sum(axis=tuple(window.index(ax) for ax in decoded[receiver]))]
+    starts = list(accumulate((seg.size for seg in segments[:-1]), initial=0))
+    # dropped once copied on: held to the end at k = T-1 and 2^20 entries,
+    # they raised the peak from 26 to 34 MB (the ratio form's was 17 MB)
+    del tables
+    flat = np.concatenate(segments, axis=None)
+    del segments
+    # sum of p log2 p over each segment (0 log2 0 = 0): minus its entropy
+    terms = np.where(flat > 0.0, flat, 1.0)
+    np.log2(terms, out=terms)
+    terms *= flat
+    plogp = np.add.reduceat(terms, starts).tolist()
+
     rates = {}
-    for receiver in range(2, t_count + 1):
-        pos = perm.position_of(receiver)
-        decode = [perm.node_at(q) - 1 for q in range(max(1, pos - k), pos)]
-        known = [perm.node_at(q) - 1 for q in range(pos, min(pos + k - 1, t_count - 1) + 1)]
-        end = ends[receiver - 2]
-        table = tables[..., end - channel.output_sizes[receiver - 2]:end]
-        rates[receiver] = _mutual_information(table, decode + [y_axis] + known,
-                                              len(decode), 1)
+    for i, (receiver, decode) in enumerate(decoded.items()):
+        h_decode = -sum(plogp[ax] for ax in decode)
+        # I(U_D; Y_r | U_K) >= 0, but the entropies' difference can round to just below 0
+        rates[receiver] = max(h_decode + plogp[n_u + 2 * i] - plogp[n_u + 2 * i + 1], 0.0)
 
     bottleneck = min(rates, key=lambda node: (rates[node], node))
     return DmcRateReport(rates, bottleneck, rates[bottleneck])

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelValidationError, NetworkGeometry, PowerConfig, PropagationModel
-from .coding import CombiningMode, Permutation, SplitMatrix, SplitValidationError, _carriers
+from .coding import CombiningMode, Permutation, SplitMatrix, _carriers, _check_hop_depth
 
 EFFICIENCY_SLACK = 1e-9
 
@@ -171,8 +171,7 @@ def _layout(geometry, prop, power, k: int, perm: Permutation):
     Checks the sizes and k first: nothing is indexed or allocated past them."""
     _check_sizes(geometry, power, perm)
     t_count = geometry.node_count
-    if not 1 <= k < t_count:
-        raise SplitValidationError(f"k must be in 1..{t_count - 1}, got {k}")
+    _check_hop_depth(t_count, k)
     order = np.asarray(perm.order)
     tx = order[:-1]
     # a C-order copy, turned into gains in place: receiver rows contiguous,

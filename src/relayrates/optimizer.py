@@ -351,7 +351,7 @@ def optimize_rates_over_k(
     """Optimized rate per k, warm-starting each k from every smaller one but
     k = 1, whose embedding is the ``own_only`` point every search rates."""
     results = {}
-    for k in sorted(set(int(k) for k in ks)):
+    for k in sorted(set(ks)):
         warm = [res for prev_k, res in results.items() if prev_k > 1]
         results[k] = optimize_splits(geometry, prop, power, k, perm, mode, config, warm)
     return results

@@ -166,8 +166,17 @@ def _k_beyond_the_chain(config):
     config["sweep"] = {"variable": "k", "start": 3, "stop": 4, "steps": 2}
 
 
+def _fractional_input_size(config):
+    config["channel"]["input_sizes"] = [2.5, 2]
+
+
+def _zero_output_size(config):
+    config["channel"]["output_sizes"] = [2, 0]
+
+
 @pytest.mark.parametrize("edit", [_double_table, _negative_symbol, _nan_pmf, _missing_map,
-                                  _maps_too_narrow_for_k2, _k_beyond_the_chain])
+                                  _maps_too_narrow_for_k2, _k_beyond_the_chain,
+                                  _fractional_input_size, _zero_output_size])
 def test_validate_rejects_the_discrete_config_the_run_rejects(tmp_path, capsys, edit):
     config = discrete_config()
     assert main(["validate", "--config", write_json(tmp_path / "ok.json", config)]) == 0
@@ -177,6 +186,17 @@ def test_validate_rejects_the_discrete_config_the_run_rejects(tmp_path, capsys, 
     assert main(["discrete", "--config", path, "--out", str(tmp_path / "bad.csv")]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("key,sizes,message", [
+    ("input_sizes", [2.5, 2], "input alphabet size must be a positive integer, got 2.5"),
+    ("output_sizes", [2, 0], "output alphabet size must be a positive integer, got 0"),
+])
+def test_validate_names_the_alphabet_size_it_refuses(tmp_path, capsys, key, sizes, message):
+    config = discrete_config()
+    config["channel"][key] = sizes
+    assert main(["validate", "--config", write_json(tmp_path / "bad.json", config)]) == 1
+    assert capsys.readouterr().err.strip() == f"config error: channel: {message}"
 
 
 def test_runtime_error_exits_2(tmp_path, capsys):

@@ -3,7 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from relayrates import Permutation, SplitMatrix, SplitValidationError, carrier_layout, row_lengths
+from relayrates import (
+    CombiningMode,
+    DmcChannel,
+    NodeInput,
+    Permutation,
+    PowerConfig,
+    PropagationModel,
+    SplitMatrix,
+    SplitValidationError,
+    build_linear_geometry,
+    carrier_layout,
+    compile_chain,
+    khop_dmc_rate,
+    optimize_rates_over_k,
+    optimize_splits,
+    rate_report,
+    row_lengths,
+)
 
 
 def test_permutation_fixes_endpoints():
@@ -108,3 +125,35 @@ def test_validate_for_checks_row_shapes():
     sm.validate_for(5, 2, Permutation.identity(5))
     with pytest.raises(SplitValidationError):
         sm.validate_for(5, 3, Permutation.identity(5))
+
+
+
+def _chain():
+    return build_linear_geometry([1.0] * 5), PropagationModel(1.0, 2.0), PowerConfig.uniform(6, 10.0)
+
+
+def _dmc_rate(k):
+    chan = DmcChannel((2,) * 5, (2,) * 5, np.full((2,) * 10, 1.0 / 32))
+    return khop_dmc_rate(chan, [NodeInput([0.5, 0.5], [0, 1]) for _ in range(5)], k)
+
+
+HOP_DEPTH_ENTRY_POINTS = {
+    "row_lengths": lambda k: row_lengths(6, k, Permutation.identity(6)),
+    "carrier_layout": lambda k: carrier_layout(6, k, Permutation.identity(6)),
+    "uniform": lambda k: SplitMatrix.uniform(6, k),
+    "rate_report": lambda k: rate_report(*_chain(), SplitMatrix.uniform(6, 2), k),
+    "compile_chain": lambda k: compile_chain(*_chain(), k, Permutation.identity(6),
+                                             CombiningMode.COHERENT),
+    "optimize_splits": lambda k: optimize_splits(*_chain(), k),
+    "optimize_rates_over_k": lambda k: optimize_rates_over_k(*_chain(), [k]),
+    "khop_dmc_rate": _dmc_rate,
+}
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, 2.5, True, "2", None])
+@pytest.mark.parametrize("entry", list(HOP_DEPTH_ENTRY_POINTS))
+def test_a_hop_depth_that_is_not_an_integer_is_refused(entry, k):
+    # checked before anything is indexed: rows of 1.5 entries, numpy's
+    # "expected a sequence of integers" and bare IndexErrors were the symptoms
+    with pytest.raises(SplitValidationError, match=f"k must be an integer, got {k!r}"):
+        HOP_DEPTH_ENTRY_POINTS[entry](k)

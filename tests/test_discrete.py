@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relayrates import (
@@ -107,6 +107,21 @@ def test_channel_validation():
         DmcChannel((2, 2), (2, 2), bad)  # slices do not sum to 1
 
 
+@pytest.mark.parametrize("bad", [2.5, 0, -1, True, "2"])
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_channel_refuses_alphabet_sizes_that_are_not_positive_integers(side, bad):
+    # 2.5 used to build a binary channel and 0 to fail inside numpy's reshape
+    ins, outs = ((bad, 2), (2, 2)) if side == "input" else ((2, 2), (2, bad))
+    with pytest.raises(PmfValidationError,
+                       match=f"{side} alphabet size must be a positive integer, got {bad!r}"):
+        DmcChannel(ins, outs, np.full((2, 2, 2, 2), 0.25))
+
+
+def test_channel_accepts_whole_float_alphabet_sizes():
+    chan = DmcChannel((2.0, 2), (2, 2.0), np.full((2, 2, 2, 2), 0.25))
+    assert chan.input_sizes == chan.output_sizes == (2, 2)
+
+
 def test_node_input_validation():
     with pytest.raises(PmfValidationError):
         NodeInput(np.array([0.7, 0.4]), np.arange(2))
@@ -200,6 +215,10 @@ def test_table_cap_is_enforced():
     inputs = [NodeInput(uniform, identity_map(1)), NodeInput(uniform, identity_map(1))]
     with pytest.raises(TableSizeError):
         build_joint(chan, inputs, 1, table_cap=8)
+    # the receivers' tables: 4 sub-signal outcomes times |Y2| + |Y3| = 4
+    khop_dmc_rate(chan, inputs, 1, table_cap=16)
+    with pytest.raises(TableSizeError, match="16 entries"):
+        khop_dmc_rate(chan, inputs, 1, table_cap=15)
 
 
 def test_constructors_reject_nan():
@@ -286,6 +305,35 @@ def test_value_types_leave_the_callers_array_writeable(make, build, held):
     assert not held(obj).flags.writeable
 
 
+def inputs_at(rng, pmfs, x_sizes, perm, ks):
+    """Node inputs with the given pmfs and random maps onto the channel
+    inputs, one list per hop depth in ``ks``."""
+    t_count = perm.node_count
+    inputs = {}
+    for k in ks:
+        lengths = row_lengths(t_count, k, perm)
+        inputs[k] = []
+        for node in range(1, t_count):
+            pos = perm.position_of(node)
+            carried = [pmfs[perm.node_at(pos + j) - 1].size for j in range(lengths[node])]
+            inputs[k].append(NodeInput(pmfs[node - 1],
+                                       rng.integers(0, x_sizes[node - 1], carried)))
+    return inputs
+
+
+def example_case(x_sizes, y_sizes, pmfs, order, ks=None):
+    """A channel of the given alphabets with a seeded conditional table, and
+    node inputs for the hop depths ``ks`` (every k by default)."""
+    rng = np.random.default_rng(len(order))
+    table = rng.random(x_sizes + y_sizes)
+    table /= table.reshape(x_sizes + (-1,)).sum(axis=-1).reshape(
+        x_sizes + (1,) * len(y_sizes))
+    perm = Permutation(order)
+    pmfs = [np.array(pmf) for pmf in pmfs]
+    return (DmcChannel(x_sizes, y_sizes, table),
+            inputs_at(rng, pmfs, x_sizes, perm, ks or range(1, len(order))), perm)
+
+
 @st.composite
 def channels_at_every_k(draw):
     """A random channel at T 3-6 over alphabets of 2-3 symbols whose
@@ -307,24 +355,25 @@ def channels_at_every_k(draw):
         pmf = rng.dirichlet(np.ones(size)) * (rng.random(size) < 0.7)
         pmf[rng.integers(size)] += 0.5
         pmfs.append(pmf / pmf.sum())
-    inputs = {}
-    for k in range(1, t_count):
-        lengths = row_lengths(t_count, k, perm)
-        inputs[k] = []
-        for node in range(1, t_count):
-            pos = perm.position_of(node)
-            carried = [u_sizes[perm.node_at(pos + j) - 1] for j in range(lengths[node])]
-            inputs[k].append(NodeInput(pmfs[node - 1],
-                                       rng.integers(0, x_sizes[node - 1], carried)))
-    return DmcChannel(x_sizes, y_sizes, table), inputs, perm
+    return (DmcChannel(x_sizes, y_sizes, table),
+            inputs_at(rng, pmfs, x_sizes, perm, range(1, t_count)), perm)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(channels_at_every_k())
+# a deterministic decoded sub-signal (H(U) = 0), a receiver with |Y_r| = 1,
+# and k = T-1 alone at T = 6 on a shuffled relay order
+@example(example_case((2, 3, 2), (2, 2, 3), ([0.4, 0.6], [0.0, 1.0, 0.0], [0.5, 0.5]),
+                      (1, 2, 3, 4)))
+@example(example_case((2, 2, 3), (3, 1, 2), ([0.3, 0.7], [0.5, 0.5], [0.2, 0.3, 0.5]),
+                      (1, 3, 2, 4)))
+@example(example_case((2, 3, 2, 2, 3), (2, 3, 2, 3, 2),
+                      ([0.5, 0.5], [0.2, 0.3, 0.5], [0.9, 0.1], [0.5, 0.5], [0.1, 0.6, 0.3]),
+                      (1, 4, 2, 5, 3, 6), ks=[5]))
 def test_receiver_tables_match_the_full_joint(case):
-    # each receiver's rate from its own table equals I(decoded; Y_r | known)
-    # on the full joint: the receiver at position p decodes the sub-signals
-    # at positions p-k..p-1 and knows those at p..p+k-1
+    # each receiver's rate from its two tables equals I(decoded; Y_r | known)
+    # in ratio form on the full joint: the receiver at position p decodes the
+    # sub-signals at positions p-k..p-1 and knows those at p..p+k-1
     channel, inputs, perm = case
     t_count = channel.node_count
     for k, node_inputs in inputs.items():
