@@ -127,9 +127,9 @@ def test_validate_for_checks_row_shapes():
         sm.validate_for(5, 3, Permutation.identity(5))
 
 
-
 def _chain():
-    return build_linear_geometry([1.0] * 5), PropagationModel(1.0, 2.0), PowerConfig.uniform(6, 10.0)
+    return (build_linear_geometry([1.0] * 5), PropagationModel(1.0, 2.0),
+            PowerConfig.uniform(6, 10.0))
 
 
 def _dmc_rate(k):
