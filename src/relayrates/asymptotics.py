@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PowerConfig, PropagationModel, _fields_equal
+from .channel import PowerConfig, PropagationModel, _fields_equal, _whole
 from .gaussian import _lag_powers
 
 DEFAULT_T_CAP = 5000
@@ -113,9 +113,9 @@ def large_T_report(
     against the 6*zeta(eta) interference bound; boundary nodes are only
     evaluated directly.
     """
-    if not float(node_count).is_integer():
+    t = _whole(node_count)
+    if t is None:
         raise ValueError(f"node count must be a whole number (got {node_count!r})")
-    t = int(node_count)
     if t < 3:
         raise ValueError("need at least 3 nodes")
     if t > t_cap:

@@ -7,6 +7,8 @@ nodes 2..T-1 relays.  Distances are in meters, powers in watts.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -38,6 +40,20 @@ def _fields_equal(self, other):
     return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
                for a, b in ((getattr(self, f.name), getattr(other, f.name))
                             for f in fields(self)))
+
+
+def _whole(value):
+    """``value`` as an int where it is a whole number of a numeric type (an
+    int, a numpy integer, 3.0), else None: a bool, a string, 2.5, NaN and
+    inf are none, rather than truncated or parsed."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+        return None
 
 
 @dataclass(frozen=True)

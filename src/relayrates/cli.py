@@ -107,6 +107,8 @@ def _load_raw(args) -> dict:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(["config must be a JSON object"])
     elif args.command in DEFAULT_CONFIGS:
         raw = json.loads(json.dumps(DEFAULT_CONFIGS[args.command]))
     else:

@@ -15,6 +15,8 @@ from enum import Enum
 
 import numpy as np
 
+from .channel import _whole
+
 ROW_SUM_TOL = 1e-12
 
 
@@ -44,7 +46,10 @@ class Permutation:
     order: tuple
 
     def __post_init__(self):
-        order = tuple(int(v) for v in self.order)
+        order = tuple(map(_whole, self.order))
+        if None in order:
+            bad = self.order[order.index(None)]
+            raise SplitValidationError(f"node ids must be whole numbers, got {bad!r}")
         object.__setattr__(self, "order", order)
         t = len(order)
         if t < 3:

@@ -17,14 +17,13 @@ ratio form: the reference the entropy form is tested against.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
-from .channel import _fields_equal, _read_only
+from .channel import _fields_equal, _read_only, _whole
 from .coding import Permutation, row_lengths
 
 MASS_TOL = 1e-12
@@ -108,10 +107,10 @@ def _alphabet_sizes(sizes, what: str) -> tuple:
     size would be truncated and a zero one leaves nothing to reshape."""
     out = []
     for v in sizes:
-        whole = isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
-        if isinstance(v, bool) or not whole or v < 1:
+        size = _whole(v)
+        if size is None or size < 1:
             raise PmfValidationError(f"{what} alphabet size must be a positive integer, got {v!r}")
-        out.append(int(v))
+        out.append(size)
     return tuple(out)
 
 

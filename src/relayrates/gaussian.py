@@ -73,7 +73,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelValidationError, NetworkGeometry, PowerConfig, PropagationModel
+from .channel import (ChannelValidationError, NetworkGeometry, PowerConfig, PropagationModel,
+                      _whole)
 from .coding import CombiningMode, Permutation, SplitMatrix, _carriers, _check_hop_depth
 
 EFFICIENCY_SLACK = 1e-9
@@ -368,12 +369,15 @@ def reception_rate(
     module docstring).
     """
     t_count = geometry.node_count
-    if receiver == 1:
+    node = _whole(receiver)
+    if node is None:
+        raise ChannelValidationError(f"receiver must be a whole node id, got {receiver!r}")
+    if node == 1:
         raise ChannelValidationError("the source does not decode")
-    if not 2 <= receiver <= t_count:
+    if not 2 <= node <= t_count:
         raise ChannelValidationError(f"receiver must be in 2..{t_count}")
     return rate_report(geometry, prop, power, splits, k, perm, mode,
-                       failed).record(receiver)
+                       failed).record(node)
 
 
 def rate_report(
@@ -391,8 +395,11 @@ def rate_report(
     Ties for the bottleneck go to the lowest node id.
     """
     t_count = geometry.node_count
-    if failed and not all(2 <= f <= t_count - 1 for f in failed):
-        raise ChannelValidationError("only relays (2..T-1) can fail")
+    for node in failed:
+        if _whole(node) is None:
+            raise ChannelValidationError(f"a failed relay must be a whole node id, got {node!r}")
+        if not 2 <= node <= t_count - 1:
+            raise ChannelValidationError("only relays (2..T-1) can fail")
     perm = perm or Permutation.identity(t_count)
     gain, pos_r, col = _layout(geometry, prop, power, k, perm)
     splits.validate_for(t_count, k, perm)
@@ -429,5 +436,4 @@ def failure_impact(
 ) -> RateReport:
     """Rates after the given relays stop transmitting, unbeknownst to the
     surviving receivers."""
-    failed = frozenset(int(f) for f in failed)
-    return rate_report(geometry, prop, power, splits, k, perm, mode, failed)
+    return rate_report(geometry, prop, power, splits, k, perm, mode, frozenset(failed))

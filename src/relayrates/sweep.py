@@ -229,6 +229,16 @@ def _check_strategies(scenario, raw, errors):
         if not isinstance(s, dict):
             errors.append(f"strategies[{i}]: must be an object")
             continue
+        if scenario in ("large", "discrete"):
+            errors.append(
+                f"strategies[{i}]: scenario {scenario!r} takes no strategy list entries "
+                "beyond the default"
+            )
+            continue
+        known = ("which",) if scenario in ("marc", "brc") else ("k", "omniscient")
+        for key in s:
+            if key not in known:
+                errors.append(f"strategies[{i}]: unknown key {key!r}")
         if scenario in ("marc", "brc"):
             which = s.get("which")
             if which not in ("onehop", "omniscient"):
@@ -237,21 +247,20 @@ def _check_strategies(scenario, raw, errors):
                 )
                 continue
             tag = which
-        elif scenario in ("large", "discrete"):
-            errors.append(
-                f"strategies[{i}]: scenario {scenario!r} takes no strategy list entries "
-                "beyond the default"
-            )
+        elif "k" in s and "omniscient" in s:
+            errors.append(f"strategies[{i}]: give k or omniscient, not both")
             continue
+        elif not isinstance(s.get("omniscient", False), bool):
+            errors.append(f"strategies[{i}].omniscient must be true or false")
+            continue
+        elif s.get("omniscient"):
+            tag = "omniscient"
+        elif (isinstance(s.get("k"), int) and not isinstance(s["k"], bool)
+              and s["k"] >= 1):
+            tag = f"k{s['k']}"
         else:
-            if s.get("omniscient"):
-                tag = "omniscient"
-            elif (isinstance(s.get("k"), int) and not isinstance(s["k"], bool)
-                  and s["k"] >= 1):
-                tag = f"k{s['k']}"
-            else:
-                errors.append(f"strategies[{i}]: need integer k >= 1 or omniscient flag")
-                continue
+            errors.append(f"strategies[{i}]: need integer k >= 1 or omniscient flag")
+            continue
         if tag in tags:
             errors.append(f"strategies[{i}]: duplicate strategy {tag!r}")
             continue
@@ -301,7 +310,9 @@ def validate_config(raw) -> ExperimentConfig:
             start = _number(sweep_raw.get("start"))
             stop = _number(sweep_raw.get("stop"))
             steps = _number(sweep_raw.get("steps"), int)
-            use_log = bool(sweep_raw.get("log", False))
+            use_log = sweep_raw.get("log", False)
+            if not isinstance(use_log, bool):
+                errors.append("sweep.log must be true or false")
             if steps < 2:
                 errors.append("sweep.steps must be at least 2")
             if not (math.isfinite(start) and math.isfinite(stop)) or start > stop:

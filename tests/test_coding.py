@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from relayrates import (
+    ChannelValidationError,
     CombiningMode,
     DmcChannel,
     NodeInput,
@@ -15,10 +17,13 @@ from relayrates import (
     build_linear_geometry,
     carrier_layout,
     compile_chain,
+    failure_impact,
     khop_dmc_rate,
+    large_T_report,
     optimize_rates_over_k,
     optimize_splits,
     rate_report,
+    reception_rate,
     row_lengths,
 )
 
@@ -157,3 +162,44 @@ def test_a_hop_depth_that_is_not_an_integer_is_refused(entry, k):
     # "expected a sequence of integers" and bare IndexErrors were the symptoms
     with pytest.raises(SplitValidationError, match=f"k must be an integer, got {k!r}"):
         HOP_DEPTH_ENTRY_POINTS[entry](k)
+
+
+TWO_HOP = SplitMatrix.two_hop([0.5] * 4)
+
+# entry points that take a node id or a node count, and the error each raises
+NODE_ID_ENTRY_POINTS = {
+    "permutation": (SplitValidationError, lambda v: Permutation((1, v, 3, 4))),
+    "rate_report": (ChannelValidationError,
+                    lambda v: rate_report(*_chain(), TWO_HOP, 2, failed=frozenset({v}))),
+    "failure_impact": (ChannelValidationError,
+                       lambda v: failure_impact(*_chain(), TWO_HOP, 2, {v})),
+    "reception_rate": (ChannelValidationError,
+                       lambda v: reception_rate(*_chain(), TWO_HOP, 2, receiver=v)),
+    "large_T_report": (ValueError, large_T_report),
+}
+
+
+@pytest.mark.parametrize("entry,value", [
+    ("permutation", 2.5), ("permutation", True), ("permutation", "2"),
+    ("rate_report", 2.5), ("rate_report", True), ("rate_report", "3"),
+    ("failure_impact", 2.5), ("failure_impact", True), ("failure_impact", "3"),
+    ("reception_rate", 2.5), ("reception_rate", True), ("reception_rate", "3"),
+    ("large_T_report", True), ("large_T_report", "10"),
+])
+def test_a_node_id_that_is_not_a_whole_number_is_refused(entry, value):
+    # truncated, parsed or read as 1, these ran as another node; 2.5 as a
+    # receiver raised a bare KeyError
+    error, call = NODE_ID_ENTRY_POINTS[entry]
+    with pytest.raises(error, match=re.escape(repr(value))):
+        call(value)
+
+
+@pytest.mark.parametrize("node", [3, 3.0, np.int64(3), np.float32(3.0)])
+def test_a_whole_node_id_of_any_numeric_type_reads_as_an_int(node):
+    order = Permutation((1, node, 2, 4)).order
+    assert order == (1, 3, 2, 4) and type(order[1]) is int
+    assert failure_impact(*_chain(), TWO_HOP, 2, {node}) == \
+        failure_impact(*_chain(), TWO_HOP, 2, {3})
+    assert reception_rate(*_chain(), TWO_HOP, 2, receiver=node) == \
+        reception_rate(*_chain(), TWO_HOP, 2, receiver=3)
+    assert np.array_equal(large_T_report(node + 7).rates, large_T_report(10).rates)

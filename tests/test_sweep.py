@@ -159,6 +159,15 @@ DISCRETE_WITHOUT_TABLE = {
     # an unknown top-level key holds back none of the sweep-dependent checks
     ("mrc", {"sweeps": 1, "sweep.start": 1e-12, "sweep.variable": "spacing"},
      "sweep: off-diagonal distances must be >= 1e-09 m"),
+    # a flag is a JSON boolean, not any value Python reads as true
+    ("mrc", {"sweep.log": "no"}, "sweep.log must be true or false"),
+    ("mrc", {"strategies": [{"k": 1}, {"omniscient": "no"}]},
+     "strategies[1].omniscient must be true or false"),
+    # a strategy gives one of k and omniscient, and nothing else
+    ("mrc", {"strategies": [{"k": 2, "omniscient": True}]},
+     "strategies[0]: give k or omniscient, not both"),
+    ("mrc", {"strategies": [{"k": 1, "bogus": 3}]}, "strategies[0]: unknown key 'bogus'"),
+    ("marc", {"strategies": [{"which": "onehop", "k": 3}]}, "strategies[0]: unknown key 'k'"),
 ])
 def test_validate_reports_each_malformed_section(scenario, overrides, message):
     raw = copy.deepcopy(DISCRETE_WITHOUT_TABLE if scenario == "discrete"
