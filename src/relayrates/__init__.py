@@ -70,12 +70,7 @@ from .marc import (
     marc_onehop_sumrate,
     marc_optimize,
 )
-from .optimizer import (
-    OptimizerConfig,
-    OptimumResult,
-    optimize_rates_over_k,
-    optimize_splits,
-)
+from .optimizer import OptimumResult, optimize_rates_over_k, optimize_splits
 from .sweep import ConfigError, ExperimentConfig, SweepAxis, run_experiment, validate_config
 
 __version__ = "1.0.0"
@@ -99,7 +94,6 @@ __all__ = [
     "MarcRates",
     "NetworkGeometry",
     "NodeInput",
-    "OptimizerConfig",
     "OptimumResult",
     "Permutation",
     "PmfValidationError",

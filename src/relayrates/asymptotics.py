@@ -103,7 +103,6 @@ def large_T_report(
     kappa: float = 1.0,
     noise: float = 1.0,
     alpha=0.5,
-    t_cap: int = DEFAULT_T_CAP,
 ) -> LargeNetworkReport:
     """Evaluate every reception rate of the T-node unit-spacing chain under
     two-hop decode-forward with the given forward fraction(s).
@@ -111,15 +110,16 @@ def large_T_report(
     ``alpha`` is a scalar or a per-node array of T-2 entries: the fractions
     nodes 1..T-2 spend on the next node's sub-signal.  Interior nodes are checked
     against the 6*zeta(eta) interference bound; boundary nodes are only
-    evaluated directly.
+    evaluated directly.  A node count above ``DEFAULT_T_CAP``, read at call
+    time, is refused.
     """
     t = _whole(node_count)
     if t is None:
         raise ValueError(f"node count must be a whole number (got {node_count!r})")
     if t < 3:
         raise ValueError("need at least 3 nodes")
-    if t > t_cap:
-        raise ValueError(f"node count {t} exceeds the resource cap {t_cap}")
+    if t > DEFAULT_T_CAP:
+        raise ValueError(f"node count {t} exceeds the resource cap {DEFAULT_T_CAP}")
     if eta <= 1.0:
         raise ZetaDivergenceError("eta must exceed 1 for bounded interference")
     # the channel's own checks: finite kappa > 0, eta > 1, power >= 0, noise > 0

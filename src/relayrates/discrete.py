@@ -12,7 +12,9 @@ channel, read at the channel inputs x(u) and weighted by p(u).  Every
 entropy of a call, over every receiver, comes from one ``log2`` and one
 segment sum.  ``build_joint`` gives the full joint of every sub-signal and
 output, and ``mutual_information`` sums I(A;B|C) on it term by term in
-ratio form: the reference the entropy form is tested against.
+ratio form: the reference the entropy form is tested against.  Both
+refuse tables of more than ``DEFAULT_TABLE_CAP`` entries, a module constant
+read at call time.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class PmfValidationError(ValueError):
 
 
 class TableSizeError(RuntimeError):
-    """Raised when a joint table would exceed the configured entry cap."""
+    """Raised when a table would exceed ``DEFAULT_TABLE_CAP`` entries."""
 
 
 @dataclass(frozen=True)
@@ -256,18 +258,19 @@ def build_joint(
     inputs,
     k: int,
     perm: Permutation = None,
-    table_cap: int = DEFAULT_TABLE_CAP,
 ) -> JointPmf:
     """Joint pmf of all sub-signals and channel outputs under the k-hop
     factorization: independent sub-signals, each channel input a
-    deterministic function of the sub-signals its node carries."""
+    deterministic function of the sub-signals its node carries.  A table of
+    more than ``DEFAULT_TABLE_CAP`` entries, read at call time, is
+    refused."""
     t_count = channel.node_count
     u_sizes = tuple(inp.u_pmf.size for inp in inputs)
     n_y = int(np.prod(channel.output_sizes))
     prob, x = _outcomes(channel, inputs, k, perm)
-    if prob.size * n_y > table_cap:
+    if prob.size * n_y > DEFAULT_TABLE_CAP:
         raise TableSizeError(
-            f"joint table would need {prob.size * n_y} entries (cap {table_cap})"
+            f"joint table would need {prob.size * n_y} entries (cap {DEFAULT_TABLE_CAP})"
         )
 
     # one gather of p(y | x) per outcome u
@@ -287,7 +290,6 @@ def khop_dmc_rate(
     inputs,
     k: int,
     perm: Permutation = None,
-    table_cap: int = DEFAULT_TABLE_CAP,
 ) -> DmcRateReport:
     """Max-min k-hop decode-forward rate of a discrete channel, by exact
     evaluation of every receiver's conditional mutual information.
@@ -298,16 +300,17 @@ def khop_dmc_rate(
     p(u_K, y_r) are sums of p(u, y_r): its output's marginal p(y_r | x),
     which the channel holds for every k, read at x(u) and times p(u).  The
     pmf entropies and the tables of every receiver are concatenated and
-    reduced at once.  ``table_cap`` bounds the p(u, y_r) tables together.
+    reduced at once.  ``DEFAULT_TABLE_CAP``, read at call time, bounds the
+    p(u, y_r) tables together.
     """
     t_count = channel.node_count
     perm = perm or Permutation.identity(t_count)
     prob, x = _outcomes(channel, inputs, k, perm)
     marginals = channel._output_marginals
-    if prob.size * marginals.shape[1] > table_cap:
+    if prob.size * marginals.shape[1] > DEFAULT_TABLE_CAP:
         raise TableSizeError(
             f"receiver tables would need {prob.size * marginals.shape[1]} entries "
-            f"(cap {table_cap})"
+            f"(cap {DEFAULT_TABLE_CAP})"
         )
     # every receiver's p(u, y_r) side by side, in the marginals' column blocks
     tables = marginals[x]
@@ -357,8 +360,7 @@ def onehop_dmc_rate(
     channel: DmcChannel,
     inputs,
     perm: Permutation = None,
-    table_cap: int = DEFAULT_TABLE_CAP,
 ) -> DmcRateReport:
     """Point-to-point coding: each receiver decodes only the previous node
     and cancels only its own transmission."""
-    return khop_dmc_rate(channel, inputs, 1, perm, table_cap)
+    return khop_dmc_rate(channel, inputs, 1, perm)

@@ -6,7 +6,9 @@ Simplex rows with m entries are parameterized by m-1 free coordinates in
 [0, 1] via the stick-breaking map, which keeps every grid point feasible.
 The search is one function: a coarse grid of up to ``_RESOLUTION`` points
 per axis over the unit box, then up to ``_ROUNDS`` finer grids, each over a
-box ``SHRINK`` times narrower per axis around the incumbent.
+box ``SHRINK`` times narrower per axis around the incumbent, until two
+rounds in a row gain less than ``_TOLERANCE``.  Its one setting is the
+evaluation budget, which trades time for quality.
 """
 
 from __future__ import annotations
@@ -14,49 +16,38 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .channel import NetworkGeometry, PowerConfig, PropagationModel
+from .channel import NetworkGeometry, PowerConfig, PropagationModel, _whole
 from .coding import CombiningMode, Permutation, SplitMatrix, row_lengths
 from .gaussian import RateReport, _check_sizes, rate_report
 from .kernel import batch_min_rate, compile_chain
 
 log = logging.getLogger("relayrates")
 
+DEFAULT_BUDGET = 400_000  # grid points a search may rate
 SHRINK = 5.0  # each refinement round narrows the box by this factor per axis
 _RESOLUTION = 21  # grid points per axis, fewer where a round's budget is short
 _ROUNDS = 3  # refinement rounds after the coarse pass
+_TOLERANCE = 1e-6  # two rounds in a row that gain less end the search
 
 # a grid round reaches the kernel in slabs of at most this many split
 # fractions (8 bytes each), never as one (points, fractions) array
 _SLAB_ELEMENTS = 1 << 20
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Stall tolerance and evaluation budget of the split search."""
-
-    tolerance: float = 1e-6
-    budget: int = 400_000
-
-    def __post_init__(self):
-        budget = self.budget
-        whole = (isinstance(budget, numbers.Integral)
-                 or isinstance(budget, float) and budget.is_integer())
-        if isinstance(budget, bool) or not whole:
-            raise ValueError(f"budget must be an integer, got {budget!r}")
-        object.__setattr__(self, "budget", int(budget))
-        if self.budget < 1:
-            raise ValueError(f"budget must be a positive integer, got {self.budget}")
-        tol = self.tolerance
-        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-                or not 0.0 < tol < math.inf):
-            raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
-        object.__setattr__(self, "tolerance", float(tol))
+def _check_budget(budget) -> int:
+    """``budget`` as an int: a whole number of at least 1 (1e3 reads as
+    1000; a bool, a string and 2.5 are refused)."""
+    whole = _whole(budget)
+    if whole is None:
+        raise ValueError(f"budget must be an integer, got {budget!r}")
+    if whole < 1:
+        raise ValueError(f"budget must be a positive integer, got {whole}")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -239,7 +230,7 @@ def optimize_splits(
     k: int,
     perm: Permutation = None,
     mode: CombiningMode = CombiningMode.COHERENT,
-    config: OptimizerConfig = OptimizerConfig(),
+    budget: int = DEFAULT_BUDGET,
     warm=(),
 ) -> OptimumResult:
     """Max-min rate over all feasible split matrices for a fixed channel.
@@ -256,8 +247,8 @@ def optimize_splits(
     (2^ndim at least), at as many points per axis as fit it, at most
     ``_RESOLUTION``; its first best point in C order becomes the incumbent
     if better, and its gain is ``achieved_tolerance``.  Two rounds in a row
-    that gain less than ``config.tolerance`` end the search (one flat round
-    can just mean the shrunk grid re-hit the incumbent); otherwise the box
+    that gain less than ``_TOLERANCE`` end the search (one flat round can
+    just mean the shrunk grid re-hit the incumbent); otherwise the box
     shrinks ``SHRINK`` times per axis around the incumbent, inside the unit
     box.
 
@@ -271,6 +262,7 @@ def optimize_splits(
     A search the budget truncates is flagged ``incomplete`` and logs one
     WARNING on the ``relayrates`` logger.
     """
+    budget = _check_budget(budget)
     t_count = geometry.node_count
     perm = perm or Permutation.identity(t_count)
     _check_sizes(geometry, power, perm)
@@ -301,7 +293,7 @@ def optimize_splits(
     lo, hi = np.zeros(ndim), np.ones(ndim)
     achieved, incomplete, stalled = None, False, 0
     for rnd in range(_ROUNDS + 1):
-        remaining = config.budget - evaluations
+        remaining = budget - evaluations
         if remaining < 2 ** ndim:
             incomplete = True
             break
@@ -323,7 +315,7 @@ def optimize_splits(
             best_free = np.array([axis[i] for axis, i in
                                   zip(axes, np.unravel_index(idx, (per_axis,) * ndim))])
         achieved = max(improvement, 0.0)
-        stalled = stalled + 1 if achieved < config.tolerance else 0
+        stalled = stalled + 1 if achieved < _TOLERANCE else 0
         if stalled == 2:
             break
         width = (hi - lo) / SHRINK
@@ -333,7 +325,7 @@ def optimize_splits(
     if incomplete:
         log.warning("split search at T=%d, k=%d, %s mode truncated: %d free coordinates, "
                     "budget %d, %d evaluations", t_count, k, mode.value, ndim,
-                    config.budget, evaluations)
+                    budget, evaluations)
     fracs = free_to_fractions(best_free[None, :], lengths)[0]
     splits = SplitMatrix.from_flat(fracs, lengths)
     return result_for(splits, evaluations, achieved, incomplete, best_free)
@@ -346,12 +338,12 @@ def optimize_rates_over_k(
     ks,
     perm: Permutation = None,
     mode: CombiningMode = CombiningMode.COHERENT,
-    config: OptimizerConfig = OptimizerConfig(),
+    budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Optimized rate per k, warm-starting each k from every smaller one but
     k = 1, whose embedding is the ``own_only`` point every search rates."""
     results = {}
     for k in sorted(set(ks)):
         warm = [res for prev_k, res in results.items() if prev_k > 1]
-        results[k] = optimize_splits(geometry, prop, power, k, perm, mode, config, warm)
+        results[k] = optimize_splits(geometry, prop, power, k, perm, mode, budget, warm)
     return results

@@ -12,7 +12,7 @@ import functools
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .channel import (ChannelValidationError, PowerConfig, PropagationModel,
 from .coding import CombiningMode
 from .discrete import DmcChannel, NodeInput, carried_signals, khop_dmc_rate
 from .gaussian import efficiency
-from .optimizer import OptimizerConfig, optimize_rates_over_k
+from .optimizer import DEFAULT_BUDGET, _check_budget, optimize_rates_over_k
 from .svgplot import Series, write_line_plot
 
 log = logging.getLogger("relayrates")
@@ -83,7 +83,7 @@ class ExperimentConfig:
     sweep: SweepAxis
     strategies: tuple
     channel: dict
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    budget: int = DEFAULT_BUDGET
     mode: CombiningMode = CombiningMode.COHERENT
 
 
@@ -351,20 +351,18 @@ def validate_config(raw) -> ExperimentConfig:
                 errors.append(f"{key!r} is not read by scenario {scenario!r}; "
                               "only 'mrc' takes it")
 
-    opt = OptimizerConfig()
+    budget = DEFAULT_BUDGET
     if scenario == "mrc" and "optimizer" in raw:
         if not isinstance(raw["optimizer"], dict):
             errors.append("optimizer must be an object")
         else:
-            # each unknown key ("rounds", "resolution", ...) is named, and
-            # the known ones are still checked
-            known = {f.name for f in fields(OptimizerConfig)}
+            # the budget is the search's one setting: each other key
+            # ("tolerance", "rounds", ...) is named, and the budget still checked
             for key in raw["optimizer"]:
-                if key not in known:
+                if key != "budget":
                     errors.append(f"optimizer: unknown key {key!r}")
             try:
-                opt = OptimizerConfig(**{key: value for key, value in raw["optimizer"].items()
-                                         if key in known})
+                budget = _check_budget(raw["optimizer"].get("budget", DEFAULT_BUDGET))
             except ValueError as exc:
                 errors.append(f"optimizer: {exc}")
 
@@ -377,7 +375,7 @@ def validate_config(raw) -> ExperimentConfig:
 
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(scenario, axis, strategies, channel, opt, mode)
+    return ExperimentConfig(scenario, axis, strategies, channel, budget, mode)
 
 
 def _fmt(v) -> str:
@@ -400,7 +398,7 @@ def _mrc_row(config: ExperimentConfig, value):
     for s in config.strategies:
         ks[s["tag"]] = t - 1 if s["tag"] == "omniscient" else int(s["k"])
     results = optimize_rates_over_k(
-        geom, prop, power, set(ks.values()), mode=config.mode, config=config.optimizer
+        geom, prop, power, set(ks.values()), mode=config.mode, budget=config.budget
     )
 
     row = [(f"{config.sweep.variable}_{'m' if config.sweep.variable == 'spacing' else 'W'}",

@@ -21,7 +21,8 @@ search with every grid round expanded into its (n, ndim) points and mapped
 by ``free_to_fractions`` as a whole, the form the library's row-by-row grid
 map replaces, and build its seeds (``own_only`` and the smaller-k optima)
 one coordinate at a time.  The round schedule (21 points per axis at most,
-a coarse pass and 3 refinement rounds, each box 5 times narrower) is
+a coarse pass and 3 refinement rounds, each box 5 times narrower, until two
+rounds in a row gain less than 1e-6) and the default budget of 400 000 are
 written out here too, so they check the map, the seeds and the schedule,
 sharing only the kernel and the stick-breaking map with the library.
 
@@ -40,7 +41,6 @@ import numpy as np
 
 from relayrates import (
     CombiningMode,
-    OptimizerConfig,
     Permutation,
     ReceptionRecord,
     SplitMatrix,
@@ -215,8 +215,7 @@ def reference_box(center, lo, hi):
 
 
 def reference_optimize_splits(geometry, prop, power, k, perm=None,
-                              mode=CombiningMode.COHERENT, config=OptimizerConfig(),
-                              warm=()):
+                              mode=CombiningMode.COHERENT, budget=400_000, warm=()):
     """``optimize_splits`` with each round's grid points built and mapped in
     full: ``own_only`` and the warm optima first, then every round's argmax,
     first in C order; ``achieved_tolerance`` is None if no round ran."""
@@ -253,7 +252,7 @@ def reference_optimize_splits(geometry, prop, power, k, perm=None,
                     + [reference_seed(res.free, res.splits.rows, lengths) for res in warm]))
     # a coarse pass over the unit box, then up to 3 refinement rounds
     for rounds_left in (4, 3, 2, 1):
-        remaining = config.budget - evaluations
+        remaining = budget - evaluations
         if remaining < 2 ** ndim:
             incomplete = True
             break
@@ -263,7 +262,8 @@ def reference_optimize_splits(geometry, prop, power, k, perm=None,
         res = next((r for r in range(21, 2, -1) if r ** ndim <= share), 2)
         grids = np.meshgrid(*[np.linspace(a, b, res) for a, b in zip(lo, hi)], indexing="ij")
         achieved = max(search(np.stack([g.ravel() for g in grids], axis=1)), 0.0)
-        stalled = stalled + 1 if achieved < config.tolerance else 0
+        # two rounds in a row that gain less than 1e-6 end the search
+        stalled = stalled + 1 if achieved < 1e-6 else 0
         if stalled == 2:
             break
         lo, hi = np.array([reference_box(*axis) for axis in zip(best_free, lo, hi)]).T
@@ -273,14 +273,14 @@ def reference_optimize_splits(geometry, prop, power, k, perm=None,
 
 
 def reference_rates_over_k(geometry, prop, power, ks, perm=None,
-                           mode=CombiningMode.COHERENT, config=OptimizerConfig()):
+                           mode=CombiningMode.COHERENT, budget=400_000):
     """``optimize_rates_over_k`` on ``reference_optimize_splits``: every
     smaller k's optimum seeds k but k = 1's, which is ``own_only``."""
     results = {}
     for k in sorted(set(ks)):
         warm = [res for prev_k, res in results.items() if prev_k > 1]
         results[k] = reference_optimize_splits(geometry, prop, power, k, perm, mode,
-                                               config, warm)
+                                               budget, warm)
     return results
 
 

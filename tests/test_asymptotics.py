@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from relayrates import (
     rate_report,
     zeta,
 )
+from relayrates import asymptotics
 
 PI2_6 = math.pi ** 2 / 6.0
 APERY = 1.2020569031595942854
@@ -95,7 +97,9 @@ def test_validation_and_resource_cap():
         large_T_report(10_000)
     with pytest.raises(ZetaDivergenceError):
         large_T_report(10, eta=1.0)
-    large_T_report(6000, t_cap=6000)  # explicit cap raise is honored
+    # the cap is read at call time, so a caller who must can raise it
+    with mock.patch.object(asymptotics, "DEFAULT_T_CAP", 6000):
+        large_T_report(6000)
 
 
 @pytest.mark.parametrize("count", [10.7, 9.5, math.nan, math.inf])

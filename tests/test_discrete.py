@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from relayrates import (
     onehop_dmc_rate,
     row_lengths,
 )
+from relayrates import discrete
 
 from reference import reference_joint
 
@@ -213,12 +215,16 @@ def test_table_cap_is_enforced():
     chan = bsc_pair_channel(0.1, 0.1)
     uniform = np.array([0.5, 0.5])
     inputs = [NodeInput(uniform, identity_map(1)), NodeInput(uniform, identity_map(1))]
-    with pytest.raises(TableSizeError):
-        build_joint(chan, inputs, 1, table_cap=8)
+    # the cap is read at call time, so a caller who must can change it
+    with mock.patch.object(discrete, "DEFAULT_TABLE_CAP", 8):
+        with pytest.raises(TableSizeError):
+            build_joint(chan, inputs, 1)
     # the receivers' tables: 4 sub-signal outcomes times |Y2| + |Y3| = 4
-    khop_dmc_rate(chan, inputs, 1, table_cap=16)
-    with pytest.raises(TableSizeError, match="16 entries"):
-        khop_dmc_rate(chan, inputs, 1, table_cap=15)
+    with mock.patch.object(discrete, "DEFAULT_TABLE_CAP", 16):
+        khop_dmc_rate(chan, inputs, 1)
+    with mock.patch.object(discrete, "DEFAULT_TABLE_CAP", 15):
+        with pytest.raises(TableSizeError, match="16 entries"):
+            khop_dmc_rate(chan, inputs, 1)
 
 
 def test_constructors_reject_nan():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from relayrates import (
     CombiningMode,
-    OptimizerConfig,
     Permutation,
     PowerConfig,
     PropagationModel,
@@ -146,7 +146,7 @@ def test_kernel_rates_each_distinct_split_once(k):
     # 1.0, and the kernel skips those repeats; rows of at most 2 never repeat
     geom, power = unit_chain(6)
     with mock.patch.object(optimizer, "batch_min_rate", wraps=batch_min_rate) as rated:
-        res = optimize_splits(geom, PROP, power, k, config=OptimizerConfig(budget=20_000))
+        res = optimize_splits(geom, PROP, power, k, budget=20_000)
     cands = sum(len(call.args[1]) for call in rated.call_args_list)
     assert cands < res.evaluations if k == 3 else cands == res.evaluations
 
@@ -176,15 +176,14 @@ def test_search_matches_the_expanded_grid_reference(node_count, mode, budget):
     rng = np.random.default_rng(node_count)
     geom = build_linear_geometry(rng.uniform(0.5, 1.5, node_count - 1))
     power = PowerConfig.uniform(node_count, 10.0)
-    config = OptimizerConfig(budget=budget)
     ks = range(1, node_count)
     perm = Permutation((1, *rng.permutation(range(2, node_count)).tolist(), node_count))
     for k in ks:
         assert_same_result(
-            optimize_splits(geom, PROP, power, k, perm, mode, config),
-            reference_optimize_splits(geom, PROP, power, k, perm, mode, config))
-    got = optimize_rates_over_k(geom, PROP, power, ks, mode=mode, config=config)
-    want = reference_rates_over_k(geom, PROP, power, ks, mode=mode, config=config)
+            optimize_splits(geom, PROP, power, k, perm, mode, budget),
+            reference_optimize_splits(geom, PROP, power, k, perm, mode, budget))
+    got = optimize_rates_over_k(geom, PROP, power, ks, mode=mode, budget=budget)
+    want = reference_rates_over_k(geom, PROP, power, ks, mode=mode, budget=budget)
     assert got.keys() == want.keys()
     for k in ks:
         assert_same_result(got[k], want[k])
@@ -210,14 +209,24 @@ def test_complete_search_logs_nothing(caplog):
 
 
 def test_optimizer_config_validation():
-    # the grid's resolution and round count are fixed, not settings
-    for key in ("resolution", "rounds"):
+    # the budget is the search's one setting: the grid's resolution, round
+    # count and stall tolerance are fixed, not arguments
+    geom, power = unit_chain(5)
+    for key in ("resolution", "rounds", "tolerance", "config"):
         with pytest.raises(TypeError, match=key):
-            OptimizerConfig(**{key: 3})
-    for bad in (0.0, -1e-6, True, float("inf"), float("nan"), "1e-6", None):
-        with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
-            OptimizerConfig(tolerance=bad)
-    assert type(OptimizerConfig(tolerance=1).tolerance) is float
+            optimize_splits(geom, PROP, power, 2, **{key: 3})
+    for bad, message in ((0, "budget must be a positive integer, got 0"),
+                         (-5.0, "budget must be a positive integer, got -5"),
+                         (1.5, "budget must be an integer, got 1.5"),
+                         (True, "budget must be an integer, got True"),
+                         ("300", "budget must be an integer, got '300'"),
+                         (None, "budget must be an integer, got None")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            optimize_splits(geom, PROP, power, 2, budget=bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            optimize_rates_over_k(geom, PROP, power, (1, 2), budget=bad)
+    assert optimize_splits(geom, PROP, power, 2, budget=300.0) == \
+        optimize_splits(geom, PROP, power, 2, budget=np.int64(300))
 
 
 def test_k1_has_no_freedom():
@@ -255,7 +264,7 @@ def test_optimum_beats_fixed_heuristics():
 def test_twohop_optimum_matches_scalar_scan():
     # 3-node chain has a single free split; compare against a fine scan
     geom, power = unit_chain(3)
-    res = optimize_splits(geom, PROP, power, 2, config=OptimizerConfig(tolerance=1e-12))
+    res = optimize_splits(geom, PROP, power, 2)
     best = max(
         rate_report(geom, PROP, power, SplitMatrix.two_hop([a]), 2).rate
         for a in np.linspace(0.0, 1.0, 20001)
@@ -265,7 +274,7 @@ def test_twohop_optimum_matches_scalar_scan():
 
 def test_warm_starts_never_hurt():
     geom, power = unit_chain(6)
-    k2 = optimize_splits(geom, PROP, power, 2, config=OptimizerConfig(budget=300))
+    k2 = optimize_splits(geom, PROP, power, 2, budget=300)
     plain = optimize_splits(geom, PROP, power, 3)
     seeded = optimize_splits(geom, PROP, power, 3, warm=[k2])
     assert seeded.rate >= rate_report(
@@ -276,7 +285,7 @@ def test_warm_starts_never_hurt():
 
 def test_warm_optima_must_fit_the_search():
     geom, power = unit_chain(6)
-    k3 = optimize_splits(geom, PROP, power, 3, config=OptimizerConfig(budget=300))
+    k3 = optimize_splits(geom, PROP, power, 3, budget=300)
     with pytest.raises(ValueError, match="warm optima"):
         optimize_splits(geom, PROP, power, 2, warm=[k3])
     with pytest.raises(ValueError, match="warm optima"):
@@ -330,7 +339,7 @@ def test_warm_optima_are_rated_as_their_embedding(search):
     warm = []
     for k_from in smaller:
         res = optimize_splits(geom, PROP, power, k_from, perm, mode,
-                              OptimizerConfig(budget=50))
+                              budget=50)
         lengths = tuple(row_lengths(t_count, k_from, perm)[t] for t in range(1, t_count))
         free = rng.random(res.free.size)
         forced = rng.random(free.size) < 1 / 3
@@ -339,7 +348,7 @@ def test_warm_optima_are_rated_as_their_embedding(search):
         warm.append(dataclasses.replace(
             res, free=free, splits=SplitMatrix.from_flat(fracs, lengths)))
     with mock.patch.object(optimizer, "batch_min_rate", wraps=batch_min_rate) as rated:
-        optimize_splits(geom, PROP, power, k, perm, mode, OptimizerConfig(budget=1), warm)
+        optimize_splits(geom, PROP, power, k, perm, mode, budget=1, warm=warm)
     seeds = rated.call_args_list[0].args[1]
     assert len(seeds) == 1 + len(warm)
     wants = [SplitMatrix.own_only(t_count, k, perm)] + [
@@ -372,7 +381,7 @@ def test_rates_over_k_monotone(chain):
     geom = build_linear_geometry(spacings)
     power = PowerConfig.uniform(geom.node_count, watts)
     results = optimize_rates_over_k(geom, PROP, power, ks, perm, mode,
-                                    OptimizerConfig(budget=5000))
+                                    budget=5000)
     assert sorted(results) == sorted(ks)
     for k, res in results.items():
         res.splits.validate_for(geom.node_count, k, perm)
@@ -384,7 +393,7 @@ def test_rates_over_k_monotone(chain):
 def test_budget_exhaustion_is_flagged():
     geom, power = unit_chain(6)
     res = optimize_splits(geom, PROP, power, 5,
-                          config=OptimizerConfig(budget=100))
+                          budget=100)
     assert res.incomplete
 
 
@@ -420,11 +429,10 @@ def test_slabs_change_no_search_result(search):
     spacings, perm, mode, k, budget, elements = search
     geom = build_linear_geometry(spacings)
     power = PowerConfig.uniform(geom.node_count, 10.0)
-    config = OptimizerConfig(budget=budget)
     with mock.patch.object(optimizer, "_SLAB_ELEMENTS", 1 << 62):
-        want = optimize_splits(geom, PROP, power, k, perm, mode, config)
+        want = optimize_splits(geom, PROP, power, k, perm, mode, budget)
     with mock.patch.object(optimizer, "_SLAB_ELEMENTS", elements):
-        got = optimize_splits(geom, PROP, power, k, perm, mode, config)
+        got = optimize_splits(geom, PROP, power, k, perm, mode, budget)
     assert_same_result(got, want)
 
 
@@ -458,5 +466,5 @@ def test_batch_plan_built_once_per_problem(monkeypatch, node_count, k, mode, bui
     built.clear()
     monkeypatch.setattr(optimizer, "_SLAB_ELEMENTS", 64)
     with mock.patch.object(optimizer, "batch_min_rate", wraps=batch_min_rate) as rated:
-        optimize_splits(geom, PROP, power, k, perm, mode, OptimizerConfig(budget=2000))
+        optimize_splits(geom, PROP, power, k, perm, mode, budget=2000)
     assert rated.call_count > 4 and len(built) == 1
