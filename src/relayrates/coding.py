@@ -140,9 +140,6 @@ class SplitMatrix:
                     f"row {idx + 1} must sum to 1, got {sum(row)!r}"
                 )
 
-    def row(self, node: int) -> tuple:
-        return self.rows[node - 1]
-
     def validate_for(self, node_count: int, k: int, perm: Permutation) -> None:
         lengths = row_lengths(node_count, k, perm)
         if len(self.rows) != node_count - 1:

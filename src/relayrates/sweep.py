@@ -500,8 +500,6 @@ def _dmc_from(ch: dict):
 
 def _discrete_row(config: ExperimentConfig, value):
     channel, inputs = _dmc_from(config.channel)
-    # each node's x_map must match the hop depth; trim broader maps by
-    # marginalizing is not meaningful, so k is capped at the map order
     rep = khop_dmc_rate(channel, inputs, int(value))
     row = [("k", int(value)), ("rate_bits_per_use", rep.rate),
            ("bottleneck_node", rep.bottleneck)]

@@ -71,7 +71,7 @@ def reference_record(geometry, prop, power, splits, k, perm=None,
         mismatch = 0.0
         for p in range(max(1, q - k + 1), q + 1):
             node = perm.node_at(p)
-            row = splits.row(node)
+            row = splits.rows[node - 1]
             if q - p > len(row) - 1 or node == receiver:
                 continue
             contrib = (

@@ -73,7 +73,7 @@ def test_split_rows_must_sum_to_one():
     with pytest.raises(SplitValidationError):
         SplitMatrix(((1.5, -0.5), (1.0,)))
     sm = SplitMatrix(((0.25, 0.75), (1.0,)))
-    assert sm.row(1) == (0.25, 0.75)
+    assert sm.rows[0] == (0.25, 0.75)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
