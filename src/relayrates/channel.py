@@ -168,7 +168,10 @@ class PowerConfig:
 
     @classmethod
     def uniform(cls, node_count: int, power: float, noise: float = 1.0) -> "PowerConfig":
-        rows = np.repeat([[float(power)], [float(noise)]], node_count - 1, axis=1)
+        t = _whole(node_count)
+        if t is None:
+            raise ChannelValidationError(f"node count must be a whole number, got {node_count!r}")
+        rows = np.repeat([[float(power)], [float(noise)]], t - 1, axis=1)
         rows.setflags(write=False)
         return cls(*rows)
 

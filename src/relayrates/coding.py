@@ -46,9 +46,10 @@ class Permutation:
     order: tuple
 
     def __post_init__(self):
-        order = tuple(map(_whole, self.order))
+        values = tuple(self.order)
+        order = tuple(map(_whole, values))
         if None in order:
-            bad = self.order[order.index(None)]
+            bad = values[order.index(None)]
             raise SplitValidationError(f"node ids must be whole numbers, got {bad!r}")
         object.__setattr__(self, "order", order)
         t = len(order)

@@ -127,7 +127,7 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
 
 
 def test_a_config_that_is_not_an_object_exits_1(tmp_path, capsys):
-    # a JSON list used to reach the scenario check and die in an AttributeError
+    # refused before anything reads it as an object
     path = write_json(tmp_path / "list.json", [1, 2])
     assert main(["mrc", "--config", path]) == 1
     assert capsys.readouterr().err == "config error: config must be a JSON object\n"

@@ -176,6 +176,7 @@ NODE_ID_ENTRY_POINTS = {
     "reception_rate": (ChannelValidationError,
                        lambda v: reception_rate(*_chain(), TWO_HOP, 2, receiver=v)),
     "large_T_report": (ValueError, large_T_report),
+    "uniform_power": (ChannelValidationError, lambda v: PowerConfig.uniform(v, 10.0)),
 }
 
 
@@ -185,10 +186,11 @@ NODE_ID_ENTRY_POINTS = {
     ("failure_impact", 2.5), ("failure_impact", True), ("failure_impact", "3"),
     ("reception_rate", 2.5), ("reception_rate", True), ("reception_rate", "3"),
     ("large_T_report", True), ("large_T_report", "10"),
+    ("uniform_power", 5.5), ("uniform_power", True), ("uniform_power", "6"),
 ])
 def test_a_node_id_that_is_not_a_whole_number_is_refused(entry, value):
-    # truncated, parsed or read as 1, these ran as another node; 2.5 as a
-    # receiver raised a bare KeyError
+    # truncated, parsed from a string or read as 1, each would run as another
+    # node; the error names the value
     error, call = NODE_ID_ENTRY_POINTS[entry]
     with pytest.raises(error, match=re.escape(repr(value))):
         call(value)
@@ -203,3 +205,5 @@ def test_a_whole_node_id_of_any_numeric_type_reads_as_an_int(node):
     assert reception_rate(*_chain(), TWO_HOP, 2, receiver=node) == \
         reception_rate(*_chain(), TWO_HOP, 2, receiver=3)
     assert np.array_equal(large_T_report(node + 7).rates, large_T_report(10).rates)
+    assert PowerConfig.uniform(node + 3, 10.0) == PowerConfig.uniform(6, 10.0)
+    assert Permutation(iter((1, node, 2, 4))).order == (1, 3, 2, 4)
