@@ -120,6 +120,12 @@ def large_T_report(
         raise ValueError("need at least 3 nodes")
     if t > DEFAULT_T_CAP:
         raise ValueError(f"node count {t} exceeds the resource cap {DEFAULT_T_CAP}")
+    for name, value in (("power", power), ("eta", eta), ("kappa", kappa), ("noise", noise)):
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+    if (np.asarray(alpha).dtype == bool or isinstance(alpha, (list, tuple))
+            and any(isinstance(v, (bool, np.bool_)) for v in alpha)):
+        raise ValueError(f"alpha must hold numbers, not booleans (got {alpha!r})")
     if eta <= 1.0:
         raise ZetaDivergenceError("eta must exceed 1 for bounded interference")
     # the channel's own checks: finite kappa > 0, eta > 1, power >= 0, noise > 0

@@ -62,7 +62,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, node_count: int) -> "Permutation":
-        return cls(tuple(range(1, node_count + 1)))
+        return cls(tuple(range(1, _node_count(node_count) + 1)))
 
     @property
     def node_count(self) -> int:
@@ -77,6 +77,15 @@ class Permutation:
         return self.order.index(node) + 1
 
 
+def _node_count(node_count) -> int:
+    """``node_count`` as an int, read by ``channel._whole`` (6.0 reads as
+    6); a fraction, a bool or a string raises ``SplitValidationError``."""
+    whole = _whole(node_count)
+    if whole is None:
+        raise SplitValidationError(f"node count must be a whole number, got {node_count!r}")
+    return whole
+
+
 def _check_hop_depth(node_count: int, k) -> None:
     """Raise ``SplitValidationError`` unless k is an integer hop depth in
     1..T-1; a bool is refused like any other non-integer."""
@@ -88,6 +97,7 @@ def _check_hop_depth(node_count: int, k) -> None:
 
 def row_lengths(node_count: int, k: int, perm: Permutation) -> dict:
     """Number of sub-signals carried by each transmitter, keyed by node id."""
+    node_count = _node_count(node_count)
     if perm.node_count != node_count:
         raise SplitValidationError(
             f"the permutation is for {perm.node_count} nodes, not {node_count}")
@@ -108,6 +118,7 @@ def carrier_layout(node_count: int, k: int, perm: Permutation) -> dict:
     The sub-signal introduced by the node at position q is carried by the
     transmitters at positions q-k+1..q that still have q within reach.
     """
+    node_count = _node_count(node_count)
     row_lengths(node_count, k, perm)  # validates k
     order = np.asarray(perm.order)
     tx = _carriers(node_count, k)
@@ -142,6 +153,7 @@ class SplitMatrix:
                 )
 
     def validate_for(self, node_count: int, k: int, perm: Permutation) -> None:
+        node_count = _node_count(node_count)
         lengths = row_lengths(node_count, k, perm)
         if len(self.rows) != node_count - 1:
             raise SplitValidationError(
@@ -158,6 +170,7 @@ class SplitMatrix:
     @classmethod
     def own_only(cls, node_count: int, k: int, perm: Permutation = None) -> "SplitMatrix":
         """All power on the transmitter's own fresh sub-signal."""
+        node_count = _node_count(node_count)
         perm = perm or Permutation.identity(node_count)
         lengths = row_lengths(node_count, k, perm)
         return cls(tuple(
@@ -167,6 +180,7 @@ class SplitMatrix:
     @classmethod
     def uniform(cls, node_count: int, k: int, perm: Permutation = None) -> "SplitMatrix":
         """Equal fractions over every carried sub-signal."""
+        node_count = _node_count(node_count)
         perm = perm or Permutation.identity(node_count)
         lengths = row_lengths(node_count, k, perm)
         return cls(tuple(
@@ -181,7 +195,11 @@ class SplitMatrix:
         next node's sub-signal and the rest on its own; the last relay has
         a single sub-signal.
         """
-        f = [float(v) for v in forward_fractions]
+        f = list(forward_fractions)
+        for v in f:
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+                raise SplitValidationError(f"forward fractions must be numbers, got {v!r}")
+        f = [float(v) for v in f]
         if any(not 0.0 <= v <= 1.0 for v in f):
             raise SplitValidationError("forward fractions must lie in [0, 1]")
         return cls(tuple((1.0 - v, v) for v in f) + ((1.0,),))
@@ -202,6 +220,7 @@ class SplitMatrix:
               perm: Permutation = None) -> "SplitMatrix":
         """Pad rows with zero forward mass so a k_from-hop split is usable
         at k_to >= k_from on the same channel."""
+        node_count = _node_count(node_count)
         perm = perm or Permutation.identity(node_count)
         if k_to < k_from:
             raise SplitValidationError("k_to must be >= k_from")

@@ -229,36 +229,66 @@ def _contracted_powers(problem: ChainProblem, width: int):
     return powers
 
 
-def batch_min_rate(problem: ChainProblem, cands: np.ndarray) -> np.ndarray:
-    """Max-min rate over all receivers for each candidate flat split vector
-    (one per row), evaluated a block of candidates at a time.
-
-    Each block gives every receiver's signal and noise-band power in one
-    matrix product over carrier-pair features (``_pair_powers``), or, where
-    the features would pass ``_PAIR_WIDTH`` or their weights
-    ``_PAIR_ELEMENTS``, through the contraction of ``gaussian``
-    (``_contracted_powers``); the lowest SINR over receivers then takes one
-    log2 per candidate.  Each call chooses between the two and sizes its
-    blocks afresh; the weights or the plan it takes are the problem's,
-    built by the first call that needs them.  Blocks are zero-padded to a
-    multiple of ``_PAD`` candidates: BLAS then runs every candidate through
-    the same full-width tiles, so a rate does not depend on the block it
-    falls in."""
+def _check_candidates(problem: ChainProblem, cands) -> np.ndarray:
+    """``cands`` as a float64 (n, ``n_cols``) array, or ``ValueError``."""
     cands = np.asarray(cands, dtype=np.float64)
     if cands.ndim != 2 or cands.shape[1] != problem.n_cols:
         raise ValueError(f"candidates must have shape (n, {problem.n_cols}), "
                          f"got {cands.shape}")
+    return cands
+
+
+def _block_powers(problem: ChainProblem, cands: np.ndarray):
+    """Each block of ``cands`` with its powers: ``(lo, m, p_sig, p_int)``
+    for the ``m`` candidates from row ``lo`` on, each power (receivers,
+    padded block) in the evaluator's buffers, valid until the next block.
+
+    The evaluator is the pair product (``_pair_powers``), or, where the
+    features would pass ``_PAIR_WIDTH`` or their weights ``_PAIR_ELEMENTS``,
+    the contraction of ``gaussian`` (``_contracted_powers``); each call
+    chooses between the two and sizes its blocks afresh, and the weights or
+    the plan it takes are the problem's, built by the first call that needs
+    them."""
     n, n_rcv = cands.shape[0], problem.n_receivers
     step = _block_size(n_rcv + 1, n_rcv)
     n_feat = problem._n_features
     pairs = (n_feat <= _PAIR_WIDTH * problem.n_cols
              and 2 * n_rcv * n_feat <= _PAIR_ELEMENTS)
     powers = (_pair_powers if pairs else _contracted_powers)(problem, _padded(min(step, n)))
-    noise = problem.noise[:, None]
-    sinr = np.empty(n)
     for lo in range(0, n, step):
         m = min(step, n - lo)
-        p_sig, p_int = powers(cands[lo:lo + m])
+        yield (lo, m, *powers(cands[lo:lo + m]))
+
+
+def batch_powers(problem: ChainProblem, cands: np.ndarray):
+    """Signal and interference power of every receiver (by node id) for each
+    candidate flat split vector (one per row): two (receivers, n) arrays,
+    through the evaluator ``batch_min_rate`` takes.  Under fading both are
+    linear in the fractions, so rating ``np.eye(n_cols)`` gives their
+    coefficients."""
+    cands = _check_candidates(problem, cands)
+    p_sig, p_int = np.empty((2, problem.n_receivers, cands.shape[0]))
+    for lo, m, sig, inter in _block_powers(problem, cands):
+        p_sig[:, lo:lo + m] = sig[:, :m]
+        p_int[:, lo:lo + m] = inter[:, :m]
+    return p_sig, p_int
+
+
+def batch_min_rate(problem: ChainProblem, cands: np.ndarray) -> np.ndarray:
+    """Max-min rate over all receivers for each candidate flat split vector
+    (one per row), evaluated a block of candidates at a time.
+
+    Each block gives every receiver's signal and noise-band power in one
+    matrix product over carrier-pair features, or through the contraction
+    of ``gaussian`` (``_block_powers``); the lowest SINR over receivers
+    then takes one log2 per candidate.  Blocks are zero-padded to a
+    multiple of ``_PAD`` candidates: BLAS then runs every candidate through
+    the same full-width tiles, so a rate does not depend on the block it
+    falls in."""
+    cands = _check_candidates(problem, cands)
+    noise = problem.noise[:, None]
+    sinr = np.empty(cands.shape[0])
+    for lo, m, p_sig, p_int in _block_powers(problem, cands):
         np.add(noise, p_int, out=p_int)
         np.divide(p_sig, p_int, out=p_sig)
         p_sig[:, :m].min(axis=0, out=sinr[lo:lo + m])

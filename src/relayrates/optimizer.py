@@ -1,14 +1,20 @@
-"""Deterministic nested grid search for the max-min split problem.
+"""Deterministic searches for the max-min split problem.
 
-The objective min_t R_t has kinks where the bottleneck receiver switches,
-so ``optimize_splits`` searches the split simplices without derivatives.
-Simplex rows with m entries are parameterized by m-1 free coordinates in
-[0, 1] via the stick-breaking map, which keeps every grid point feasible.
-The search is one function: a coarse grid of up to ``_RESOLUTION`` points
-per axis over the unit box, then up to ``_ROUNDS`` finer grids, each over a
-box ``SHRINK`` times narrower per axis around the incumbent, until two
-rounds in a row gain less than ``_TOLERANCE``.  Its one setting is the
-evaluation budget, which trades time for quality.
+The objective min_t R_t has kinks where the bottleneck receiver switches.
+Under fading each receiver's SINR is linear-fractional in the split
+fractions, so ``optimize_splits`` solves the problem exactly there: each
+generalized Dinkelbach step (``_dinkelbach``) is one LP, solved by the
+dense simplex method of ``lp`` and warm-started from the previous step's
+basis, and the last LP's dual weights certify the optimum.  Coherent
+combining adds amplitudes, which the LP cannot express, so there the
+search stays a derivative-free grid (``_grid_search``): simplex rows with
+m entries are parameterized by m-1 free coordinates in [0, 1] via the
+stick-breaking map, which keeps every grid point feasible, and a coarse
+grid of up to ``_RESOLUTION`` points per axis over the unit box is followed
+by up to ``_ROUNDS`` finer grids, each over a box ``SHRINK`` times narrower
+per axis around the incumbent, until two rounds in a row gain less than
+``_TOLERANCE``.  The searches' one setting is the evaluation budget, the
+candidates they may rate, which trades time for quality.
 """
 
 from __future__ import annotations
@@ -24,15 +30,17 @@ import numpy as np
 from .channel import NetworkGeometry, PowerConfig, PropagationModel, _whole
 from .coding import CombiningMode, Permutation, SplitMatrix, row_lengths
 from .gaussian import RateReport, _check_sizes, rate_report
-from .kernel import batch_min_rate, compile_chain
+from .kernel import batch_min_rate, batch_powers, compile_chain
+from . import lp
 
 log = logging.getLogger("relayrates")
 
-DEFAULT_BUDGET = 400_000  # grid points a search may rate
+DEFAULT_BUDGET = 400_000  # candidates a search may rate
 SHRINK = 5.0  # each refinement round narrows the box by this factor per axis
 _RESOLUTION = 21  # grid points per axis, fewer where a round's budget is short
 _ROUNDS = 3  # refinement rounds after the coarse pass
 _TOLERANCE = 1e-6  # two rounds in a row that gain less end the search
+_GAP = 1e-12  # a fading search ends once its certified SINR gap is this small, relative
 
 # a grid round reaches the kernel in slabs of at most this many split
 # fractions (8 bytes each), never as one (points, fractions) array
@@ -53,10 +61,19 @@ def _check_budget(budget) -> int:
 @dataclass(frozen=True)
 class OptimumResult:
     """Best operating point found, re-evaluated through the reference path.
-    ``achieved_tolerance`` is the last grid round's gain, 0.0 where no split
-    is free and None where the budget funded no round.  ``free``, left out
-    of equality, is the unit-box point ``splits`` maps from (empty if no
-    split is free, as at k = 1): a larger-k search seeds from it exactly."""
+    ``achieved_tolerance`` is 0.0 where no split is free; otherwise, in
+    coherent mode, the last grid round's gain (None where the budget funded
+    no round), and under fading the rate gap (bits) the last LP certifies
+    (None if the simplex method hit its pivot cap).  Left out of equality:
+    ``free``, the unit-box point ``splits`` maps from (empty if no split is
+    free, as at k = 1), which centres a larger-k coherent search that this
+    result seeds, and ``dual``, the fading search's certifying weights
+    lambda by receiver (node 2..T; None in coherent mode and at k = 1):
+    lambda >= 0 sums to 1, and the sum over split rows of
+    max_c sum_r lambda_r (S_rc - g D_rc) is at most g sum_r lambda_r N_r
+    for the result's lowest SINR g, S and D being the receivers' signal and
+    interference power per split column and N their noise, so no split has
+    a higher lowest SINR than g (up to ``achieved_tolerance``)."""
 
     rate: float
     report: RateReport
@@ -66,6 +83,7 @@ class OptimumResult:
     incomplete: bool
     permutation: Optional[Permutation] = None
     free: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
+    dual: Optional[np.ndarray] = field(default=None, compare=False)
 
 
 def free_to_fractions(free: np.ndarray, lengths) -> np.ndarray:
@@ -235,22 +253,78 @@ def optimize_splits(
 ) -> OptimumResult:
     """Max-min rate over all feasible split matrices for a fixed channel.
 
-    One batch before the grid rates ``own_only``, whose point is
-    (1, 0, ..., 0) per row, and each ``warm`` optimum of a smaller k on the
-    same channel and relay order, embedded exactly with zero forward mass,
-    which keeps optimized rates monotone in k by feasible-set nesting.  So
-    the result is never an unrated point, nor below ``own_only``.  Its best
-    point is the incumbent.
+    One batch first rates ``own_only``, all power on each transmitter's own
+    sub-signal, and each ``warm`` optimum of a smaller k on the same channel
+    and relay order as its ``embed``ding at k, with zero forward mass, which
+    keeps optimized rates monotone in k by feasible-set nesting.  So the
+    result is never an unrated point, nor below ``own_only``.  Its best
+    point is the incumbent, which a search in the combining ``mode`` then
+    improves: ``_dinkelbach``'s exact LP steps under fading,
+    ``_grid_search``'s grid rounds for coherent combining.  ``budget``
+    bounds the candidates it rates; a search the budget truncates is
+    flagged ``incomplete`` and logs one WARNING on the ``relayrates``
+    logger.
+    """
+    budget = _check_budget(budget)
+    t_count = geometry.node_count
+    perm = perm or Permutation.identity(t_count)
+    _check_sizes(geometry, power, perm)
+    lengths = tuple(map(row_lengths(t_count, k, perm).get, range(1, t_count)))
+    ndim = sum(m - 1 for m in lengths)
 
-    Then come up to 1 + ``_ROUNDS`` grid rounds, the first over the unit
-    box of free coordinates.  Each takes an equal share of the budget left
-    (2^ndim at least), at as many points per axis as fit it, at most
-    ``_RESOLUTION``; its first best point in C order becomes the incumbent
-    if better, and its gain is ``achieved_tolerance``.  Two rounds in a row
-    that gain less than ``_TOLERANCE`` end the search (one flat round can
-    just mean the shrunk grid re-hit the incumbent); otherwise the box
-    shrinks ``SHRINK`` times per axis around the incumbent, inside the unit
-    box.
+    def result_for(fracs, evaluations, achieved, incomplete, free, dual=None):
+        splits = SplitMatrix.from_flat(fracs, lengths)
+        report = rate_report(geometry, prop, power, splits, k, perm, mode)
+        for array in (free, dual):
+            if array is not None:
+                array.setflags(write=False)
+        return OptimumResult(report.rate, report, splits, evaluations, achieved,
+                             incomplete, perm, free, dual)
+
+    own_only = SplitMatrix.own_only(t_count, k, perm)
+    if ndim == 0:
+        return result_for(own_only.as_flat(), 1, 0.0, False, np.empty(0))
+
+    for res in warm:
+        if res.permutation != perm or any(len(r) > m for r, m in zip(res.splits.rows, lengths)):
+            raise ValueError(f"warm optima must be of a k up to {k} on the same relay order")
+    problem = compile_chain(geometry, prop, power, k, perm, mode)
+
+    seeds = np.stack([own_only.as_flat()] + [
+        res.splits.embed(t_count, max(map(len, res.splits.rows)), k, perm).as_flat()
+        for res in warm])
+    rates = batch_min_rate(problem, seeds)
+    idx = int(np.argmax(rates))
+    best, best_rate = seeds[idx], float(rates[idx])
+
+    if mode is CombiningMode.FADING:
+        best, evaluations, achieved, incomplete, dual = _dinkelbach(
+            problem, lengths, best, best_rate, len(seeds), budget)
+        free = _fractions_to_free(best, lengths)
+    else:
+        free = ([_seed_point(np.empty(0), ((1.0,),) * len(lengths), lengths)]
+                + [_seed_point(res.free, res.splits.rows, lengths) for res in warm])[idx]
+        best, free, evaluations, achieved, incomplete = _grid_search(
+            problem, lengths, best, free, best_rate, len(seeds), budget)
+        dual = None
+    if incomplete:
+        log.warning("split search at T=%d, k=%d, %s mode truncated: %d free coordinates, "
+                    "budget %d, %d evaluations", t_count, k, mode.value, ndim,
+                    budget, evaluations)
+    return result_for(best, evaluations, achieved, incomplete, free, dual)
+
+
+def _grid_search(problem, lengths, best, best_free, best_rate, evaluations, budget):
+    """The coherent search from the incumbent ``best`` (fractions) at
+    ``best_free`` (its unit-box point): up to 1 + ``_ROUNDS`` grid rounds,
+    the first over the unit box of free coordinates.  Each takes an equal
+    share of the budget left (2^ndim at least), at as many points per axis
+    as fit it, at most ``_RESOLUTION``; its first best point in C order
+    becomes the incumbent if better, and its gain is the achieved
+    tolerance.  Two rounds in a row that gain less than ``_TOLERANCE`` end
+    the search (one flat round can just mean the shrunk grid re-hit the
+    incumbent); otherwise the box shrinks ``SHRINK`` times per axis around
+    the incumbent, inside the unit box.
 
     Each round goes through ``_rate_round``: where a row coordinate of 1.0
     spends the row's mass, later coordinates repeat a split already in the
@@ -259,37 +333,11 @@ def optimize_splits(
     coordinates.  ``evaluations`` still counts every grid point searched,
     repeats included, and since the kernel rates a candidate alike in any
     batch, neither the slabs nor the repeats change a rate or a result.
-    A search the budget truncates is flagged ``incomplete`` and logs one
-    WARNING on the ``relayrates`` logger.
-    """
-    budget = _check_budget(budget)
-    t_count = geometry.node_count
-    perm = perm or Permutation.identity(t_count)
-    _check_sizes(geometry, power, perm)
-    lengths = tuple(row_lengths(t_count, k, perm)[t] for t in range(1, t_count))
-    ndim = sum(m - 1 for m in lengths)
 
-    def result_for(splits, evaluations, achieved, incomplete, free):
-        report = rate_report(geometry, prop, power, splits, k, perm, mode)
-        free.setflags(write=False)
-        return OptimumResult(report.rate, report, splits, evaluations, achieved,
-                             incomplete, perm, free)
-
-    own_only = ((1.0,),) * len(lengths)
-    if ndim == 0:
-        return result_for(SplitMatrix(own_only), 1, 0.0, False, np.empty(0))
-
-    for res in warm:
-        if res.permutation != perm or any(len(r) > m for r, m in zip(res.splits.rows, lengths)):
-            raise ValueError(f"warm optima must be of a k up to {k} on the same relay order")
-    problem = compile_chain(geometry, prop, power, k, perm, mode)
-
-    seeds = np.stack([_seed_point(np.empty(0), own_only, lengths)]
-                     + [_seed_point(res.free, res.splits.rows, lengths) for res in warm])
-    rates = batch_min_rate(problem, free_to_fractions(seeds, lengths))
-    idx = int(np.argmax(rates))
-    best_rate, best_free, evaluations = float(rates[idx]), seeds[idx].copy(), len(seeds)
-
+    Returns the incumbent's fractions and point, the evaluations, the last
+    round's gain (None where the budget funded no round) and whether the
+    budget truncated the search."""
+    ndim = best_free.size
     lo, hi = np.zeros(ndim), np.ones(ndim)
     achieved, incomplete, stalled = None, False, 0
     for rnd in range(_ROUNDS + 1):
@@ -314,6 +362,7 @@ def optimize_splits(
             best_rate = rate
             best_free = np.array([axis[i] for axis, i in
                                   zip(axes, np.unravel_index(idx, (per_axis,) * ndim))])
+            best = free_to_fractions(best_free[None, :], lengths)[0]
         achieved = max(improvement, 0.0)
         stalled = stalled + 1 if achieved < _TOLERANCE else 0
         if stalled == 2:
@@ -322,13 +371,90 @@ def optimize_splits(
         lo = np.maximum(best_free - width / 2.0, 0.0)
         hi = np.minimum(lo + width, 1.0)
         lo = np.maximum(hi - width, 0.0)
-    if incomplete:
-        log.warning("split search at T=%d, k=%d, %s mode truncated: %d free coordinates, "
-                    "budget %d, %d evaluations", t_count, k, mode.value, ndim,
-                    budget, evaluations)
-    fracs = free_to_fractions(best_free[None, :], lengths)[0]
-    splits = SplitMatrix.from_flat(fracs, lengths)
-    return result_for(splits, evaluations, achieved, incomplete, best_free)
+    return best, best_free, evaluations, achieved, incomplete
+
+
+def _dinkelbach(problem, lengths, best, best_rate, evaluations, budget):
+    """The fading search from the incumbent ``best`` (fractions): generalized
+    Dinkelbach steps (Crouzeix, Ferland and Schaible), exact for a max-min
+    of linear-fractional SINRs.
+
+    Under fading receiver r's signal and interference powers are S_r @ x and
+    D_r @ x, the kernel's powers at ``np.eye(n_cols)``, and its SINR is
+    S_r @ x / (N_r + D_r @ x).  At the incumbent x_k, of lowest SINR
+    gamma and interference-plus-noise d_r, one step solves the LP (``lp``)
+
+        max z  s.t.  ((S_r - gamma D_r) @ x - gamma N_r) / d_r >= z
+
+    over the split simplices, warm-started from the previous step's basis.
+    Its dual weights lambda_r (proportional to the LP's receiver duals over
+    d_r, summing to 1) bound every split's lowest SINR by gamma + z /
+    sum_r(mu_r N_r / d_r), so z = 0 certifies x_k optimal.  Until the bound
+    is within ``_GAP`` of gamma, each LP point, clipped at 0 with each row
+    rescaled to sum 1, is rated by ``batch_min_rate`` (one evaluation) and
+    becomes the incumbent if it rates higher; the search stops when it does
+    not (the LP has then gained no more than rounding) or when the budget
+    is spent, which flags it incomplete.
+
+    Returns the incumbent's fractions, the evaluations, the rate gap the
+    last LP certifies, whether the budget truncated the search, and the
+    certifying weights lambda by receiver."""
+    gains, interference = batch_powers(problem, np.eye(problem.n_cols))
+    noise = problem.noise
+    lengths = np.array(lengths)
+    moving = lengths > 1
+    free = np.flatnonzero(np.repeat(moving, lengths))
+    fixed = (np.cumsum(lengths) - 1)[~moving]
+    sig0, int0 = gains[:, fixed].sum(axis=1), noise + interference[:, fixed].sum(axis=1)
+    gains, interference = gains[:, free], interference[:, free]
+    group = np.repeat(np.arange(np.count_nonzero(moving)), lengths[moving])
+    offset = np.cumsum(lengths[moving]) - lengths[moving]
+
+    basis, incomplete = None, False
+    while True:
+        x = best[free]
+        denom = int0 + interference @ x
+        gamma = float(np.min((sig0 + gains @ x) / denom))
+        a = (gains - gamma * interference) / denom[:, None]
+        beta = (gamma * int0 - sig0) / denom
+        start = offset + np.array([int(np.argmax(x[o:o + m]))
+                                   for o, m in zip(offset, lengths[moving])])
+        sol = lp.solve(a, beta, group, start, basis)
+        basis = sol.basis
+        bound = gamma + max(sol.z, 0.0) / float(sol.weights @ (noise / denom))
+        if sol.optimal and bound - gamma <= _GAP * gamma:
+            break
+        if evaluations >= budget:
+            incomplete = True
+            break
+        point = np.maximum(sol.x, 0.0)
+        point /= np.bincount(group, point)[group]
+        cand = best.copy()
+        cand[free] = point
+        rate = float(batch_min_rate(problem, cand[None, :])[0])
+        evaluations += 1
+        if not rate > best_rate:
+            break
+        best, best_rate = cand, rate
+    if not sol.optimal:
+        return best, evaluations, None, incomplete, None
+    weighted = sol.weights / denom
+    achieved = 0.5 * float(np.log2((1.0 + bound) / (1.0 + gamma)))
+    return best, evaluations, achieved, incomplete, weighted / weighted.sum()
+
+
+def _fractions_to_free(fracs, lengths) -> np.ndarray:
+    """A unit-box point that ``free_to_fractions`` maps to ``fracs`` up to
+    rounding: per row, each fraction but the last over the mass left before
+    it, and 0.0 once none is left."""
+    free, at = [], 0
+    for m in lengths:
+        left = 1.0
+        for v in fracs[at:at + m - 1]:
+            free.append(min(v / left, 1.0) if left > 0.0 else 0.0)
+            left -= v
+        at += m
+    return np.array(free)
 
 
 def optimize_rates_over_k(

@@ -26,6 +26,10 @@ rounds in a row gain less than 1e-6) and the default budget of 400 000 are
 written out here too, so they check the map, the seeds and the schedule,
 sharing only the kernel and the stick-breaking map with the library.
 
+``reference_fading_gains`` gives the coefficients of the fading band
+powers, which are linear in the split fractions, one (receiver, carrier)
+term at a time, for checking the fading search's LP certificate.
+
 ``reference_crossing`` finds the crossing of two rates by bisection.
 
 ``reference_chain_csr`` builds ``compile_chain``'s CSR the way the library
@@ -283,6 +287,34 @@ def reference_rates_over_k(geometry, prop, power, ks, perm=None,
                                                budget, warm)
     return results
 
+
+
+def reference_fading_gains(geometry, prop, power, k, perm=None):
+    """``(S, D, N)`` of a fading chain: receiver r's (node r + 2's) signal
+    and interference power are S[r] @ x and D[r] @ x for the split
+    fractions x in ``SplitMatrix.as_flat`` order, and N[r] is its noise.
+    A receiver at position p decodes the carriers of sub-signals p-k..p-1,
+    hears those of q < p-k and q > p+k-1 as noise and cancels the rest."""
+    t_count = geometry.node_count
+    perm = perm or Permutation.identity(t_count)
+    lengths = row_lengths(t_count, k, perm)
+    start = np.cumsum([0] + [lengths[t] for t in range(1, t_count)])
+    gains = np.zeros((2, t_count - 1, start[-1]))
+    for receiver in range(2, t_count + 1):
+        pos_r = perm.position_of(receiver)
+        for p in range(1, t_count):
+            node = perm.node_at(p)
+            if node == receiver:
+                continue
+            g = (prop.kappa * geometry.distance(node, receiver) ** (-prop.eta)
+                 * power.transmit_power(node))
+            for j in range(lengths[node]):
+                q = p + j
+                if pos_r - k <= q <= pos_r - 1:
+                    gains[0, receiver - 2, start[node - 1] + j] = g
+                elif not pos_r <= q <= pos_r + k - 1:
+                    gains[1, receiver - 2, start[node - 1] + j] = g
+    return gains[0], gains[1], np.array(power.noise_powers, dtype=float)
 
 
 def reference_crossing(gap, lo, hi):

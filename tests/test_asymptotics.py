@@ -128,6 +128,23 @@ def test_rejects_invalid_channel_values(bad):
         large_T_report(10, **bad)
 
 
+@pytest.mark.parametrize("bad", [
+    {"power": True}, {"noise": True}, {"kappa": True}, {"eta": np.True_},
+])
+def test_rejects_boolean_channel_values(bad):
+    # power=True ran the chain at 1 W
+    (name, value), = bad.items()
+    with pytest.raises(ValueError, match=f"{name} must be a number, got {value!r}"):
+        large_T_report(10, **bad)
+
+
+@pytest.mark.parametrize("alpha", [True, [True] * 8, [0.5] * 7 + [False],
+                                   np.ones(8, dtype=bool)])
+def test_rejects_boolean_forward_fractions(alpha):
+    with pytest.raises(ValueError, match="alpha must hold numbers, not booleans"):
+        large_T_report(10, alpha=alpha)
+
+
 def test_rejects_non_finite_forward_fraction():
     with pytest.raises(ValueError):
         large_T_report(10, alpha=float("nan"))

@@ -207,3 +207,39 @@ def test_a_whole_node_id_of_any_numeric_type_reads_as_an_int(node):
     assert np.array_equal(large_T_report(node + 7).rates, large_T_report(10).rates)
     assert PowerConfig.uniform(node + 3, 10.0) == PowerConfig.uniform(6, 10.0)
     assert Permutation(iter((1, node, 2, 4))).order == (1, 3, 2, 4)
+
+
+# entry points that take a node count and build rows of that many nodes
+NODE_COUNT_ENTRY_POINTS = {
+    "row_lengths": lambda t: row_lengths(t, 2, Permutation.identity(6)),
+    "identity": Permutation.identity,
+    "own_only": lambda t: SplitMatrix.own_only(t, 2).rows,
+    "uniform": lambda t: SplitMatrix.uniform(t, 2).rows,
+    "embed": lambda t: SplitMatrix.own_only(6, 1).embed(t, 1, 2).rows,
+    "validate_for": lambda t: SplitMatrix.own_only(6, 2).validate_for(
+        t, 2, Permutation.identity(6)),
+    "carrier_layout": lambda t: carrier_layout(t, 2, Permutation.identity(6)),
+}
+
+
+@pytest.mark.parametrize("entry", NODE_COUNT_ENTRY_POINTS)
+def test_a_whole_float_node_count_reads_as_an_int(entry):
+    # 6.0 gave rows of length 1.0, and own_only died on range(1, 7.0)
+    call = NODE_COUNT_ENTRY_POINTS[entry]
+    got, want = call(6.0), call(6)
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("entry", NODE_COUNT_ENTRY_POINTS)
+@pytest.mark.parametrize("count", [6.5, True, "6"])
+def test_a_node_count_that_is_not_a_whole_number_is_refused(entry, count):
+    with pytest.raises(SplitValidationError,
+                       match=re.escape(f"node count must be a whole number, got {count!r}")):
+        NODE_COUNT_ENTRY_POINTS[entry](count)
+
+
+@pytest.mark.parametrize("fractions", [[True, 0.5], [0.5, False], [np.True_], ["0.5"]])
+def test_two_hop_refuses_forward_fractions_that_are_not_numbers(fractions):
+    # True read as 1.0 and gave the row (0.0, 1.0)
+    with pytest.raises(SplitValidationError, match="forward fractions must be numbers"):
+        SplitMatrix.two_hop(fractions)

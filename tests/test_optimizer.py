@@ -22,6 +22,7 @@ from relayrates import (
     row_lengths,
 )
 from relayrates import kernel, optimizer
+from relayrates.kernel import batch_powers
 from relayrates.optimizer import (
     _grid_candidates,
     _grid_slabs,
@@ -166,9 +167,7 @@ def assert_same_result(got, want):
 
 
 # at 2_500, searches at T = 6 and 12 stall twice with under 2**ndim
-# evaluations left: complete, unless the budget is checked before the stall.
-# T = 4 and 7 in fading mode have a round that gains between 1e-6 and 1e-3,
-# so they run one round more than a stall tolerance of 1e-3 would allow
+# evaluations left: complete, unless the budget is checked before the stall
 @pytest.mark.parametrize("node_count,mode,budget", [
     *((node_count, mode, budget) for node_count in (5, 6, 12) for mode in CombiningMode
       for budget in (400_000, 2_000, 2_500)),
@@ -176,22 +175,43 @@ def assert_same_result(got, want):
     (7, CombiningMode.FADING, 5_000),
 ])
 def test_search_matches_the_expanded_grid_reference(node_count, mode, budget):
-    # ties, evaluation counts, tolerances and truncation are pinned exactly:
-    # a last-bit change in one candidate can move the optimum far more
+    # coherent searches run the grid: ties, evaluation counts, tolerances and
+    # truncation are pinned exactly, since a last-bit change in one candidate
+    # can move the optimum far more.  Fading searches solve the LP instead,
+    # and must reach at least the grid's rate, within the budget
     rng = np.random.default_rng(node_count)
     geom = build_linear_geometry(rng.uniform(0.5, 1.5, node_count - 1))
     power = PowerConfig.uniform(node_count, 10.0)
     ks = range(1, node_count)
     perm = Permutation((1, *rng.permutation(range(2, node_count)).tolist(), node_count))
+    def check(got, grid):
+        if mode is CombiningMode.COHERENT:
+            assert_same_result(got, grid)
+        else:
+            assert got.rate >= grid.rate - 1e-12
+            assert not got.incomplete and got.evaluations <= budget
+            assert got.permutation == grid.permutation
+
     for k in ks:
-        assert_same_result(
-            optimize_splits(geom, PROP, power, k, perm, mode, budget),
-            reference_optimize_splits(geom, PROP, power, k, perm, mode, budget))
+        check(optimize_splits(geom, PROP, power, k, perm, mode, budget),
+              reference_optimize_splits(geom, PROP, power, k, perm, mode, budget))
     got = optimize_rates_over_k(geom, PROP, power, ks, mode=mode, budget=budget)
     want = reference_rates_over_k(geom, PROP, power, ks, mode=mode, budget=budget)
     assert got.keys() == want.keys()
     for k in ks:
-        assert_same_result(got[k], want[k])
+        check(got[k], want[k])
+
+
+@pytest.mark.parametrize("budget", [5_000, 400_000])
+def test_coherent_grid_stalls_at_the_pinned_tolerance(budget):
+    # on this chain the k = 2 grid has a round that gains between 1e-6 and
+    # 1e-3 (and so does k = 3 at 5_000): a stall tolerance of 1e-3 would end
+    # it one round early, so the reference's 1e-6 pins the constant
+    geom = build_linear_geometry([0.5, 2.0, 2.9])
+    power = PowerConfig.uniform(4, 1.0)
+    for k in (1, 2, 3):
+        assert_same_result(optimize_splits(geom, PROP, power, k, budget=budget),
+                           reference_optimize_splits(geom, PROP, power, k, budget=budget))
 
 
 def test_warm_start_past_the_array_dimension_limit():
@@ -448,7 +468,8 @@ def test_slabs_change_no_search_result(search):
 ])
 def test_batch_plan_built_once_per_problem(monkeypatch, node_count, k, mode, builder):
     # compile_chain builds no plan; the first batch_min_rate call builds the
-    # problem's, and later calls and a slabbed search reuse it
+    # problem's, and later calls reuse it, as does a search: a slabbed grid
+    # (coherent) or the fading LP's gains and rated points
     built = []
     original = getattr(kernel, builder)
 
@@ -470,6 +491,8 @@ def test_batch_plan_built_once_per_problem(monkeypatch, node_count, k, mode, bui
     assert len(built) == 1
     built.clear()
     monkeypatch.setattr(optimizer, "_SLAB_ELEMENTS", 64)
-    with mock.patch.object(optimizer, "batch_min_rate", wraps=batch_min_rate) as rated:
+    with mock.patch.object(optimizer, "batch_min_rate", wraps=batch_min_rate) as rated, \
+            mock.patch.object(optimizer, "batch_powers", wraps=batch_powers) as powered:
         optimize_splits(geom, PROP, power, k, perm, mode, budget=2000)
-    assert rated.call_count > 4 and len(built) == 1
+    calls = rated.call_count + powered.call_count
+    assert calls > (4 if mode is CombiningMode.COHERENT else 1) and len(built) == 1
