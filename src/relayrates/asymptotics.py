@@ -123,8 +123,9 @@ def large_T_report(
     for name, value in (("power", power), ("eta", eta), ("kappa", kappa), ("noise", noise)):
         if isinstance(value, (bool, np.bool_)):
             raise ValueError(f"{name} must be a number, got {value!r}")
-    if (np.asarray(alpha).dtype == bool or isinstance(alpha, (list, tuple))
-            and any(isinstance(v, (bool, np.bool_)) for v in alpha)):
+    if (np.asarray(alpha).dtype == bool
+            or (isinstance(alpha, (list, tuple))
+                and any(isinstance(v, (bool, np.bool_)) for v in alpha))):
         raise ValueError(f"alpha must hold numbers, not booleans (got {alpha!r})")
     if eta <= 1.0:
         raise ZetaDivergenceError("eta must exceed 1 for bounded interference")
