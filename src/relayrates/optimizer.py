@@ -393,8 +393,8 @@ def _dinkelbach(problem, lengths, best, best_rate, evaluations, budget):
     is within ``_GAP`` of gamma, each LP point, clipped at 0 with each row
     rescaled to sum 1, is rated by ``batch_min_rate`` (one evaluation) and
     becomes the incumbent if it rates higher; the search stops when it does
-    not (the LP has then gained no more than rounding) or when the budget
-    is spent, which flags it incomplete.
+    not (the LP has then gained no more than rounding), after an LP that hit
+    its pivot cap, or when the budget is spent, which flags it incomplete.
 
     Returns the incumbent's fractions, the evaluations, the rate gap the
     last LP certifies, whether the budget truncated the search, and the
@@ -436,6 +436,8 @@ def _dinkelbach(problem, lengths, best, best_rate, evaluations, budget):
         if not rate > best_rate:
             break
         best, best_rate = cand, rate
+        if not sol.optimal:
+            break      # an LP cut off at its pivot cap is not solved again
     if not sol.optimal:
         return best, evaluations, None, incomplete, None
     weighted = sol.weights / denom
