@@ -24,7 +24,9 @@ one coordinate at a time.  The round schedule (21 points per axis at most,
 a coarse pass and 3 refinement rounds, each box 5 times narrower, until two
 rounds in a row gain less than 1e-6) and the default budget of 400 000 are
 written out here too, so they check the map, the seeds and the schedule,
-sharing only the kernel and the stick-breaking map with the library.
+sharing only the kernel and the stick-breaking map with the library.  The
+library runs this grid in coherent mode only; its exact fading search must
+reach at least the grid's rate.
 
 ``reference_fading_gains`` gives the coefficients of the fading band
 powers, which are linear in the split fractions, one (receiver, carrier)

@@ -184,6 +184,7 @@ def test_search_matches_the_expanded_grid_reference(node_count, mode, budget):
     power = PowerConfig.uniform(node_count, 10.0)
     ks = range(1, node_count)
     perm = Permutation((1, *rng.permutation(range(2, node_count)).tolist(), node_count))
+
     def check(got, grid):
         if mode is CombiningMode.COHERENT:
             assert_same_result(got, grid)
