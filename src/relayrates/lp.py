@@ -1,25 +1,28 @@
-"""A dense simplex method for the max-min LP of the fading split search.
+"""A dense simplex method for the max-min LP of the split search's LP steps.
 
-Under fading every band power is linear in the split fractions, so one
-Dinkelbach step of the split search (see ``optimizer``) is the LP
+Under fading every band power is linear in the split fractions, and a
+coherent LP step models them as linear (see ``optimizer``), so one step of
+the split search is the LP
 
     maximize z  subject to  a @ x - z >= beta,  x >= 0,
                             sum of x over each group = 1,
 
 one inequality per receiver and one simplex (group) per transmitter row.
-``solve`` runs the primal simplex method on its full tableau: slacks s >= 0
-turn the inequalities into a @ x - s - z = beta, z is free and stays basic,
-and the entering column is the most negative entry of z's row (Dantzig's
-rule), or, after ``_DANTZIG_PIVOTS`` pivots per constraint, the first
-(Bland's rule, which cannot cycle).  It starts from the previous step's
+``solve`` runs the revised primal simplex method on an explicit basis
+inverse: slacks s >= 0 turn the inequalities into a @ x - s - z = beta, z
+is free and stays basic, and the entering column is the most negative
+reduced cost in z's row of B^-1 [A | -I | -1] (Dantzig's rule), or, after
+``_DANTZIG_PIVOTS`` pivots per constraint, the first (Bland's rule, which
+cannot cycle).  B^-1 is inverted once per LP and then updated by one rank-1
+step per pivot, and after pivots one step of iterative refinement sheds
+their rounding from B^-1 b and z's row.  It starts from the previous step's
 basis where that basis is still feasible, and otherwise from a vertex: one
 column per group, z at the lowest receiver's value and that receiver's
 slack nonbasic, which is feasible for any data.
 
 The LP is small (receivers plus rows constraints, fractions plus receivers
-columns) and dense, so the tableau is a numpy array; importing
-``scipy.optimize`` would raise a process's peak memory from about 30 to 77
-MB.
+columns) and dense, so B^-1 is a numpy array; importing ``scipy.optimize``
+would raise a process's peak memory from about 30 to 77 MB.
 """
 
 from __future__ import annotations
@@ -54,17 +57,14 @@ class LpSolution:
     optimal: bool
 
 
-def _tableau(matrix: np.ndarray, basis) -> np.ndarray:
-    """B^-1 [A | b] of the constraint ``matrix`` [A | b] at ``basis``, its
-    basic columns set to the exact identity; None where B is singular."""
+def _inverse(cols: np.ndarray, basis) -> np.ndarray:
+    """B^-1 of the constraint columns ``cols`` at ``basis``; None where B is
+    singular."""
     try:
-        tab = np.linalg.solve(matrix[:, basis], matrix)
+        inverse = np.linalg.inv(cols[:, basis])
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(tab)):
-        return None
-    tab[:, basis] = np.eye(len(basis))
-    return tab
+    return inverse if np.all(np.isfinite(inverse)) else None
 
 
 def solve(a: np.ndarray, beta: np.ndarray, group: np.ndarray, start: np.ndarray,
@@ -78,33 +78,34 @@ def solve(a: np.ndarray, beta: np.ndarray, group: np.ndarray, start: np.ndarray,
     feasible for this data."""
     n_rcv, n = a.shape
     n_grp = int(group[-1]) + 1
-    z_col, rhs = n + n_rcv, n + n_rcv + 1
-    matrix = np.zeros((n_rcv + n_grp, rhs + 1))
-    matrix[:n_rcv, :n] = a
-    matrix[:n_rcv, n:z_col] = -np.eye(n_rcv)
-    matrix[:n_rcv, z_col] = -1.0
-    matrix[:n_rcv, rhs] = beta
-    matrix[n_rcv + group, np.arange(n)] = 1.0
-    matrix[n_rcv:, rhs] = 1.0
+    z_col = n + n_rcv
+    cols = np.zeros((n_rcv + n_grp, z_col + 1))
+    cols[:n_rcv, :n] = a
+    cols[:n_rcv, n:z_col] = -np.eye(n_rcv)
+    cols[:n_rcv, z_col] = -1.0
+    cols[n_rcv + group, np.arange(n)] = 1.0
+    rhs = np.concatenate([beta, np.ones(n_grp)])
 
-    tab = None
+    inverse = None
     if basis is not None:
         basis = list(basis)
-        tab = _tableau(matrix, basis)
-        if tab is not None:
+        inverse = _inverse(cols, basis)
+        if inverse is not None:
+            value = inverse @ rhs
             rows = np.arange(len(basis)) != basis.index(z_col)
-            if np.any(tab[rows, rhs] < -_FEAS_TOL * (1.0 + np.abs(tab[:, rhs]).max())):
-                tab = None
-    if tab is None:
+            if np.any(value[rows] < -_FEAS_TOL * (1.0 + np.abs(value).max())):
+                inverse = None
+    if inverse is None:
         lowest = int(np.argmin(a[:, start].sum(axis=1) - beta))
         basis = list(start) + [z_col] + [n + r for r in range(n_rcv) if r != lowest]
-        tab = _tableau(matrix, basis)
+        inverse = _inverse(cols, basis)
+        value = inverse @ rhs
     iz = basis.index(z_col)
 
-    scale = 1.0 + np.abs(matrix[:, :z_col]).max()
-    optimal, fresh = False, True
+    scale = 1.0 + np.abs(cols[:, :z_col]).max()
+    optimal, fresh, row = False, True, inverse[iz]
     for pivots in range(_MAX_PIVOTS * len(basis)):
-        cost = tab[iz, :z_col]
+        cost = row @ cols[:, :z_col]
         if pivots < _DANTZIG_PIVOTS * len(basis):
             enter = int(np.argmin(cost))
             if cost[enter] >= -_OPT_TOL * scale:
@@ -113,35 +114,39 @@ def solve(a: np.ndarray, beta: np.ndarray, group: np.ndarray, start: np.ndarray,
             below = np.flatnonzero(cost < -_OPT_TOL * scale)
             enter = int(below[0]) if below.size else None
         if enter is None:
-            # after pivots, re-solve at the final basis to shed their
-            # rounding, and stop only if it is still optimal there
+            # after pivots, one step of iterative refinement sheds most of
+            # their rounding from B^-1 b and z's row of B^-1; stop only if
+            # still optimal there
             if not fresh:
-                refreshed = _tableau(matrix, basis)
-                tab = tab if refreshed is None else refreshed
+                basic = cols[:, basis]
+                value = value + inverse @ (rhs - basic @ value)
+                row = row - (row @ basic - np.eye(len(basis))[iz]) @ inverse
                 fresh = True
-                if tab[iz, :z_col].min() < -_OPT_TOL * scale:
+                if (row @ cols[:, :z_col]).min() < -_OPT_TOL * scale:
                     continue
             optimal = True
             break
-        col = tab[:, enter]
+        col = inverse @ cols[:, enter]
         ok = col > _PIVOT_TOL * np.abs(col).max()
         ok[iz] = False
-        ratio = np.divide(np.maximum(tab[:, rhs], 0.0), col, out=np.full(len(basis), np.inf),
+        ratio = np.divide(np.maximum(value, 0.0), col, out=np.full(len(basis), np.inf),
                           where=ok)
         leave = int(np.argmin(ratio))
         if not ok[leave]:
             break      # unbounded: cannot happen, x lies in a bounded set
-        tab[leave] /= tab[leave, enter]
-        pivot_row = tab[leave].copy()
-        tab -= np.outer(col, pivot_row)
-        tab[leave] = pivot_row
+        inverse[leave] /= col[leave]
+        value[leave] /= col[leave]
+        col[leave] = 0.0
+        inverse -= np.outer(col, inverse[leave])
+        value -= col * value[leave]
         basis[leave] = enter
-        fresh = False
+        fresh, row = False, inverse[iz]
 
     x = np.zeros(z_col)
     at = np.array(basis)
-    x[at[at < z_col]] = tab[at < z_col, rhs]
-    weights = np.maximum(tab[iz, n:z_col], 0.0)
+    x[at[at < z_col]] = value[at < z_col]
+    # z's row at the slack columns, -e_r in receiver row r
+    weights = np.maximum(-row[:n_rcv], 0.0)
     total = weights.sum()
     weights = weights / total if total > 0.0 else np.full(n_rcv, 1.0 / n_rcv)
-    return LpSolution(x[:n], float(tab[iz, rhs]), weights, tuple(basis), optimal)
+    return LpSolution(x[:n], float(value[iz]), weights, tuple(basis), optimal)

@@ -1,15 +1,21 @@
 """Deterministic searches for the max-min split problem.
 
 The objective min_t R_t has kinks where the bottleneck receiver switches.
-Under fading each receiver's SINR is linear-fractional in the split
-fractions, so ``optimize_splits`` solves the problem exactly there: each
-generalized Dinkelbach step (``_dinkelbach``) is one LP, solved by the
-dense simplex method of ``lp`` and warm-started from the previous step's
-basis, and the last LP's dual weights certify the optimum.  Coherent
-combining adds amplitudes, which the LP cannot express, so there the
-search stays a derivative-free grid (``_grid_search``): simplex rows with
-m entries are parameterized by m-1 free coordinates in [0, 1] via the
-stick-breaking map, which keeps every grid point feasible, and a coarse
+Both modes search by LP steps (``_lp_steps``): a linear model of every
+receiver's signal and interference around the incumbent, one max-min LP
+over the split simplices, solved by the dense simplex method of ``lp`` and
+warm-started from the previous step's basis, and the LP point rated.  Under
+fading each receiver's SINR is linear-fractional in the split fractions, so
+the model is exact and the steps are generalized Dinkelbach steps
+(``_dinkelbach``) whose last LP's dual weights certify the optimum.
+Coherent combining adds amplitudes, which the LP cannot express: there
+``_linearized`` rebuilds the model at each incumbent from one-sided secants
+and rates points along the segment to the LP point, until a step gains less
+than ``_TOLERANCE``.  Where every round of a grid can place three points on
+each axis (up to 10 free coordinates at the default budget) a coherent
+search runs the derivative-free grid instead (``_grid_search``): simplex
+rows with m entries are parameterized by m-1 free coordinates in [0, 1] via
+the stick-breaking map, which keeps every grid point feasible, and a coarse
 grid of up to ``_RESOLUTION`` points per axis over the unit box is followed
 by up to ``_ROUNDS`` finer grids, each over a box ``SHRINK`` times narrower
 per axis around the incumbent, until two rounds in a row gain less than
@@ -19,6 +25,7 @@ candidates they may rate, which trades time for quality.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -39,8 +46,10 @@ DEFAULT_BUDGET = 400_000  # candidates a search may rate
 SHRINK = 5.0  # each refinement round narrows the box by this factor per axis
 _RESOLUTION = 21  # grid points per axis, fewer where a round's budget is short
 _ROUNDS = 3  # refinement rounds after the coarse pass
-_TOLERANCE = 1e-6  # two rounds in a row that gain less end the search
-_GAP = 1e-12  # a fading search ends once its certified SINR gap is this small, relative
+_TOLERANCE = 1e-6  # two grid rounds in a row, or one coherent LP step, that gain less end it
+_GAP = 1e-12  # LP steps end once their certified model SINR gap is this small, relative
+_SECANT = 1e-2  # a coherent LP step's model: a forward secant of this step per fraction
+_LINE = 2.0 ** -np.arange(8)  # a coherent LP step rates these shares of its segment
 
 # a grid round reaches the kernel in slabs of at most this many split
 # fractions (8 bytes each), never as one (points, fractions) array
@@ -62,12 +71,13 @@ def _check_budget(budget) -> int:
 class OptimumResult:
     """Best operating point found, re-evaluated through the reference path.
     ``achieved_tolerance`` is 0.0 where no split is free; otherwise, in
-    coherent mode, the last grid round's gain (None where the budget funded
-    no round), and under fading the rate gap (bits) the last LP certifies
+    coherent mode, the last grid round's or LP step's gain (0.0 after an LP
+    that finds no better point of its model; None where the budget funded
+    no LP step), and under fading the rate gap (bits) the last LP certifies
     (None if the simplex method hit its pivot cap).  Left out of equality:
     ``free``, the unit-box point ``splits`` maps from (empty if no split is
-    free, as at k = 1), which centres a larger-k coherent search that this
-    result seeds, and ``dual``, the fading search's certifying weights
+    free, as at k = 1), which centres a larger-k coherent grid search that
+    this result seeds, and ``dual``, the fading search's certifying weights
     lambda by receiver (node 2..T; None in coherent mode and at k = 1):
     lambda >= 0 sums to 1, and the sum over split rows of
     max_c sum_r lambda_r (S_rc - g D_rc) is at most g sum_r lambda_r N_r
@@ -259,11 +269,14 @@ def optimize_splits(
     keeps optimized rates monotone in k by feasible-set nesting.  So the
     result is never an unrated point, nor below ``own_only``.  Its best
     point is the incumbent, which a search in the combining ``mode`` then
-    improves: ``_dinkelbach``'s exact LP steps under fading,
-    ``_grid_search``'s grid rounds for coherent combining.  ``budget``
-    bounds the candidates it rates; a search the budget truncates is
-    flagged ``incomplete`` and logs one WARNING on the ``relayrates``
-    logger.
+    improves: ``_dinkelbach``'s exact LP steps under fading; for coherent
+    combining ``_grid_search``'s grid rounds where a round can place at
+    least three points on every axis (3^ndim within the first round's share
+    of the budget left, up to 10 free coordinates at the default budget),
+    and elsewhere ``_linearized``'s LP steps, seeded also with the fading
+    optimum of the same chain.  ``budget`` bounds the candidates it rates;
+    LP steps the budget cuts short are flagged ``incomplete`` and log one
+    WARNING on the ``relayrates`` logger.
     """
     budget = _check_budget(budget)
     t_count = geometry.node_count
@@ -295,36 +308,62 @@ def optimize_splits(
         for res in warm])
     rates = batch_min_rate(problem, seeds)
     idx = int(np.argmax(rates))
-    best, best_rate = seeds[idx], float(rates[idx])
+    best, best_rate, evaluations = seeds[idx], float(rates[idx]), len(seeds)
 
+    dual = None
     if mode is CombiningMode.FADING:
+        method = "Dinkelbach LP steps"
         best, evaluations, achieved, incomplete, dual = _dinkelbach(
-            problem, lengths, best, best_rate, len(seeds), budget)
-        free = _fractions_to_free(best, lengths)
-    else:
+            problem, lengths, best, best_rate, evaluations, budget)
+    elif 3 ** ndim <= (budget - evaluations) // (_ROUNDS + 1):
         free = ([_seed_point(np.empty(0), ((1.0,),) * len(lengths), lengths)]
                 + [_seed_point(res.free, res.splits.rows, lengths) for res in warm])[idx]
-        best, free, evaluations, achieved, incomplete = _grid_search(
-            problem, lengths, best, free, best_rate, len(seeds), budget)
-        dual = None
+        best, free, evaluations, achieved = _grid_search(
+            problem, lengths, best, free, best_rate, evaluations, budget)
+        return result_for(best, evaluations, achieved, False, free)
+    else:
+        method = "linearized LP steps"
+        if evaluations + 2 < budget:
+            # the fading optimum, as a fading search from own_only finds it
+            # (the channel's layout is the same in either mode), with one
+            # evaluation kept to rate it here unless it is own_only
+            fading = dataclasses.replace(problem, coherent=False)
+            rate = float(batch_min_rate(fading, seeds[:1])[0])
+            point, evaluations, *_ = _dinkelbach(fading, lengths, seeds[0], rate,
+                                                 evaluations + 1, budget - 1)
+            if not np.array_equal(point, seeds[0]):
+                rate = float(batch_min_rate(problem, point[None, :])[0])
+                evaluations += 1
+                if rate > best_rate:
+                    best, best_rate = point, rate
+        best, evaluations, achieved, incomplete = _linearized(
+            problem, lengths, best, best_rate, evaluations, budget)
     if incomplete:
-        log.warning("split search at T=%d, k=%d, %s mode truncated: %d free coordinates, "
-                    "budget %d, %d evaluations", t_count, k, mode.value, ndim,
-                    budget, evaluations)
-    return result_for(best, evaluations, achieved, incomplete, free, dual)
+        log.warning("split search at T=%d, k=%d, %s mode truncated: %s cut short, "
+                    "%d free coordinates, budget %d, %d evaluations", t_count, k,
+                    mode.value, method, ndim, budget, evaluations)
+    return result_for(best, evaluations, achieved, incomplete,
+                      _fractions_to_free(best, lengths), dual)
 
 
 def _grid_search(problem, lengths, best, best_free, best_rate, evaluations, budget):
     """The coherent search from the incumbent ``best`` (fractions) at
     ``best_free`` (its unit-box point): up to 1 + ``_ROUNDS`` grid rounds,
     the first over the unit box of free coordinates.  Each takes an equal
-    share of the budget left (2^ndim at least), at as many points per axis
-    as fit it, at most ``_RESOLUTION``; its first best point in C order
-    becomes the incumbent if better, and its gain is the achieved
-    tolerance.  Two rounds in a row that gain less than ``_TOLERANCE`` end
-    the search (one flat round can just mean the shrunk grid re-hit the
-    incumbent); otherwise the box shrinks ``SHRINK`` times per axis around
-    the incumbent, inside the unit box.
+    share of the budget left, at as many points per axis as fit it, at most
+    ``_RESOLUTION``; its first best point in C order becomes the incumbent
+    if better, and its gain is the achieved tolerance.  Two rounds in a row
+    that gain less than ``_TOLERANCE`` end the search (one flat round can
+    just mean the shrunk grid re-hit the incumbent); otherwise the box
+    shrinks ``SHRINK`` times per axis around the incumbent, inside the unit
+    box.
+
+    ``optimize_splits`` runs it only where 3^ndim fits the first round's
+    share, q = (budget - evaluations) // (1 + ``_ROUNDS``).  Round r then
+    has at least (1 + ``_ROUNDS`` - r) q left and takes at most that over
+    1 + ``_ROUNDS`` - r, so every round's share is at least q: each places
+    three points or more on every axis, and the budget never cuts the
+    search short.
 
     Each round goes through ``_rate_round``: where a row coordinate of 1.0
     spends the row's mass, later coordinates repeat a split already in the
@@ -334,20 +373,15 @@ def _grid_search(problem, lengths, best, best_free, best_rate, evaluations, budg
     repeats included, and since the kernel rates a candidate alike in any
     batch, neither the slabs nor the repeats change a rate or a result.
 
-    Returns the incumbent's fractions and point, the evaluations, the last
-    round's gain (None where the budget funded no round) and whether the
-    budget truncated the search."""
+    Returns the incumbent's fractions and point, the evaluations and the
+    last round's gain."""
     ndim = best_free.size
     lo, hi = np.zeros(ndim), np.ones(ndim)
-    achieved, incomplete, stalled = None, False, 0
+    stalled = 0
     for rnd in range(_ROUNDS + 1):
-        remaining = budget - evaluations
-        if remaining < 2 ** ndim:
-            incomplete = True
-            break
-        per_round = max(2 ** ndim, remaining // (_ROUNDS + 1 - rnd))
+        per_round = (budget - evaluations) // (_ROUNDS + 1 - rnd)
         per_axis = _RESOLUTION
-        while per_axis > 2 and per_axis ** ndim > per_round:
+        while per_axis ** ndim > per_round:
             per_axis -= 1
         axes = [np.linspace(a, b, per_axis) for a, b in zip(lo, hi)]
         rates = _rate_round(problem, axes, lengths)
@@ -371,78 +405,157 @@ def _grid_search(problem, lengths, best, best_free, best_rate, evaluations, budg
         lo = np.maximum(best_free - width / 2.0, 0.0)
         hi = np.minimum(lo + width, 1.0)
         lo = np.maximum(hi - width, 0.0)
-    return best, best_free, evaluations, achieved, incomplete
+    return best, best_free, evaluations, achieved
 
 
-def _dinkelbach(problem, lengths, best, best_rate, evaluations, budget):
-    """The fading search from the incumbent ``best`` (fractions): generalized
-    Dinkelbach steps (Crouzeix, Ferland and Schaible), exact for a max-min
-    of linear-fractional SINRs.
-
-    Under fading receiver r's signal and interference powers are S_r @ x and
-    D_r @ x, the kernel's powers at ``np.eye(n_cols)``, and its SINR is
-    S_r @ x / (N_r + D_r @ x).  At the incumbent x_k, of lowest SINR
-    gamma and interference-plus-noise d_r, one step solves the LP (``lp``)
-
-        max z  s.t.  ((S_r - gamma D_r) @ x - gamma N_r) / d_r >= z
-
-    over the split simplices, warm-started from the previous step's basis.
-    Its dual weights lambda_r (proportional to the LP's receiver duals over
-    d_r, summing to 1) bound every split's lowest SINR by gamma + z /
-    sum_r(mu_r N_r / d_r), so z = 0 certifies x_k optimal.  Until the bound
-    is within ``_GAP`` of gamma, each LP point, clipped at 0 with each row
-    rescaled to sum 1, is rated by ``batch_min_rate`` (one evaluation) and
-    becomes the incumbent if it rates higher; the search stops when it does
-    not (the LP has then gained no more than rounding), after an LP that hit
-    its pivot cap, or when the budget is spent, which flags it incomplete.
-
-    Returns the incumbent's fractions, the evaluations, the rate gap the
-    last LP certifies, whether the budget truncated the search, and the
-    certifying weights lambda by receiver."""
-    gains, interference = batch_powers(problem, np.eye(problem.n_cols))
-    noise = problem.noise
+def _lp_columns(lengths):
+    """The LP's columns, the flat indices of the fractions in rows of more
+    than one, each column's row among those rows, and the flat indices of
+    the one-fraction rows."""
     lengths = np.array(lengths)
     moving = lengths > 1
     free = np.flatnonzero(np.repeat(moving, lengths))
-    fixed = (np.cumsum(lengths) - 1)[~moving]
-    sig0, int0 = gains[:, fixed].sum(axis=1), noise + interference[:, fixed].sum(axis=1)
-    gains, interference = gains[:, free], interference[:, free]
     group = np.repeat(np.arange(np.count_nonzero(moving)), lengths[moving])
-    offset = np.cumsum(lengths[moving]) - lengths[moving]
+    return free, group, (np.cumsum(lengths) - 1)[~moving]
 
-    basis, incomplete = None, False
+
+def _lp_steps(problem, lengths, best, best_rate, evaluations, budget, model, line, tolerance):
+    """LP steps from the incumbent ``best`` (fractions) of rate ``best_rate``.
+
+    ``model(x, left)`` is a linear model of every receiver's signal and
+    interference-plus-noise power around the split x, (spent, s0, n0, S, D)
+    with signal s0 + S @ y and interference plus noise n0 + D @ y over the
+    fractions y of the LP's columns (``_lp_columns``), bought with ``spent``
+    of the ``left`` evaluations, or None if ``left`` cannot buy it.  At the
+    incumbent x_k, of lowest model SINR gamma and interference-plus-noise
+    d_r, a step solves the LP (``lp``)
+
+        max z  s.t.  ((S_r - gamma D_r) @ y - (gamma n0_r - s0_r)) / d_r >= z
+
+    over the split simplices, warm-started from the previous step's basis.
+    Its dual weights lambda_r (proportional to the LP's receiver duals over
+    d_r, summing to 1) bound every split's lowest model SINR by gamma + z /
+    sum_r(mu_r N_r / d_r), N_r the receiver's noise, so z = 0 certifies x_k
+    optimal for the model.  Until the bound is within ``_GAP`` of gamma, the
+    LP point, clipped at 0 with each row rescaled to sum 1, gives the
+    candidates (1 - t) x_k + t y for t in ``line``, rated in one
+    ``batch_min_rate`` call; the first best becomes the incumbent if it
+    rates higher.  The steps stop after a step that gains no more than
+    ``tolerance`` or whose LP hit its pivot cap, and when the budget cannot
+    buy a step's model or its candidates, which flags them incomplete.
+
+    Returns the incumbent's fractions, the evaluations, whether the budget
+    truncated the steps, the last step's gain (None if none was rated, 0.0
+    after a certificate), and the last LP's solution, gamma, bound and d_r
+    (None if no LP was solved)."""
+    free, group, _ = _lp_columns(lengths)
+    offset = np.flatnonzero(np.diff(group, prepend=-1))
+    noise = problem.noise
+    basis, incomplete, gain, last = None, False, None, None
     while True:
+        linear = model(best, budget - evaluations)
+        if linear is None:
+            incomplete = True
+            break
+        spent, sig0, int0, gains, interference = linear
+        evaluations += spent
         x = best[free]
         denom = int0 + interference @ x
         gamma = float(np.min((sig0 + gains @ x) / denom))
         a = (gains - gamma * interference) / denom[:, None]
         beta = (gamma * int0 - sig0) / denom
-        start = offset + np.array([int(np.argmax(x[o:o + m]))
-                                   for o, m in zip(offset, lengths[moving])])
+        # per row, the first of its largest fractions
+        start = np.lexsort((-x, group))[offset]
         sol = lp.solve(a, beta, group, start, basis)
         basis = sol.basis
         bound = gamma + max(sol.z, 0.0) / float(sol.weights @ (noise / denom))
+        last = sol, gamma, bound, denom
         if sol.optimal and bound - gamma <= _GAP * gamma:
+            gain = 0.0
             break
-        if evaluations >= budget:
+        if evaluations + len(line) > budget:
             incomplete = True
             break
         point = np.maximum(sol.x, 0.0)
         point /= np.bincount(group, point)[group]
         cand = best.copy()
         cand[free] = point
-        rate = float(batch_min_rate(problem, cand[None, :])[0])
-        evaluations += 1
-        if not rate > best_rate:
-            break
-        best, best_rate = cand, rate
-        if not sol.optimal:
+        cands = (1.0 - line)[:, None] * best + line[:, None] * cand
+        rates = batch_min_rate(problem, cands)
+        evaluations += len(line)
+        idx = int(np.argmax(rates))
+        gain = float(rates[idx]) - best_rate
+        if gain > 0.0:
+            best, best_rate = cands[idx], float(rates[idx])
+        if not (gain > tolerance and sol.optimal):
             break      # an LP cut off at its pivot cap is not solved again
+    return best, evaluations, incomplete, gain, last
+
+
+def _dinkelbach(problem, lengths, best, best_rate, evaluations, budget):
+    """The fading search from the incumbent ``best`` (fractions):
+    generalized Dinkelbach steps (Crouzeix, Ferland and Schaible), exact for
+    a max-min of linear-fractional SINRs.
+
+    Under fading receiver r's signal and interference powers are S_r @ x and
+    D_r @ x, the kernel's powers at ``np.eye(n_cols)``, and its SINR is
+    S_r @ x / (N_r + D_r @ x): the model of ``_lp_steps`` is exact, costs no
+    evaluation and certifies the optimum.  Each step rates its LP point
+    alone (one evaluation), and the steps stop when it does not rate higher
+    (the LP has then gained no more than rounding).
+
+    Returns the incumbent's fractions, the evaluations, the rate gap the
+    last LP certifies (None if the simplex method hit its pivot cap),
+    whether the budget truncated the search, and the certifying weights
+    lambda by receiver."""
+    gains, interference = batch_powers(problem, np.eye(problem.n_cols))
+    free, _, fixed = _lp_columns(lengths)
+    exact = (0, gains[:, fixed].sum(axis=1),
+             problem.noise + interference[:, fixed].sum(axis=1),
+             gains[:, free], interference[:, free])
+    best, evaluations, incomplete, _, (sol, gamma, bound, denom) = _lp_steps(
+        problem, lengths, best, best_rate, evaluations, budget,
+        lambda x, left: exact, np.ones(1), 0.0)
     if not sol.optimal:
         return best, evaluations, None, incomplete, None
     weighted = sol.weights / denom
     achieved = 0.5 * float(np.log2((1.0 + bound) / (1.0 + gamma)))
     return best, evaluations, achieved, incomplete, weighted / weighted.sum()
+
+
+def _linearized(problem, lengths, best, best_rate, evaluations, budget):
+    """The coherent search from the incumbent ``best`` (fractions) where no
+    grid round fits: ``_lp_steps`` on a model of each power rebuilt at each
+    incumbent, a sequential-LP method of the convex-concave family (Lipp and
+    Boyd).  Coherent band powers are concave in the fractions and their
+    derivatives are infinite where a fraction is 0, so the model takes a
+    one-sided secant of step ``_SECANT`` up each LP column, rated with the
+    incumbent in one ``batch_powers`` call (one evaluation per point); each
+    step then rates the ``_LINE`` points of the segment to the LP point, and
+    the steps stop once one gains less than ``_TOLERANCE``, or, incomplete,
+    where the budget left cannot buy a whole step.
+
+    Returns the incumbent's fractions, the evaluations, the last step's
+    gain (None where the budget bought no step) and whether the budget
+    truncated the steps."""
+    free = _lp_columns(lengths)[0]
+    at = np.arange(1, free.size + 1)
+
+    def secant(x, left):
+        if left < free.size + 1 + _LINE.size:
+            return None      # the budget cannot buy the whole step
+        points = np.repeat(x[None, :], free.size + 1, axis=0)
+        points[at, free] += _SECANT
+        step = points[at, free] - x[free]
+        sig, inter = batch_powers(problem, points)
+        gains = (sig[:, 1:] - sig[:, :1]) / step
+        interference = (inter[:, 1:] - inter[:, :1]) / step
+        return (free.size + 1, sig[:, 0] - gains @ x[free],
+                problem.noise + inter[:, 0] - interference @ x[free], gains, interference)
+
+    best, evaluations, incomplete, gain, _ = _lp_steps(
+        problem, lengths, best, best_rate, evaluations, budget, secant, _LINE, _TOLERANCE)
+    return best, evaluations, None if gain is None else max(gain, 0.0), incomplete
 
 
 def _fractions_to_free(fracs, lengths) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from unittest import mock
 
@@ -24,6 +25,7 @@ from relayrates import (
 from relayrates import kernel, optimizer
 from relayrates.kernel import batch_powers
 from relayrates.optimizer import (
+    DEFAULT_BUDGET,
     _grid_candidates,
     _grid_slabs,
     _product_fractions,
@@ -166,8 +168,21 @@ def assert_same_result(got, want):
     assert got.permutation == want.permutation
 
 
-# at 2_500, searches at T = 6 and 12 stall twice with under 2**ndim
-# evaluations left: complete, unless the budget is checked before the stall
+def grid_funded(res, budget, seeds=1):
+    """Whether a coherent search of ``res``'s free coordinates after
+    ``seeds`` rated seeds runs the grid: 3 points per axis fit the first
+    round's share of the budget left."""
+    ndim = sum(len(row) - 1 for row in res.splits.rows)
+    return 3 ** ndim <= (budget - seeds) // 4
+
+
+def lp_step_cost(res):
+    """Evaluations one coherent LP step of ``res``'s search costs: its
+    model rates the incumbent and one secant point per fraction in a row of
+    more than one, and its line search 8 points."""
+    return sum(len(row) for row in res.splits.rows if len(row) > 1) + 1 + 8
+
+
 @pytest.mark.parametrize("node_count,mode,budget", [
     *((node_count, mode, budget) for node_count in (5, 6, 12) for mode in CombiningMode
       for budget in (400_000, 2_000, 2_500)),
@@ -175,23 +190,30 @@ def assert_same_result(got, want):
     (7, CombiningMode.FADING, 5_000),
 ])
 def test_search_matches_the_expanded_grid_reference(node_count, mode, budget):
-    # coherent searches run the grid: ties, evaluation counts, tolerances and
-    # truncation are pinned exactly, since a last-bit change in one candidate
-    # can move the optimum far more.  Fading searches solve the LP instead,
-    # and must reach at least the grid's rate, within the budget
+    # coherent searches with 3 points per axis in every grid round run the
+    # grid: ties, evaluation counts and tolerances are pinned exactly, since a
+    # last-bit change in one candidate can move the optimum far more.  The
+    # rest run LP steps, as fading searches do, and must reach the grid's
+    # rate (fading: to 1e-12; coherent: to 1e-5, as LP steps are local)
+    # within the budget, and end complete unless the budget left cannot buy
+    # another step (at 2_000 and 2_500, T = 12 k = 10 warm-started from k = 9
+    # still gains 6e-5 bits a step when it runs out)
     rng = np.random.default_rng(node_count)
     geom = build_linear_geometry(rng.uniform(0.5, 1.5, node_count - 1))
     power = PowerConfig.uniform(node_count, 10.0)
     ks = range(1, node_count)
     perm = Permutation((1, *rng.permutation(range(2, node_count)).tolist(), node_count))
 
-    def check(got, grid):
-        if mode is CombiningMode.COHERENT:
+    def check(got, grid, seeds=1):
+        if mode is CombiningMode.COHERENT and grid_funded(got, budget, seeds):
             assert_same_result(got, grid)
-        else:
+        elif mode is CombiningMode.FADING:
             assert got.rate >= grid.rate - 1e-12
             assert not got.incomplete and got.evaluations <= budget
-            assert got.permutation == grid.permutation
+        else:
+            assert got.rate >= grid.rate - 1e-5 and got.evaluations <= budget
+            assert not got.incomplete or budget - got.evaluations < lp_step_cost(got)
+        assert got.permutation == grid.permutation
 
     for k in ks:
         check(optimize_splits(geom, PROP, power, k, perm, mode, budget),
@@ -200,7 +222,29 @@ def test_search_matches_the_expanded_grid_reference(node_count, mode, budget):
     want = reference_rates_over_k(geom, PROP, power, ks, mode=mode, budget=budget)
     assert got.keys() == want.keys()
     for k in ks:
-        check(got[k], want[k])
+        # every smaller k but k = 1 warm-starts k
+        check(got[k], want[k], seeds=max(1, k - 1))
+
+
+@pytest.mark.parametrize("node_count,budget,short", [
+    (7, 4 * 3 ** 5 + 1, 4 * 3 ** 5), (12, DEFAULT_BUDGET, 4 * 3 ** 10)])
+def test_grid_runs_while_every_axis_gets_three_points(node_count, budget, short):
+    # k = 2 has node_count - 2 free coordinates, and the seed batch rates
+    # own_only: where the grid's 4 rounds fit 3**ndim points each, the grid
+    # runs, bit for bit the expanded reference; one coordinate past it, or
+    # at a budget one short of the threshold, no grid round is rated
+    spacings = np.random.default_rng(node_count).uniform(0.2, 3.0, node_count)
+    geom = build_linear_geometry(spacings[:-1])
+    power = PowerConfig.uniform(node_count, 10.0)
+    assert_same_result(optimize_splits(geom, PROP, power, 2, budget=budget),
+                       reference_optimize_splits(geom, PROP, power, 2, budget=budget))
+    for geom, power, budget in ((geom, power, short),
+                                (build_linear_geometry(spacings),
+                                 PowerConfig.uniform(node_count + 1, 10.0), budget)):
+        with mock.patch.object(optimizer, "_rate_round", wraps=_rate_round) as rounds:
+            res = optimize_splits(geom, PROP, power, 2, budget=budget)
+        assert rounds.call_count == 0
+        assert not res.incomplete and res.evaluations <= budget
 
 
 @pytest.mark.parametrize("budget", [5_000, 400_000])
@@ -217,13 +261,15 @@ def test_coherent_grid_stalls_at_the_pinned_tolerance(budget):
 
 def test_warm_start_past_the_array_dimension_limit():
     # at T=40, k=3 has 75 free coordinates: 2**75 grid corners exceed any
-    # budget, so only the warm starts are rated, as points
+    # budget, so LP steps search from the warm starts and finish within it,
+    # once a step gains less than the stall tolerance
     rng = np.random.default_rng(40)
     geom = build_linear_geometry(rng.uniform(0.2, 3.0, 39))
     res = optimize_rates_over_k(geom, PROP, PowerConfig.uniform(40, 10.0), (1, 2, 3))
-    assert res[3].incomplete and res[3].evaluations == 2
-    assert res[3].achieved_tolerance is None
-    assert res[1].rate <= res[2].rate <= res[3].rate
+    for k in (2, 3):
+        assert not res[k].incomplete and 2 < res[k].evaluations <= DEFAULT_BUDGET
+        assert 0.0 <= res[k].achieved_tolerance < optimizer._TOLERANCE
+    assert res[1].rate < res[2].rate < res[3].rate
 
 
 def test_complete_search_logs_nothing(caplog):
@@ -320,19 +366,21 @@ def test_warm_optima_must_fit_the_search():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_search_never_ends_below_own_only(seed, caplog):
-    # at T=12 k=3 no grid round fits the default budget: the search must
-    # still return a point it rated, never the unrated box midpoint, and say
-    # in one WARNING that it was cut short
+    # at T=12 k=3 a budget of 20 funds the seeds and the fading seed but no
+    # LP step (one costs 38 evaluations): the search must still return a
+    # point it rated, never the unrated box midpoint, and say in one WARNING
+    # which method was cut short
     geom = build_linear_geometry(np.random.default_rng(seed).uniform(0.2, 3.0, 11))
     power = PowerConfig.uniform(12, 10.0)
     with caplog.at_level("WARNING", logger="relayrates"):
-        res = optimize_splits(geom, PROP, power, 3)
+        res = optimize_splits(geom, PROP, power, 3, budget=20)
     assert res.rate >= rate_report(geom, PROP, power, SplitMatrix.own_only(12, 3), 3).rate
-    assert res.evaluations == 1 and res.incomplete and res.achieved_tolerance is None
+    assert res.evaluations <= 20 and res.incomplete and res.achieved_tolerance is None
     (record,) = caplog.records
     assert record.levelname == "WARNING" and record.name == "relayrates"
     message = record.getMessage()
-    for part in ("T=12", "k=3", "coherent mode", "19 free coordinates", "budget 400000"):
+    for part in ("T=12", "k=3", "coherent mode", "linearized LP steps cut short",
+                 "19 free coordinates", "budget 20"):
         assert part in message, message
 
 
@@ -416,11 +464,68 @@ def test_rates_over_k_monotone(chain):
     assert all(a <= b + 1e-9 for a, b in zip(rates, rates[1:]))
 
 
+@st.composite
+def coherent_lp_searches(draw):
+    """A non-uniform chain (T 6-12, spacings U(0.2, 3), 0.5-100 W per node)
+    with a random relay order, a hop depth of 7 or more free coordinates,
+    which a budget of 3000 gives no grid round, and a set of smaller ones to
+    warm-start it from."""
+    t_count = draw(st.integers(6, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spacings = rng.uniform(0.2, 3.0, t_count - 1)
+    perm = Permutation((1, *rng.permutation(range(2, t_count)).tolist(), t_count))
+    free = {k: sum(m - 1 for m in row_lengths(t_count, k, perm).values())
+            for k in range(2, t_count)}
+    k = draw(st.sampled_from([k for k, ndim in free.items() if ndim >= 7]))
+    smaller = draw(st.sets(st.integers(1, k - 1)))
+    return spacings, draw(st.floats(0.5, 100.0)), perm, k, sorted(smaller)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(coherent_lp_searches())
+def test_coherent_lp_steps_end_at_or_above_every_seed(case):
+    # LP steps start from the best of own_only, the warm optima's embeddings
+    # and the fading optimum, and keep a point only if it rates higher; the
+    # result is a split on the simplices, rated by the reference path
+    spacings, watts, perm, k, smaller = case
+    geom = build_linear_geometry(spacings)
+    t_count = geom.node_count
+    power = PowerConfig.uniform(t_count, watts)
+    warm = [optimize_splits(geom, PROP, power, j, perm, budget=3000) for j in smaller]
+    with mock.patch.object(optimizer, "_rate_round", wraps=_rate_round) as rounds:
+        res = optimize_splits(geom, PROP, power, k, perm, budget=3000, warm=warm)
+    assert rounds.call_count == 0 and res.evaluations <= 3000 and res.dual is None
+    fading = optimize_splits(geom, PROP, power, k, perm, CombiningMode.FADING)
+    seeds = [SplitMatrix.own_only(t_count, k, perm), fading.splits] + [
+        w.splits.embed(t_count, j, k, perm) for j, w in zip(smaller, warm)]
+    for seed in seeds:
+        assert res.rate >= rate_report(geom, PROP, power, seed, k, perm).rate - 1e-12
+    for row in res.splits.rows:
+        assert min(row) >= 0.0 and abs(math.fsum(row) - 1.0) <= 1e-12
+    assert res.report == rate_report(geom, PROP, power, res.splits, k, perm)
+    assert res.rate == res.report.rate
+
+
+@pytest.mark.parametrize("node_count", [13, 16])
+def test_fading_seed_lifts_coherent_lp_steps_past_the_corner_grid(node_count):
+    # on these chains (non-uniform, seed 1) k = 2 has 11 and 14 free
+    # coordinates: the grid rated box corners only, and LP steps from
+    # own_only alone stall 0.06-0.08 bits below it; from the fading optimum
+    # they end above it
+    geom = build_linear_geometry(np.random.default_rng(1).uniform(0.2, 3.0, node_count - 1))
+    power = PowerConfig.uniform(node_count, 10.0)
+    res = optimize_splits(geom, PROP, power, 2)
+    assert not res.incomplete
+    assert res.rate > reference_optimize_splits(geom, PROP, power, 2).rate
+
+
 def test_budget_exhaustion_is_flagged():
+    # k = 5 has 10 free coordinates, too many for a grid of 12; what the
+    # seeds leave of 12 cannot buy an LP step (23 evaluations)
     geom, power = unit_chain(6)
-    res = optimize_splits(geom, PROP, power, 5,
-                          budget=100)
-    assert res.incomplete
+    res = optimize_splits(geom, PROP, power, 5, budget=12)
+    assert res.incomplete and res.evaluations <= 12
+    assert res.achieved_tolerance is None
 
 
 def test_fading_mode_threads_through():
@@ -433,17 +538,18 @@ def test_fading_mode_threads_through():
 @st.composite
 def slabbed_searches(draw):
     """A non-uniform chain (T 4-8, spacings U(0.2, 3)) with a random relay
-    order, a mode, a hop depth of 1-9 free coordinates, an evaluation budget
-    from one corner grid (2**ndim points) up and a slab budget of 1-400
-    split fractions."""
+    order, a mode, a hop depth of 1-7 free coordinates, an evaluation budget
+    from the least that gives a coherent search its grid (4 rounds of
+    3**ndim points after the seed) up and a slab budget of 1-400 split
+    fractions."""
     t_count = draw(st.integers(4, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spacings = rng.uniform(0.2, 3.0, t_count - 1)
     perm = Permutation((1, *rng.permutation(range(2, t_count)).tolist(), t_count))
     free = {k: sum(m - 1 for m in row_lengths(t_count, k, perm).values())
             for k in range(2, t_count)}
-    k = draw(st.sampled_from([k for k, ndim in free.items() if ndim <= 9]))
-    budget = draw(st.integers(2 ** free[k], 2 ** free[k] + 2500))
+    k = draw(st.sampled_from([k for k, ndim in free.items() if ndim <= 7]))
+    budget = draw(st.integers(4 * 3 ** free[k] + 1, 4 * 3 ** free[k] + 2500))
     return (spacings, perm, draw(st.sampled_from(list(CombiningMode))), k, budget,
             draw(st.integers(1, 400)))
 
@@ -470,7 +576,8 @@ def test_slabs_change_no_search_result(search):
 def test_batch_plan_built_once_per_problem(monkeypatch, node_count, k, mode, builder):
     # compile_chain builds no plan; the first batch_min_rate call builds the
     # problem's, and later calls reuse it, as does a search: a slabbed grid
-    # (coherent) or the fading LP's gains and rated points
+    # (coherent, 5 free coordinates), or LP steps' models and rated points
+    # (fading, and coherent at 9 free coordinates)
     built = []
     original = getattr(kernel, builder)
 
@@ -493,7 +600,8 @@ def test_batch_plan_built_once_per_problem(monkeypatch, node_count, k, mode, bui
     built.clear()
     monkeypatch.setattr(optimizer, "_SLAB_ELEMENTS", 64)
     with mock.patch.object(optimizer, "batch_min_rate", wraps=batch_min_rate) as rated, \
-            mock.patch.object(optimizer, "batch_powers", wraps=batch_powers) as powered:
+            mock.patch.object(optimizer, "batch_powers", wraps=batch_powers) as powered, \
+            mock.patch.object(optimizer, "_rate_round", wraps=_rate_round) as rounds:
         optimize_splits(geom, PROP, power, k, perm, mode, budget=2000)
     calls = rated.call_count + powered.call_count
-    assert calls > (4 if mode is CombiningMode.COHERENT else 1) and len(built) == 1
+    assert calls > (4 if rounds.call_count else 1) and len(built) == 1
