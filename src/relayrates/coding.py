@@ -209,7 +209,12 @@ class SplitMatrix:
 
     @classmethod
     def from_flat(cls, flat, lengths) -> "SplitMatrix":
-        flat = list(flat)
+        """Rows of ``lengths`` cut from ``flat``, which must hold exactly
+        their sum of fractions."""
+        flat, lengths = list(flat), tuple(lengths)
+        if len(flat) != sum(lengths):
+            raise SplitValidationError(
+                f"need {sum(lengths)} fractions for rows of {lengths}, got {len(flat)}")
         rows, at = [], 0
         for m in lengths:
             rows.append(tuple(flat[at:at + m]))

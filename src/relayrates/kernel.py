@@ -1,11 +1,11 @@
 """Batch evaluation of max-min decode-forward rates over many split matrices.
 
-The grid-refinement optimizer evaluates one channel at hundreds of thousands
-of candidate splits: ``compile_chain`` lays the channel out once for the
-engine of ``gaussian``, and the first ``batch_min_rate`` call on that
-``ChainProblem`` turns the layout into weights over carrier-pair features
-(``_pair_features``, the pair expansion of ``gaussian``), which the problem
-then holds for every later call.  Each call rates blocks of candidates with
+The split searches, grid rounds and LP steps alike, evaluate one channel at
+up to hundreds of thousands of candidate splits: ``compile_chain`` lays the
+channel out once for the engine of ``gaussian``, and the first
+``batch_min_rate`` call on that ``ChainProblem`` turns the layout into
+weights over carrier-pair features (``_pair_features``, the pair expansion
+of ``gaussian``), which the problem then holds for every later call.  Each call rates blocks of candidates with
 one matrix product each, (decode and noise rows of every receiver, feature)
 @ (feature, candidate), into buffers it allocates once.  Where the features
 would outgrow the candidates' fractions (coherent k >= 4) or the weights

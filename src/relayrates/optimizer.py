@@ -19,8 +19,12 @@ the stick-breaking map, which keeps every grid point feasible, and a coarse
 grid of up to ``_RESOLUTION`` points per axis over the unit box is followed
 by up to ``_ROUNDS`` finer grids, each over a box ``SHRINK`` times narrower
 per axis around the incumbent, until two rounds in a row gain less than
-``_TOLERANCE``.  The searches' one setting is the evaluation budget, the
-candidates they may rate, which trades time for quality.
+``_TOLERANCE``; the map and its inverse (``_fractions_to_free``) serve the
+grid alone.  Searches hand each other split fractions only: a search rates
+its seeds in one batch and starts from the best of them, which the grid
+maps back to the unit box to centre its refinement on.  The searches' one
+setting is the evaluation budget, the candidates they may rate, which
+trades time for quality.
 """
 
 from __future__ import annotations
@@ -74,11 +78,10 @@ class OptimumResult:
     coherent mode, the last grid round's or LP step's gain (0.0 after an LP
     that finds no better point of its model; None where the budget funded
     no LP step), and under fading the rate gap (bits) the last LP certifies
-    (None if the simplex method hit its pivot cap).  Left out of equality:
-    ``free``, the unit-box point ``splits`` maps from (empty if no split is
-    free, as at k = 1), which centres a larger-k coherent grid search that
-    this result seeds, and ``dual``, the fading search's certifying weights
-    lambda by receiver (node 2..T; None in coherent mode and at k = 1):
+    (None if the simplex method hit its pivot cap).  A search this result
+    warm-starts reads only ``splits`` and ``permutation``.  Left out of
+    equality: ``dual``, the fading search's certifying weights lambda by
+    receiver (node 2..T; None in coherent mode and at k = 1):
     lambda >= 0 sums to 1, and the sum over split rows of
     max_c sum_r lambda_r (S_rc - g D_rc) is at most g sum_r lambda_r N_r
     for the result's lowest SINR g, S and D being the receivers' signal and
@@ -92,12 +95,12 @@ class OptimumResult:
     achieved_tolerance: Optional[float]
     incomplete: bool
     permutation: Optional[Permutation] = None
-    free: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
     dual: Optional[np.ndarray] = field(default=None, compare=False)
 
 
 def free_to_fractions(free: np.ndarray, lengths) -> np.ndarray:
-    """Stick-breaking map from free coordinates to concatenated simplex rows.
+    """Stick-breaking map from free coordinates to concatenated simplex rows,
+    the coherent grid's parametrization.
 
     ``free`` has one column per free coordinate (sum of m-1 over rows);
     the result has one column per fraction (sum of m over rows).
@@ -118,24 +121,19 @@ def free_to_fractions(free: np.ndarray, lengths) -> np.ndarray:
     return out
 
 
-def _seed_point(free, rows, lengths) -> np.ndarray:
-    """The point at row lengths ``lengths`` that maps to ``rows``, the map of
-    ``free``, padded with zeros, bit for bit.  Per row: ``free``'s
-    coordinates up to the first 1.0 (the row's mass is then spent); where the
-    row grows, 1.0 if mass is left and 0.0 if not; then zeros."""
-    point = np.zeros(sum(m - 1 for m in lengths))
-    at_from = at = 0
-    for row, m in zip(rows, lengths):
-        coords = free[at_from:at_from + len(row) - 1]
-        spent = np.flatnonzero(coords == 1.0)
-        if spent.size:
-            coords = coords[:spent[0] + 1]
-        point[at:at + coords.size] = coords
-        if m > len(row) and row[-1] > 0.0:
-            point[at + len(row) - 1] = 1.0
-        at_from += len(row) - 1
-        at += m - 1
-    return point
+def _fractions_to_free(fracs, lengths) -> np.ndarray:
+    """A unit-box point that ``free_to_fractions`` maps to ``fracs`` up to
+    rounding, where the coherent grid centres on its incumbent: per row,
+    each fraction but the last over the mass left before it, and 0.0 once
+    none is left."""
+    free, at = [], 0
+    for m in lengths:
+        left = 1.0
+        for v in fracs[at:at + m - 1]:
+            free.append(min(v / left, 1.0) if left > 0.0 else 0.0)
+            left -= v
+        at += m
+    return np.array(free)
 
 
 def _grid_candidates(axes):
@@ -263,20 +261,24 @@ def optimize_splits(
 ) -> OptimumResult:
     """Max-min rate over all feasible split matrices for a fixed channel.
 
-    One batch first rates ``own_only``, all power on each transmitter's own
-    sub-signal, and each ``warm`` optimum of a smaller k on the same channel
-    and relay order as its ``embed``ding at k, with zero forward mass, which
-    keeps optimized rates monotone in k by feasible-set nesting.  So the
-    result is never an unrated point, nor below ``own_only``.  Its best
-    point is the incumbent, which a search in the combining ``mode`` then
-    improves: ``_dinkelbach``'s exact LP steps under fading; for coherent
-    combining ``_grid_search``'s grid rounds where a round can place at
-    least three points on every axis (3^ndim within the first round's share
-    of the budget left, up to 10 free coordinates at the default budget),
-    and elsewhere ``_linearized``'s LP steps, seeded also with the fading
-    optimum of the same chain.  ``budget`` bounds the candidates it rates;
-    LP steps the budget cuts short are flagged ``incomplete`` and log one
-    WARNING on the ``relayrates`` logger.
+    One batch first rates the seeds: ``own_only``, all power on each
+    transmitter's own sub-signal, and each ``warm`` optimum of a smaller k
+    on the same channel and relay order as its ``embed``ding at k, with
+    zero forward mass, which keeps optimized rates monotone in k by
+    feasible-set nesting.  Of a warm optimum only ``splits`` and
+    ``permutation`` are read, and one that does not fit is refused, at
+    k = 1 too.  The result is never an unrated point, nor below
+    ``own_only``.  The best seed, the first in batch order, is the
+    incumbent, which a search in the combining ``mode`` then improves:
+    ``_dinkelbach``'s exact LP steps under fading; for coherent combining
+    ``_grid_search``'s grid rounds where a round can place at least three
+    points on every axis (3^ndim within the first round's share of the
+    budget left after the seeds, up to 10 free coordinates at the default
+    budget), and elsewhere ``_linearized``'s LP steps, whose seed batch
+    also holds, last, the fading optimum of the same chain unless it is
+    ``own_only``.  ``budget`` bounds the candidates it rates; LP steps the
+    budget cuts short are flagged ``incomplete`` and log one WARNING on the
+    ``relayrates`` logger.
     """
     budget = _check_budget(budget)
     t_count = geometry.node_count
@@ -285,78 +287,75 @@ def optimize_splits(
     lengths = tuple(map(row_lengths(t_count, k, perm).get, range(1, t_count)))
     ndim = sum(m - 1 for m in lengths)
 
-    def result_for(fracs, evaluations, achieved, incomplete, free, dual=None):
+    def result_for(fracs, evaluations, achieved, incomplete, dual=None):
         splits = SplitMatrix.from_flat(fracs, lengths)
         report = rate_report(geometry, prop, power, splits, k, perm, mode)
-        for array in (free, dual):
-            if array is not None:
-                array.setflags(write=False)
+        if dual is not None:
+            dual.setflags(write=False)
         return OptimumResult(report.rate, report, splits, evaluations, achieved,
-                             incomplete, perm, free, dual)
-
-    own_only = SplitMatrix.own_only(t_count, k, perm)
-    if ndim == 0:
-        return result_for(own_only.as_flat(), 1, 0.0, False, np.empty(0))
+                             incomplete, perm, dual)
 
     for res in warm:
         if res.permutation != perm or any(len(r) > m for r, m in zip(res.splits.rows, lengths)):
             raise ValueError(f"warm optima must be of a k up to {k} on the same relay order")
+    own_only = SplitMatrix.own_only(t_count, k, perm)
+    if ndim == 0:
+        return result_for(own_only.as_flat(), 1, 0.0, False)
     problem = compile_chain(geometry, prop, power, k, perm, mode)
 
-    seeds = np.stack([own_only.as_flat()] + [
+    seeds = [own_only.as_flat()] + [
         res.splits.embed(t_count, max(map(len, res.splits.rows)), k, perm).as_flat()
-        for res in warm])
+        for res in warm]
+    evaluations = len(seeds)
+    grid = (mode is CombiningMode.COHERENT
+            and 3 ** ndim <= (budget - evaluations) // (_ROUNDS + 1))
+    if mode is CombiningMode.COHERENT and not grid and evaluations + 2 < budget:
+        # the fading optimum, as a fading search from own_only finds it
+        # (the channel's layout is the same in either mode), with one
+        # evaluation kept to rate it in the seed batch unless it is own_only
+        fading = dataclasses.replace(problem, coherent=False)
+        rate = float(batch_min_rate(fading, seeds[0][None, :])[0])
+        point, evaluations, *_ = _dinkelbach(fading, lengths, seeds[0], rate,
+                                             evaluations + 1, budget - 1)
+        if not np.array_equal(point, seeds[0]):
+            seeds.append(point)
+            evaluations += 1
+    seeds = np.stack(seeds)
     rates = batch_min_rate(problem, seeds)
     idx = int(np.argmax(rates))
-    best, best_rate, evaluations = seeds[idx], float(rates[idx]), len(seeds)
+    best, best_rate = seeds[idx], float(rates[idx])
 
     dual = None
     if mode is CombiningMode.FADING:
         method = "Dinkelbach LP steps"
         best, evaluations, achieved, incomplete, dual = _dinkelbach(
             problem, lengths, best, best_rate, evaluations, budget)
-    elif 3 ** ndim <= (budget - evaluations) // (_ROUNDS + 1):
-        free = ([_seed_point(np.empty(0), ((1.0,),) * len(lengths), lengths)]
-                + [_seed_point(res.free, res.splits.rows, lengths) for res in warm])[idx]
-        best, free, evaluations, achieved = _grid_search(
-            problem, lengths, best, free, best_rate, evaluations, budget)
-        return result_for(best, evaluations, achieved, False, free)
+    elif grid:
+        best, evaluations, achieved = _grid_search(
+            problem, lengths, best, best_rate, evaluations, budget)
+        incomplete = False
     else:
         method = "linearized LP steps"
-        if evaluations + 2 < budget:
-            # the fading optimum, as a fading search from own_only finds it
-            # (the channel's layout is the same in either mode), with one
-            # evaluation kept to rate it here unless it is own_only
-            fading = dataclasses.replace(problem, coherent=False)
-            rate = float(batch_min_rate(fading, seeds[:1])[0])
-            point, evaluations, *_ = _dinkelbach(fading, lengths, seeds[0], rate,
-                                                 evaluations + 1, budget - 1)
-            if not np.array_equal(point, seeds[0]):
-                rate = float(batch_min_rate(problem, point[None, :])[0])
-                evaluations += 1
-                if rate > best_rate:
-                    best, best_rate = point, rate
         best, evaluations, achieved, incomplete = _linearized(
             problem, lengths, best, best_rate, evaluations, budget)
     if incomplete:
         log.warning("split search at T=%d, k=%d, %s mode truncated: %s cut short, "
                     "%d free coordinates, budget %d, %d evaluations", t_count, k,
                     mode.value, method, ndim, budget, evaluations)
-    return result_for(best, evaluations, achieved, incomplete,
-                      _fractions_to_free(best, lengths), dual)
+    return result_for(best, evaluations, achieved, incomplete, dual)
 
 
-def _grid_search(problem, lengths, best, best_free, best_rate, evaluations, budget):
-    """The coherent search from the incumbent ``best`` (fractions) at
-    ``best_free`` (its unit-box point): up to 1 + ``_ROUNDS`` grid rounds,
-    the first over the unit box of free coordinates.  Each takes an equal
-    share of the budget left, at as many points per axis as fit it, at most
-    ``_RESOLUTION``; its first best point in C order becomes the incumbent
-    if better, and its gain is the achieved tolerance.  Two rounds in a row
-    that gain less than ``_TOLERANCE`` end the search (one flat round can
-    just mean the shrunk grid re-hit the incumbent); otherwise the box
-    shrinks ``SHRINK`` times per axis around the incumbent, inside the unit
-    box.
+def _grid_search(problem, lengths, best, best_rate, evaluations, budget):
+    """The coherent search from the incumbent ``best`` (fractions): up to
+    1 + ``_ROUNDS`` grid rounds, the first over the unit box of free
+    coordinates.  Each takes an equal share of the budget left, at as many
+    points per axis as fit it, at most ``_RESOLUTION``; its first best point
+    in C order becomes the incumbent if better, and its gain is the achieved
+    tolerance.  Two rounds in a row that gain less than ``_TOLERANCE`` end
+    the search (one flat round can just mean the shrunk grid re-hit the
+    incumbent); otherwise the box shrinks ``SHRINK`` times per axis around
+    the incumbent's point, inside the unit box.  A seed incumbent's point is ``_fractions_to_free`` of its
+    fractions; a grid incumbent's is the grid point itself.
 
     ``optimize_splits`` runs it only where 3^ndim fits the first round's
     share, q = (budget - evaluations) // (1 + ``_ROUNDS``).  Round r then
@@ -373,8 +372,9 @@ def _grid_search(problem, lengths, best, best_free, best_rate, evaluations, budg
     repeats included, and since the kernel rates a candidate alike in any
     batch, neither the slabs nor the repeats change a rate or a result.
 
-    Returns the incumbent's fractions and point, the evaluations and the
-    last round's gain."""
+    Returns the incumbent's fractions, the evaluations and the last round's
+    gain."""
+    best_free = _fractions_to_free(best, lengths)
     ndim = best_free.size
     lo, hi = np.zeros(ndim), np.ones(ndim)
     stalled = 0
@@ -405,7 +405,7 @@ def _grid_search(problem, lengths, best, best_free, best_rate, evaluations, budg
         lo = np.maximum(best_free - width / 2.0, 0.0)
         hi = np.minimum(lo + width, 1.0)
         lo = np.maximum(hi - width, 0.0)
-    return best, best_free, evaluations, achieved
+    return best, evaluations, achieved
 
 
 def _lp_columns(lengths):
@@ -556,20 +556,6 @@ def _linearized(problem, lengths, best, best_rate, evaluations, budget):
     best, evaluations, incomplete, gain, _ = _lp_steps(
         problem, lengths, best, best_rate, evaluations, budget, secant, _LINE, _TOLERANCE)
     return best, evaluations, None if gain is None else max(gain, 0.0), incomplete
-
-
-def _fractions_to_free(fracs, lengths) -> np.ndarray:
-    """A unit-box point that ``free_to_fractions`` maps to ``fracs`` up to
-    rounding: per row, each fraction but the last over the mass left before
-    it, and 0.0 once none is left."""
-    free, at = [], 0
-    for m in lengths:
-        left = 1.0
-        for v in fracs[at:at + m - 1]:
-            free.append(min(v / left, 1.0) if left > 0.0 else 0.0)
-            left -= v
-        at += m
-    return np.array(free)
 
 
 def optimize_rates_over_k(

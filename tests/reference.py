@@ -19,14 +19,16 @@ the sub-signals at a time.
 ``reference_optimize_splits`` and ``reference_rates_over_k`` run the split
 search with every grid round expanded into its (n, ndim) points and mapped
 by ``free_to_fractions`` as a whole, the form the library's row-by-row grid
-map replaces, and build its seeds (``own_only`` and the smaller-k optima)
-one coordinate at a time.  The round schedule (21 points per axis at most,
-a coarse pass and 3 refinement rounds, each box 5 times narrower, until two
+map replaces.  They rate the seeds (``own_only`` and the smaller-k optima,
+their rows padded with zeros) as fractions, centre the grid on the best
+seed's point by a written-out inverse of the map, and return the
+incumbent's fractions.  The round schedule (21 points per axis at most, a
+coarse pass and 3 refinement rounds, each box 5 times narrower, until two
 rounds in a row gain less than 1e-6) and the default budget of 400 000 are
-written out here too, so they check the map, the seeds and the schedule,
-sharing only the kernel and the stick-breaking map with the library.  The
-library runs this grid in coherent mode only; its exact fading search must
-reach at least the grid's rate.
+written out here too, so they check the map, the seeds, the centre and the
+schedule, sharing only the kernel and the stick-breaking map with the
+library.  The library runs this grid in coherent mode only; its exact
+fading search must reach at least the grid's rate.
 
 ``reference_fading_gains`` gives the coefficients of the fading band
 powers, which are linear in the split fractions, one (receiver, carrier)
@@ -193,21 +195,18 @@ def reference_chain_csr(geometry, prop, power, k, perm):
             split_col.ravel()[p_idx * k + j].astype(np.int32))
 
 
-def reference_seed(free, rows, lengths):
-    """The search point at row lengths ``lengths`` of the optimum whose point
-    is ``free`` and whose split rows are ``rows``: per row, the coordinates
-    until one is 1.0 and zeros after it, then 1.0 for the first new one if
-    the row's last fraction is positive, and zeros."""
+def reference_centre(fracs, lengths):
+    """The unit-box point whose stick-breaking map is ``fracs`` up to
+    rounding: per row of m fractions, each of the first m-1 over the mass
+    the row has left before it (at most 1.0), and 0.0 once none is left."""
     point, at = [], 0
-    for row, m in zip(rows, lengths):
-        spent = False
+    for m in lengths:
+        left = 1.0
         for j in range(m - 1):
-            if j < len(row) - 1:
-                point.append(0.0 if spent else float(free[at + j]))
-                spent = spent or point[-1] == 1.0
-            else:
-                point.append(1.0 if j == len(row) - 1 and row[-1] > 0.0 else 0.0)
-        at += len(row) - 1
+            v = float(fracs[at + j])
+            point.append(min(v / left, 1.0) if left > 0.0 else 0.0)
+            left -= v
+        at += m
     return np.array(point)
 
 
@@ -230,32 +229,33 @@ def reference_optimize_splits(geometry, prop, power, k, perm=None,
     lengths = tuple(row_lengths(t_count, k, perm)[t] for t in range(1, t_count))
     ndim = sum(m - 1 for m in lengths)
 
-    def result_for(splits, evaluations, achieved, incomplete, free=np.empty(0)):
+    def result_for(splits, evaluations, achieved, incomplete):
         report = rate_report(geometry, prop, power, splits, k, perm, mode)
         return OptimumResult(report.rate, report, splits, evaluations, achieved,
-                             incomplete, permutation=perm, free=free)
+                             incomplete, permutation=perm)
 
     if ndim == 0:
         return result_for(SplitMatrix(tuple((1.0,) for _ in lengths)), 1, 0.0, False)
 
     problem = compile_chain(geometry, prop, power, k, perm, mode)
     lo, hi = np.zeros(ndim), np.ones(ndim)
-    evaluations, best_rate, best_free = 0, -math.inf, None
+    evaluations, best_rate, best = 0, -math.inf, None
     achieved, incomplete, stalled = None, False, 0
 
-    def search(pts):
-        nonlocal evaluations, best_rate, best_free
-        rates = batch_min_rate(problem, free_to_fractions(pts, lengths))
-        evaluations += pts.shape[0]
+    def search(fracs):
+        nonlocal evaluations, best_rate, best
+        rates = batch_min_rate(problem, fracs)
+        evaluations += fracs.shape[0]
         idx = int(np.argmax(rates))
         improvement = float(rates[idx]) - best_rate
         if improvement > 0.0:
-            best_rate, best_free = float(rates[idx]), pts[idx].copy()
-        return improvement
+            best_rate, best = float(rates[idx]), fracs[idx].copy()
+        return improvement, idx
 
-    own_only = [(1.0,)] * len(lengths)
-    search(np.stack([reference_seed([], own_only, lengths)]
-                    + [reference_seed(res.free, res.splits.rows, lengths) for res in warm]))
+    # own_only and the warm optima, each row padded with zeros to length m
+    search(np.array([[v for row, m in zip(rows, lengths) for v in row + (0.0,) * (m - len(row))]
+                     for rows in [((1.0,),) * len(lengths)] + [res.splits.rows for res in warm]]))
+    center = reference_centre(best, lengths)
     # a coarse pass over the unit box, then up to 3 refinement rounds
     for rounds_left in (4, 3, 2, 1):
         remaining = budget - evaluations
@@ -267,15 +267,17 @@ def reference_optimize_splits(geometry, prop, power, k, perm=None,
         share = max(2 ** ndim, remaining // rounds_left)
         res = next((r for r in range(21, 2, -1) if r ** ndim <= share), 2)
         grids = np.meshgrid(*[np.linspace(a, b, res) for a, b in zip(lo, hi)], indexing="ij")
-        achieved = max(search(np.stack([g.ravel() for g in grids], axis=1)), 0.0)
+        points = np.stack([g.ravel() for g in grids], axis=1)
+        improvement, idx = search(free_to_fractions(points, lengths))
+        if improvement > 0.0:
+            center = points[idx]
+        achieved = max(improvement, 0.0)
         # two rounds in a row that gain less than 1e-6 end the search
         stalled = stalled + 1 if achieved < 1e-6 else 0
         if stalled == 2:
             break
-        lo, hi = np.array([reference_box(*axis) for axis in zip(best_free, lo, hi)]).T
-    fracs = free_to_fractions(best_free[None, :], lengths)[0]
-    return result_for(SplitMatrix.from_flat(fracs, lengths), evaluations, achieved,
-                      incomplete, best_free)
+        lo, hi = np.array([reference_box(*axis) for axis in zip(center, lo, hi)]).T
+    return result_for(SplitMatrix.from_flat(best, lengths), evaluations, achieved, incomplete)
 
 
 def reference_rates_over_k(geometry, prop, power, ks, perm=None,

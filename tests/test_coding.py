@@ -115,6 +115,15 @@ def test_flat_round_trip():
     assert back == sm
 
 
+@pytest.mark.parametrize("flat", [[1, 0, 1, 1, 0.5], [1, 0, 1, 0], [1, 0]])
+def test_from_flat_refuses_a_vector_of_another_length(flat):
+    # a longer vector's tail is not dropped, nor a shorter one's last row
+    # left empty: both counts are named
+    with pytest.raises(SplitValidationError,
+                       match=re.escape(f"need 3 fractions for rows of (2, 1), got {len(flat)}")):
+        SplitMatrix.from_flat(flat, (2, 1))
+
+
 def test_embed_pads_with_zero_forward_mass():
     sm = SplitMatrix.two_hop([0.3, 0.4, 0.5])
     wide = sm.embed(5, 2, 4)

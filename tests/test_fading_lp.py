@@ -224,4 +224,4 @@ def test_fading_rates_over_k_are_monotone_and_certified():
     for k in range(2, 10):
         assert certificate_gap(results[k], geom, power, k, perm) <= 1e-9
     lengths = row_lengths(10, 9, perm)
-    assert len(results[9].free) == sum(lengths.values()) - len(lengths)
+    assert tuple(map(len, results[9].splits.rows)) == tuple(lengths[t] for t in range(1, 10))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from relayrates import (
     CombiningMode,
+    OptimumResult,
     Permutation,
     PowerConfig,
     PropagationModel,
@@ -362,6 +363,12 @@ def test_warm_optima_must_fit_the_search():
         optimize_splits(geom, PROP, power, 2, warm=[k3])
     with pytest.raises(ValueError, match="warm optima"):
         optimize_splits(geom, PROP, power, 4, Permutation((1, 3, 2, 4, 5, 6)), warm=[k3])
+    # k = 1 has no free split, and still refuses what no k = 1 search could use
+    k1 = optimize_splits(geom, PROP, power, 1)
+    with pytest.raises(ValueError, match="warm optima"):
+        optimize_splits(geom, PROP, power, 1, warm=[k3])
+    with pytest.raises(ValueError, match="warm optima"):
+        optimize_splits(geom, PROP, power, 1, Permutation((1, 3, 2, 4, 5, 6)), warm=[k1])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -388,8 +395,8 @@ def test_search_never_ends_below_own_only(seed, caplog):
 def warm_searches(draw):
     """A non-uniform chain (T 3-9, spacings U(0.2, 3)) with a random relay
     order, a mode, a hop depth k >= 2, a non-empty set of smaller ones and a
-    seed for their search points, whose coordinates are drawn from [0, 1]
-    with about a third of them forced to 0 or 1."""
+    seed for their split fractions, drawn by the stick-breaking map from
+    coordinates in [0, 1] with about a third of them forced to 0 or 1."""
     t_count = draw(st.integers(3, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spacings = rng.uniform(0.2, 3.0, t_count - 1)
@@ -404,7 +411,9 @@ def warm_searches(draw):
 @given(warm_searches())
 def test_warm_optima_are_rated_as_their_embedding(search):
     # the first batch rates own_only and then each warm optimum's embedding
-    # at k, bit for bit: no round trip through the fractions moves a seed
+    # at k, bit for bit: no round trip through the fractions moves a seed.
+    # A coherent search that runs LP steps rates the fading optimum last in
+    # the same batch, unless it is own_only
     spacings, perm, mode, k, smaller, seed = search
     geom = build_linear_geometry(spacings)
     t_count = geom.node_count
@@ -415,20 +424,57 @@ def test_warm_optima_are_rated_as_their_embedding(search):
         res = optimize_splits(geom, PROP, power, k_from, perm, mode,
                               budget=50)
         lengths = tuple(row_lengths(t_count, k_from, perm)[t] for t in range(1, t_count))
-        free = rng.random(res.free.size)
+        free = rng.random(sum(m - 1 for m in lengths))
         forced = rng.random(free.size) < 1 / 3
         free[forced] = rng.integers(0, 2, forced.sum())
         fracs = free_to_fractions(free[None, :], lengths)[0]
-        warm.append(dataclasses.replace(
-            res, free=free, splits=SplitMatrix.from_flat(fracs, lengths)))
-    with mock.patch.object(optimizer, "batch_min_rate", wraps=batch_min_rate) as rated:
-        optimize_splits(geom, PROP, power, k, perm, mode, budget=1, warm=warm)
-    seeds = rated.call_args_list[0].args[1]
-    assert len(seeds) == 1 + len(warm)
-    wants = [SplitMatrix.own_only(t_count, k, perm)] + [
-        res.splits.embed(t_count, k_from, k, perm) for k_from, res in zip(smaller, warm)]
-    for got, want in zip(seeds, wants):
-        assert got.tobytes() == want.as_flat().tobytes()
+        warm.append(dataclasses.replace(res, splits=SplitMatrix.from_flat(fracs, lengths)))
+
+    def first_batch(mode, budget):
+        """The first batch a search rates on the problem of its ``mode``."""
+        with mock.patch.object(optimizer, "batch_min_rate", wraps=batch_min_rate) as rated:
+            optimize_splits(geom, PROP, power, k, perm, mode, budget=budget, warm=warm)
+        return [seed.tobytes() for seed in next(
+            call.args[1] for call in rated.call_args_list
+            if call.args[0].coherent is (mode is CombiningMode.COHERENT))]
+
+    own_only = SplitMatrix.own_only(t_count, k, perm).as_flat()
+    wants = [own_only] + [res.splits.embed(t_count, k_from, k, perm).as_flat()
+                          for k_from, res in zip(smaller, warm)]
+    assert first_batch(mode, 1) == [want.tobytes() for want in wants]
+    # 10 evaluations past the seeds fund no grid round (4 rounds of 3 points
+    # per axis need 12) but leave a fading search from own_only 8, as a
+    # fading search of budget 9 has after rating own_only
+    budget = len(wants) + 10
+    fading = optimize_splits(geom, PROP, power, k, perm, CombiningMode.FADING, 9)
+    if not np.array_equal(fading.splits.as_flat(), own_only):
+        wants.append(fading.splits.as_flat())
+    assert first_batch(CombiningMode.COHERENT, budget) == [want.tobytes() for want in wants]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(warm_searches(), st.sampled_from([3000, 20_000]))
+@example(([0.8, 2.1, 3.0, 1.9], Permutation((1, 2, 4, 3, 5)), CombiningMode.COHERENT,
+          4, [3], 0), 3000)
+@example(([0.8, 2.0, 2.4, 0.5], Permutation.identity(5), CombiningMode.COHERENT,
+          4, [1, 3], 0), 20_000)
+def test_warm_optima_are_read_through_their_splits_only(search, budget):
+    # a warm optimum hands a search its split fractions and relay order and
+    # nothing else: rebuilt from rate_report of the same splits, it seeds
+    # the grid (up to 6 free coordinates at 3000, 7 at 20 000), fading and
+    # LP-step searches to the same result, bit for bit.  In the examples the
+    # warm optimum is the best seed of a grid whose first round does not
+    # beat it, so it centres the second round
+    spacings, perm, mode, k, smaller, _ = search
+    geom = build_linear_geometry(spacings)
+    power = PowerConfig.uniform(geom.node_count, 10.0)
+    warm = [optimize_splits(geom, PROP, power, j, perm, mode, budget) for j in smaller]
+    rebuilt = []
+    for j, res in zip(smaller, warm):
+        report = rate_report(geom, PROP, power, res.splits, j, perm, mode)
+        rebuilt.append(OptimumResult(report.rate, report, res.splits, 1, None, False, perm))
+    assert_same_result(optimize_splits(geom, PROP, power, k, perm, mode, budget, rebuilt),
+                       optimize_splits(geom, PROP, power, k, perm, mode, budget, warm))
 
 
 @st.composite
