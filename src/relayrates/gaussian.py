@@ -33,6 +33,8 @@ designed: its carriers leave the decoded sums, its designed interference
 stays, and cancelling what it never sent adds that power as mismatch
 noise.  Single split matrices (``rate_report``) plan each receiver block;
 the batch kernel's contraction plans all receivers once per call.
+``_slopes`` takes a plan to the powers' slopes at one split, the linear
+model of ``optimizer``'s LP steps.
 
 The pair expansion.  Sub-signal q reaches a receiver with amplitude
 sum_j a_j sqrt(x_j) over its carriers j, a_j = sqrt(gain * P) from carrier
@@ -280,6 +282,37 @@ def _contract(plan: _Plan, cands_t: np.ndarray, p_sig: np.ndarray,
         # cancelling what a failed relay never sent leaves it as noise
         contract(plan.gain_pow, x_lost, False)
         p_int += np.einsum("qr,qrn->rn", plan.cancel, term)
+
+
+def _slopes(plan: _Plan, x: np.ndarray, step: float = None):
+    """Every receiver's signal and interference power at the split ``x``
+    (flat fractions), ``p_sig`` and ``p_int``, and their slopes ``d_sig`` and
+    ``d_int`` by (receiver, split column).
+
+    Under fading a power is linear in the fractions and a column's slope is
+    its carrier's gain in power form, as the plan holds it: exact.
+    Coherently, sub-signal q reaches receiver r with the amplitude sum
+    A_rq = sum_j a_rqj sqrt(x_qj) that ``_contract`` forms; raising carrier
+    c's fraction by ``step`` adds (A_rq + a_c d_c)^2 - A_rq^2 to q's band,
+    d_c = sqrt(x_c + step) - sqrt(x_c), so the slope is the one-sided secant
+    (2 A_rq a_c d_c + a_c^2 d_c^2) / ``step``, finite where x_c = 0."""
+    x_c = x[plan.col]                 # (q, j); an absent carrier's column is a real one's
+    gain = plan.gain.swapaxes(1, 2)   # (q, j, r)
+    if plan.coherent:
+        amp = np.einsum("qrj,qj->qr", plan.gain, np.sqrt(x_c))
+        power, d = amp * amp, (np.sqrt(x_c + step) - np.sqrt(x_c))[:, :, None]
+        slope = (2.0 * amp[:, None, :] * gain * d + gain * gain * d * d) / step
+    else:
+        power, slope = np.einsum("qrj,qj->qr", plan.gain, x_c), gain
+    present = _carriers(plan.col.shape[0] + 1, plan.col.shape[1]) >= 1
+
+    def by_column(band):
+        out = np.zeros((band.shape[1], x.size))
+        out[:, plan.col[present]] = (slope * band[:, None, :])[present].T
+        return out
+
+    return (np.einsum("qr,qr->r", plan.decode, power), np.einsum("qr,qr->r", plan.noise, power),
+            by_column(plan.decode), by_column(plan.noise))
 
 
 def _convolve_runs(kn: np.ndarray, y: np.ndarray) -> np.ndarray:

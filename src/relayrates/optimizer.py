@@ -2,20 +2,22 @@
 
 The objective min_t R_t has kinks where the bottleneck receiver switches.
 Both modes search by LP steps (``_lp_steps``): a linear model of every
-receiver's signal and interference around the incumbent, one max-min LP
-over the split simplices, solved by the dense simplex method of ``lp`` and
+receiver's signal and interference around the incumbent
+(``gaussian._slopes``, which rates no candidate), one max-min LP over the
+split simplices, solved by the dense simplex method of ``lp`` and
 warm-started from the previous step's basis, and the LP point rated.  Under
 fading each receiver's SINR is linear-fractional in the split fractions, so
-the model is exact and the steps are generalized Dinkelbach steps
-(``_dinkelbach``) whose last LP's dual weights certify the optimum.
-Coherent combining adds amplitudes, which the LP cannot express: there
-``_linearized`` rebuilds the model at each incumbent from one-sided secants
-and rates points along the segment to the LP point, until a step gains less
-than ``_TOLERANCE``.  Where every round of a grid can place three points on
-each axis (up to 10 free coordinates at the default budget) a coherent
-search runs the derivative-free grid instead (``_grid_search``): simplex
-rows with m entries are parameterized by m-1 free coordinates in [0, 1] via
-the stick-breaking map, which keeps every grid point feasible, and a coarse
+the model is exact and rates the LP points itself: the steps are
+generalized Dinkelbach steps (``_dinkelbach``) whose last LP's dual weights
+certify the optimum.  Coherent combining adds amplitudes, which the LP
+cannot express: there ``_linearized`` rebuilds the model at each incumbent
+from one-sided secants and rates points along the segment to the LP point
+through the kernel, until a step gains less than ``_TOLERANCE``.  Where
+every round of a grid can place three points on each axis (up to 10 free
+coordinates at the default budget) a coherent search runs the
+derivative-free grid instead (``_grid_search``): simplex rows with m
+entries are parameterized by m-1 free coordinates in [0, 1] via the
+stick-breaking map, which keeps every grid point feasible, and a coarse
 grid of up to ``_RESOLUTION`` points per axis over the unit box is followed
 by up to ``_ROUNDS`` finer grids, each over a box ``SHRINK`` times narrower
 per axis around the incumbent, until two rounds in a row gain less than
@@ -23,13 +25,12 @@ per axis around the incumbent, until two rounds in a row gain less than
 grid alone.  Searches hand each other split fractions only: a search rates
 its seeds in one batch and starts from the best of them, which the grid
 maps back to the unit box to centre its refinement on.  The searches' one
-setting is the evaluation budget, the candidates they may rate, which
-trades time for quality.
+setting is the evaluation budget, the candidates they may rate past their
+seeds, which trades time for quality.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import logging
 import math
@@ -40,8 +41,8 @@ import numpy as np
 
 from .channel import NetworkGeometry, PowerConfig, PropagationModel, _whole
 from .coding import CombiningMode, Permutation, SplitMatrix, row_lengths
-from .gaussian import RateReport, _check_sizes, rate_report
-from .kernel import batch_min_rate, batch_powers, compile_chain
+from .gaussian import RateReport, _check_sizes, _plan, _slopes, rate_report
+from .kernel import batch_min_rate, compile_chain
 from . import lp
 
 log = logging.getLogger("relayrates")
@@ -276,8 +277,9 @@ def optimize_splits(
     budget left after the seeds, up to 10 free coordinates at the default
     budget), and elsewhere ``_linearized``'s LP steps, whose seed batch
     also holds, last, the fading optimum of the same chain unless it is
-    ``own_only``.  ``budget`` bounds the candidates it rates; LP steps the
-    budget cuts short are flagged ``incomplete`` and log one WARNING on the
+    ``own_only``.  The seed batch is rated whole, whatever the budget;
+    ``budget`` bounds the candidates rated past it, and LP steps it cuts
+    short are flagged ``incomplete`` and log one WARNING on the
     ``relayrates`` logger.
     """
     budget = _check_budget(budget)
@@ -295,6 +297,7 @@ def optimize_splits(
         return OptimumResult(report.rate, report, splits, evaluations, achieved,
                              incomplete, perm, dual)
 
+    warm = list(warm)
     for res in warm:
         if res.permutation != perm or any(len(r) > m for r, m in zip(res.splits.rows, lengths)):
             raise ValueError(f"warm optima must be of a k up to {k} on the same relay order")
@@ -309,14 +312,11 @@ def optimize_splits(
     evaluations = len(seeds)
     grid = (mode is CombiningMode.COHERENT
             and 3 ** ndim <= (budget - evaluations) // (_ROUNDS + 1))
-    if mode is CombiningMode.COHERENT and not grid and evaluations + 2 < budget:
-        # the fading optimum, as a fading search from own_only finds it
-        # (the channel's layout is the same in either mode), with one
+    if mode is CombiningMode.COHERENT and not grid and evaluations + 2 <= budget:
+        # the chain's fading optimum, Dinkelbach steps from own_only, with one
         # evaluation kept to rate it in the seed batch unless it is own_only
-        fading = dataclasses.replace(problem, coherent=False)
-        rate = float(batch_min_rate(fading, seeds[0][None, :])[0])
-        point, evaluations, *_ = _dinkelbach(fading, lengths, seeds[0], rate,
-                                             evaluations + 1, budget - 1)
+        point, evaluations, *_ = _dinkelbach(problem, lengths, seeds[0],
+                                             evaluations, budget - 1)
         if not np.array_equal(point, seeds[0]):
             seeds.append(point)
             evaluations += 1
@@ -329,7 +329,7 @@ def optimize_splits(
     if mode is CombiningMode.FADING:
         method = "Dinkelbach LP steps"
         best, evaluations, achieved, incomplete, dual = _dinkelbach(
-            problem, lengths, best, best_rate, evaluations, budget)
+            problem, lengths, best, evaluations, budget)
     elif grid:
         best, evaluations, achieved = _grid_search(
             problem, lengths, best, best_rate, evaluations, budget)
@@ -419,14 +419,16 @@ def _lp_columns(lengths):
     return free, group, (np.cumsum(lengths) - 1)[~moving]
 
 
-def _lp_steps(problem, lengths, best, best_rate, evaluations, budget, model, line, tolerance):
+def _lp_steps(model, rate, noise, lengths, best, best_rate, evaluations, budget, line,
+              tolerance):
     """LP steps from the incumbent ``best`` (fractions) of rate ``best_rate``.
 
-    ``model(x, left)`` is a linear model of every receiver's signal and
-    interference-plus-noise power around the split x, (spent, s0, n0, S, D)
-    with signal s0 + S @ y and interference plus noise n0 + D @ y over the
-    fractions y of the LP's columns (``_lp_columns``), bought with ``spent``
-    of the ``left`` evaluations, or None if ``left`` cannot buy it.  At the
+    ``model(x)`` is a linear model of every receiver's signal and
+    interference-plus-noise power around the split x, (s0, n0, S, D) with
+    signal s0 + S @ y and interference plus noise n0 + D @ y over the
+    fractions y of the LP's columns (``_lp_columns``); it rates no
+    candidate.  ``rate(cands)`` rates candidates, one per row and one
+    evaluation each, and ``noise`` is every receiver's noise.  At the
     incumbent x_k, of lowest model SINR gamma and interference-plus-noise
     d_r, a step solves the LP (``lp``)
 
@@ -438,27 +440,21 @@ def _lp_steps(problem, lengths, best, best_rate, evaluations, budget, model, lin
     sum_r(mu_r N_r / d_r), N_r the receiver's noise, so z = 0 certifies x_k
     optimal for the model.  Until the bound is within ``_GAP`` of gamma, the
     LP point, clipped at 0 with each row rescaled to sum 1, gives the
-    candidates (1 - t) x_k + t y for t in ``line``, rated in one
-    ``batch_min_rate`` call; the first best becomes the incumbent if it
-    rates higher.  The steps stop after a step that gains no more than
-    ``tolerance`` or whose LP hit its pivot cap, and when the budget cannot
-    buy a step's model or its candidates, which flags them incomplete.
+    candidates (1 - t) x_k + t y for t in ``line``, rated in one ``rate``
+    call; the first best becomes the incumbent if it rates higher.  The
+    steps stop after a step that gains no more than ``tolerance`` or whose
+    LP hit its pivot cap, and when the budget cannot buy a step's
+    candidates, which flags them incomplete.
 
     Returns the incumbent's fractions, the evaluations, whether the budget
     truncated the steps, the last step's gain (None if none was rated, 0.0
-    after a certificate), and the last LP's solution, gamma, bound and d_r
-    (None if no LP was solved)."""
+    after a certificate), and the last LP's solution, gamma, bound and
+    d_r."""
     free, group, _ = _lp_columns(lengths)
     offset = np.flatnonzero(np.diff(group, prepend=-1))
-    noise = problem.noise
-    basis, incomplete, gain, last = None, False, None, None
+    basis, incomplete, gain = None, False, None
     while True:
-        linear = model(best, budget - evaluations)
-        if linear is None:
-            incomplete = True
-            break
-        spent, sig0, int0, gains, interference = linear
-        evaluations += spent
+        sig0, int0, gains, interference = model(best)
         x = best[free]
         denom = int0 + interference @ x
         gamma = float(np.min((sig0 + gains @ x) / denom))
@@ -481,7 +477,7 @@ def _lp_steps(problem, lengths, best, best_rate, evaluations, budget, model, lin
         cand = best.copy()
         cand[free] = point
         cands = (1.0 - line)[:, None] * best + line[:, None] * cand
-        rates = batch_min_rate(problem, cands)
+        rates = rate(cands)
         evaluations += len(line)
         idx = int(np.argmax(rates))
         gain = float(rates[idx]) - best_rate
@@ -492,30 +488,37 @@ def _lp_steps(problem, lengths, best, best_rate, evaluations, budget, model, lin
     return best, evaluations, incomplete, gain, last
 
 
-def _dinkelbach(problem, lengths, best, best_rate, evaluations, budget):
+def _dinkelbach(problem, lengths, best, evaluations, budget):
     """The fading search from the incumbent ``best`` (fractions):
     generalized Dinkelbach steps (Crouzeix, Ferland and Schaible), exact for
     a max-min of linear-fractional SINRs.
 
     Under fading receiver r's signal and interference powers are S_r @ x and
-    D_r @ x, the kernel's powers at ``np.eye(n_cols)``, and its SINR is
-    S_r @ x / (N_r + D_r @ x): the model of ``_lp_steps`` is exact, costs no
-    evaluation and certifies the optimum.  Each step rates its LP point
-    alone (one evaluation), and the steps stop when it does not rate higher
-    (the LP has then gained no more than rounding).
+    D_r @ x, S and D the carriers' gains by band (``gaussian._slopes`` of
+    the chain's fading plan, in either mode), and its SINR is
+    S_r @ x / (N_r + D_r @ x).  This model is exact: it is ``_lp_steps``'
+    model, certifies the optimum and rates the incumbent and each step's LP
+    point (one evaluation per LP point).  The steps stop when the LP point
+    does not rate higher (the LP has then gained no more than rounding).
 
     Returns the incumbent's fractions, the evaluations, the rate gap the
     last LP certifies (None if the simplex method hit its pivot cap),
     whether the budget truncated the search, and the certifying weights
     lambda by receiver."""
-    gains, interference = batch_powers(problem, np.eye(problem.n_cols))
+    plan = _plan(problem.gain, problem.pos_r, problem.split_col, False)
+    gains, interference = _slopes(plan, best)[2:]
+    noise = problem.noise
     free, _, fixed = _lp_columns(lengths)
-    exact = (0, gains[:, fixed].sum(axis=1),
-             problem.noise + interference[:, fixed].sum(axis=1),
+    exact = (gains[:, fixed].sum(axis=1), noise + interference[:, fixed].sum(axis=1),
              gains[:, free], interference[:, free])
+
+    def rate(cands):
+        sinr = (cands @ gains.T) / (noise + cands @ interference.T)
+        return 0.5 * np.log2(1.0 + sinr.min(axis=1))
+
     best, evaluations, incomplete, _, (sol, gamma, bound, denom) = _lp_steps(
-        problem, lengths, best, best_rate, evaluations, budget,
-        lambda x, left: exact, np.ones(1), 0.0)
+        lambda x: exact, rate, noise, lengths, best, float(rate(best[None, :])[0]),
+        evaluations, budget, np.ones(1), 0.0)
     if not sol.optimal:
         return best, evaluations, None, incomplete, None
     weighted = sol.weights / denom
@@ -528,33 +531,26 @@ def _linearized(problem, lengths, best, best_rate, evaluations, budget):
     grid round fits: ``_lp_steps`` on a model of each power rebuilt at each
     incumbent, a sequential-LP method of the convex-concave family (Lipp and
     Boyd).  Coherent band powers are concave in the fractions and their
-    derivatives are infinite where a fraction is 0, so the model takes a
-    one-sided secant of step ``_SECANT`` up each LP column, rated with the
-    incumbent in one ``batch_powers`` call (one evaluation per point); each
-    step then rates the ``_LINE`` points of the segment to the LP point, and
-    the steps stop once one gains less than ``_TOLERANCE``, or, incomplete,
-    where the budget left cannot buy a whole step.
+    derivatives are infinite where a fraction is 0, so the model takes
+    ``gaussian._slopes``' one-sided secant of step ``_SECANT`` up each LP
+    column; each step then rates the ``_LINE`` points of the segment to the
+    LP point, and the steps stop once one gains less than ``_TOLERANCE``,
+    or, incomplete, where the budget left cannot buy those points.
 
     Returns the incumbent's fractions, the evaluations, the last step's
     gain (None where the budget bought no step) and whether the budget
     truncated the steps."""
     free = _lp_columns(lengths)[0]
-    at = np.arange(1, free.size + 1)
 
-    def secant(x, left):
-        if left < free.size + 1 + _LINE.size:
-            return None      # the budget cannot buy the whole step
-        points = np.repeat(x[None, :], free.size + 1, axis=0)
-        points[at, free] += _SECANT
-        step = points[at, free] - x[free]
-        sig, inter = batch_powers(problem, points)
-        gains = (sig[:, 1:] - sig[:, :1]) / step
-        interference = (inter[:, 1:] - inter[:, :1]) / step
-        return (free.size + 1, sig[:, 0] - gains @ x[free],
-                problem.noise + inter[:, 0] - interference @ x[free], gains, interference)
+    def secant(x):
+        sig, inter, gains, interference = _slopes(problem._contraction, x, _SECANT)
+        gains, interference = gains[:, free], interference[:, free]
+        return (sig - gains @ x[free], problem.noise + inter - interference @ x[free],
+                gains, interference)
 
     best, evaluations, incomplete, gain, _ = _lp_steps(
-        problem, lengths, best, best_rate, evaluations, budget, secant, _LINE, _TOLERANCE)
+        secant, lambda cands: batch_min_rate(problem, cands), problem.noise, lengths, best,
+        best_rate, evaluations, budget, _LINE, _TOLERANCE)
     return best, evaluations, None if gain is None else max(gain, 0.0), incomplete
 
 

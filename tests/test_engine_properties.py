@@ -25,10 +25,11 @@ from relayrates import (
     row_lengths,
 )
 
-from relayrates import gaussian, kernel
-from relayrates.gaussian import _convolve_runs, _lag_powers
+from relayrates import coding, gaussian, kernel
+from relayrates.gaussian import _convolve_runs, _lag_powers, _layout, _plan, _slopes
 
-from reference import reference_chain_csr, reference_lag_powers, reference_records
+from reference import (reference_chain_csr, reference_fading_gains, reference_lag_powers,
+                       reference_records)
 
 REL = 1e-12
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -192,6 +193,65 @@ def test_kappa_scale_equals_transmit_power_scale(case, scale):
     want = batch_min_rate(compile_chain(geom, prop, stronger, k, perm, mode), cands)
     assert np.all(np.abs(got - want) <= REL * np.maximum(want, 1.0))
     assert abs(got[0] - by_power.rate) <= REL * max(by_power.rate, 1.0)
+
+
+@st.composite
+def linearized_splits(draw):
+    """A non-uniform line chain (T 3-12, or 40; spacings U(0.2, 3), 0.5-50 W
+    per node) with a random relay order, hop depth and mode, and a split
+    with about a third of its fractions at 0."""
+    t_count = draw(st.one_of(st.integers(3, 12), st.just(40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    geom = build_linear_geometry(rng.uniform(0.2, 3.0, t_count - 1))
+    power = PowerConfig.uniform(t_count, rng.uniform(0.5, 50.0))
+    perm = Permutation((1, *rng.permutation(range(2, t_count)).tolist(), t_count))
+    k = draw(st.integers(1, t_count - 1))
+    rows = []
+    for t in range(1, t_count):
+        row = rng.dirichlet(np.full(row_lengths(t_count, k, perm)[t], 0.5))
+        row[rng.random(row.size) < 1 / 3] = 0.0
+        rows.append(row / row.sum() if row.sum() > 0.0 else np.eye(row.size)[0])
+    return (geom, power, perm, k, draw(st.sampled_from(CombiningMode)),
+            SplitMatrix(tuple(map(tuple, rows))), draw(st.integers(0, 2**32 - 1)))
+
+
+@PROPERTY
+@given(linearized_splits())
+def test_slopes_are_the_powers_exact_under_fading_and_secants_coherently(case):
+    # powers at the split are rate_report's; under fading each column's
+    # slope is its carrier's gain in the band (the written-out reference);
+    # coherently it is the forward difference of rate_report's powers over
+    # a step of 0.01 up that one fraction (to 1e-9 relative, past the
+    # difference's own rounding), checked on up to 12 columns
+    geom, power, perm, k, mode, splits, seed = case
+    prop = PropagationModel()
+    coherent = mode is CombiningMode.COHERENT
+    x, step = splits.as_flat(), 1e-2
+    p_sig, p_int, d_sig, d_int = _slopes(
+        _plan(*_layout(geom, prop, power, k, perm), coherent), x, step)
+    records = rate_report(geom, prop, power, splits, k, perm, mode).records
+    for got, want in ((p_sig, [r.p_sig for r in records]), (p_int, [r.p_int for r in records])):
+        np.testing.assert_allclose(got, want, rtol=REL, atol=0.0)
+    if not coherent:
+        gains, interference, _ = reference_fading_gains(geom, prop, power, k, perm)
+        np.testing.assert_allclose(d_sig, gains, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(d_int, interference, rtol=1e-13, atol=0.0)
+        return
+    lengths = [len(row) for row in splits.rows]
+    for col in np.random.default_rng(seed).permutation(x.size)[:12]:
+        up = x.copy()
+        up[col] += step
+        # a row that sums to 1 + step is no split, but rate_report's powers
+        # are defined for it
+        with mock.patch.object(coding, "ROW_SUM_TOL", 1.0):
+            moved = SplitMatrix.from_flat(up, lengths)
+        after = rate_report(geom, prop, power, moved, k, perm, mode).records
+        for got, band in ((d_sig, "p_sig"), (d_int, "p_int")):
+            at = np.array([getattr(r, band) for r in records])
+            diff = (np.array([getattr(r, band) for r in after]) - at) / step
+            # the difference itself rounds to a few ulps of the power
+            floor = 8.0 * np.finfo(float).eps * at / step
+            assert np.all(np.abs(got[:, col] - diff) <= 1e-9 * np.abs(diff) + floor), col
 
 
 def large_vs_oracle(t_count, alpha):

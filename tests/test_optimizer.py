@@ -24,7 +24,6 @@ from relayrates import (
     row_lengths,
 )
 from relayrates import kernel, optimizer
-from relayrates.kernel import batch_powers
 from relayrates.optimizer import (
     DEFAULT_BUDGET,
     _grid_candidates,
@@ -177,13 +176,6 @@ def grid_funded(res, budget, seeds=1):
     return 3 ** ndim <= (budget - seeds) // 4
 
 
-def lp_step_cost(res):
-    """Evaluations one coherent LP step of ``res``'s search costs: its
-    model rates the incumbent and one secant point per fraction in a row of
-    more than one, and its line search 8 points."""
-    return sum(len(row) for row in res.splits.rows if len(row) > 1) + 1 + 8
-
-
 @pytest.mark.parametrize("node_count,mode,budget", [
     *((node_count, mode, budget) for node_count in (5, 6, 12) for mode in CombiningMode
       for budget in (400_000, 2_000, 2_500)),
@@ -213,7 +205,8 @@ def test_search_matches_the_expanded_grid_reference(node_count, mode, budget):
             assert not got.incomplete and got.evaluations <= budget
         else:
             assert got.rate >= grid.rate - 1e-5 and got.evaluations <= budget
-            assert not got.incomplete or budget - got.evaluations < lp_step_cost(got)
+            # the LP model rates nothing: a step costs its line search
+            assert not got.incomplete or budget - got.evaluations < optimizer._LINE.size
         assert got.permutation == grid.permutation
 
     for k in ks:
@@ -356,6 +349,29 @@ def test_warm_starts_never_hurt():
     assert seeded.rate >= plain.rate - 1e-9
 
 
+def test_warm_optima_may_come_from_a_generator():
+    # warm optima are read once: a generator seeds the search as a list does
+    geom, power = unit_chain(5)
+    k2 = optimize_splits(geom, PROP, power, 2, budget=20)
+    listed = optimize_splits(geom, PROP, power, 3, budget=20, warm=[k2])
+    assert_same_result(optimize_splits(geom, PROP, power, 3, budget=20,
+                                       warm=(res for res in [k2])), listed)
+
+
+def test_the_seed_batch_is_rated_whatever_the_budget():
+    # the budget bounds the candidates rated past the seed batch: at budget
+    # 2 a k = 5 search still rates own_only and its three warm optima, and
+    # returns the best of them
+    geom, power = unit_chain(6)
+    warm = [optimize_splits(geom, PROP, power, j, budget=300) for j in (2, 3, 4)]
+    res = optimize_splits(geom, PROP, power, 5, budget=2, warm=warm)
+    assert res.evaluations == 4
+    seeds = [SplitMatrix.own_only(6, 5)] + [w.splits.embed(6, j, 5) for j, w in
+                                            zip((2, 3, 4), warm)]
+    assert res.splits in seeds
+    assert res.rate == max(rate_report(geom, PROP, power, seed, 5).rate for seed in seeds)
+
+
 def test_warm_optima_must_fit_the_search():
     geom, power = unit_chain(6)
     k3 = optimize_splits(geom, PROP, power, 3, budget=300)
@@ -371,24 +387,37 @@ def test_warm_optima_must_fit_the_search():
         optimize_splits(geom, PROP, power, 1, Permutation((1, 3, 2, 4, 5, 6)), warm=[k1])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
 def test_search_never_ends_below_own_only(seed, caplog):
-    # at T=12 k=3 a budget of 20 funds the seeds and the fading seed but no
-    # LP step (one costs 38 evaluations): the search must still return a
-    # point it rated, never the unrated box midpoint, and say in one WARNING
-    # which method was cut short
+    # at T=12 k=3 a budget of 8 funds the seeds and the fading seed but not
+    # one LP step's line search (8 evaluations, as own_only takes one): the
+    # search must still return a point it rated, never the unrated box
+    # midpoint, and say in one WARNING which method was cut short
     geom = build_linear_geometry(np.random.default_rng(seed).uniform(0.2, 3.0, 11))
     power = PowerConfig.uniform(12, 10.0)
     with caplog.at_level("WARNING", logger="relayrates"):
-        res = optimize_splits(geom, PROP, power, 3, budget=20)
+        res = optimize_splits(geom, PROP, power, 3, budget=8)
     assert res.rate >= rate_report(geom, PROP, power, SplitMatrix.own_only(12, 3), 3).rate
-    assert res.evaluations <= 20 and res.incomplete and res.achieved_tolerance is None
+    assert res.evaluations <= 8 and res.incomplete and res.achieved_tolerance is None
     (record,) = caplog.records
     assert record.levelname == "WARNING" and record.name == "relayrates"
     message = record.getMessage()
     for part in ("T=12", "k=3", "coherent mode", "linearized LP steps cut short",
-                 "19 free coordinates", "budget 20"):
+                 "19 free coordinates", "budget 8"):
         assert part in message, message
+
+
+def test_an_optimal_seed_is_certified_without_a_step():
+    # on this chain (seed 0) receiver 2, which only the source can serve,
+    # is the bottleneck at own_only, so no split rates higher: the first LP
+    # certifies it, and the LP models rate nothing, so a budget of the seed
+    # batch alone ends the search complete
+    geom = build_linear_geometry(np.random.default_rng(0).uniform(0.2, 3.0, 11))
+    power = PowerConfig.uniform(12, 10.0)
+    res = optimize_splits(geom, PROP, power, 3, budget=1)
+    assert res.splits == SplitMatrix.own_only(12, 3) and res.report.bottleneck == 2
+    assert res.evaluations == 1 and not res.incomplete and res.achieved_tolerance == 0.0
+    assert res.rate == optimize_splits(geom, PROP, power, 3).rate
 
 
 @st.composite
@@ -443,10 +472,11 @@ def test_warm_optima_are_rated_as_their_embedding(search):
                           for k_from, res in zip(smaller, warm)]
     assert first_batch(mode, 1) == [want.tobytes() for want in wants]
     # 10 evaluations past the seeds fund no grid round (4 rounds of 3 points
-    # per axis need 12) but leave a fading search from own_only 8, as a
-    # fading search of budget 9 has after rating own_only
+    # per axis need 12) but leave a fading search from own_only 9 (one is
+    # kept to rate its optimum in the seed batch), as a fading search of
+    # budget 10 has after rating own_only
     budget = len(wants) + 10
-    fading = optimize_splits(geom, PROP, power, k, perm, CombiningMode.FADING, 9)
+    fading = optimize_splits(geom, PROP, power, k, perm, CombiningMode.FADING, 10)
     if not np.array_equal(fading.splits.as_flat(), own_only):
         wants.append(fading.splits.as_flat())
     assert first_batch(CombiningMode.COHERENT, budget) == [want.tobytes() for want in wants]
@@ -566,11 +596,13 @@ def test_fading_seed_lifts_coherent_lp_steps_past_the_corner_grid(node_count):
 
 
 def test_budget_exhaustion_is_flagged():
-    # k = 5 has 10 free coordinates, too many for a grid of 12; what the
-    # seeds leave of 12 cannot buy an LP step (23 evaluations)
-    geom, power = unit_chain(6)
-    res = optimize_splits(geom, PROP, power, 5, budget=12)
-    assert res.incomplete and res.evaluations <= 12
+    # k = 5 has 10 free coordinates, too many for a grid of 8; what the
+    # seeds leave of 8 cannot buy an LP step's line search (8 evaluations).
+    # The first hop is the shortest: on the unit chain own_only is optimal
+    # and the first LP would certify it
+    geom = build_linear_geometry([0.5, 1.0, 1.0, 1.0, 1.0])
+    res = optimize_splits(geom, PROP, PowerConfig.uniform(6, 10.0), 5, budget=8)
+    assert res.incomplete and res.evaluations <= 8
     assert res.achieved_tolerance is None
 
 
@@ -622,8 +654,10 @@ def test_slabs_change_no_search_result(search):
 def test_batch_plan_built_once_per_problem(monkeypatch, node_count, k, mode, builder):
     # compile_chain builds no plan; the first batch_min_rate call builds the
     # problem's, and later calls reuse it, as does a search: a slabbed grid
-    # (coherent, 5 free coordinates), or LP steps' models and rated points
-    # (fading, and coherent at 9 free coordinates)
+    # (coherent, 5 free coordinates), coherent LP steps' line searches and
+    # models (9 free coordinates, all on the problem's contraction plan) or
+    # a fading search's seed batch, its one call, as the exact model rates
+    # its LP points
     built = []
     original = getattr(kernel, builder)
 
@@ -633,7 +667,9 @@ def test_batch_plan_built_once_per_problem(monkeypatch, node_count, k, mode, bui
 
     monkeypatch.setattr(kernel, builder, counted)
     rng = np.random.default_rng(k)
-    geom = build_linear_geometry(rng.uniform(0.2, 3.0, node_count - 1))
+    # hops in ascending length: where the first is the longest, own_only
+    # can be optimal, and LP steps then rate no point past the seeds
+    geom = build_linear_geometry(np.sort(rng.uniform(0.2, 3.0, node_count - 1)))
     power = PowerConfig.uniform(node_count, 10.0)
     perm = Permutation((1, *rng.permutation(range(2, node_count)).tolist(), node_count))
     problem = compile_chain(geom, PROP, power, k, perm, mode)
@@ -646,8 +682,10 @@ def test_batch_plan_built_once_per_problem(monkeypatch, node_count, k, mode, bui
     built.clear()
     monkeypatch.setattr(optimizer, "_SLAB_ELEMENTS", 64)
     with mock.patch.object(optimizer, "batch_min_rate", wraps=batch_min_rate) as rated, \
-            mock.patch.object(optimizer, "batch_powers", wraps=batch_powers) as powered, \
             mock.patch.object(optimizer, "_rate_round", wraps=_rate_round) as rounds:
         optimize_splits(geom, PROP, power, k, perm, mode, budget=2000)
-    calls = rated.call_count + powered.call_count
-    assert calls > (4 if rounds.call_count else 1) and len(built) == 1
+    if mode is CombiningMode.FADING:
+        assert rated.call_count == 1
+    else:
+        assert rated.call_count > (4 if rounds.call_count else 1)
+    assert len(built) == 1
